@@ -1,14 +1,14 @@
-"""Backend comparison for the finite-field kernels.
+"""Timings for the finite-field kernels.
 
-Times matmul / rref / an end-to-end fixed-space computation under the
-compiled backend and the pure-numpy fallback, selected per call through
-INDGL2_BACKEND.  Run from the repository root:
+Times matmul / rref at one square size and an end-to-end truncated_L(N=2)
+computation.  Each end-to-end repeat builds a fresh context (inside the
+timed call), so results memoised on a context never shortcut a repeat.
+Run from the repository root:
 
     python3 benchmarks/bench_linalg.py --size 400 --repeat 3
 """
 
 import argparse
-import os
 import time
 
 import numpy as np
@@ -40,39 +40,13 @@ def main():
     A = rng.integers(0, field.order, size=(n, n)).astype(np.int32)
     B = rng.integers(0, field.order, size=(n, n)).astype(np.int32)
 
-    backends = ["numpy"]
-    if _kernels.HAVE_NUMBA:
-        backends.insert(0, "numba")
-    else:
-        print("numba not importable; timing the fallback only")
-
-    saved = os.environ.get("INDGL2_BACKEND")
-    results = {}
-    try:
-        for backend in backends:
-            os.environ["INDGL2_BACKEND"] = backend
-            _kernels.matmul(A[:4, :4], B[:4, :4], field)  # compile outside the clock
-            _kernels.rref(A[:4, :4].copy(), field)
-            t_mm = best_of(lambda: _kernels.matmul(A, B, field), args.repeat)
-            t_rr = best_of(lambda: _kernels.rref(A.copy(), field), args.repeat)
-
-            ctx = analysis.build_ctx(3, 1, 2, (0,), N=8)
-            t_e2e = best_of(lambda: analysis.truncated_L(ctx, 2), args.repeat)
-            results[backend] = (t_mm, t_rr, t_e2e)
-            print(
-                f"{backend:6s}  matmul {n}x{n}: {t_mm * 1e3:8.1f} ms   "
-                f"rref {n}x{n}: {t_rr * 1e3:8.1f} ms   truncated_L(N=2): {t_e2e * 1e3:8.1f} ms"
-            )
-    finally:
-        if saved is None:
-            os.environ.pop("INDGL2_BACKEND", None)
-        else:
-            os.environ["INDGL2_BACKEND"] = saved
-
-    if len(results) == 2:
-        mm = results["numpy"][0] / results["numba"][0]
-        rr = results["numpy"][1] / results["numba"][1]
-        print(f"speedup numba vs numpy: matmul x{mm:.1f}, rref x{rr:.1f}")
+    t_mm = best_of(lambda: _kernels.matmul(A, B, field), args.repeat)
+    t_rr = best_of(lambda: _kernels.rref(A, field), args.repeat)
+    t_e2e = best_of(lambda: analysis.truncated_L(analysis.build_ctx(3, 1, 2, (0,), N=8), 2), args.repeat)
+    print(
+        f"matmul {n}x{n}: {t_mm * 1e3:8.1f} ms   "
+        f"rref {n}x{n}: {t_rr * 1e3:8.1f} ms   truncated_L(N=2): {t_e2e * 1e3:8.1f} ms"
+    )
 
 
 if __name__ == "__main__":

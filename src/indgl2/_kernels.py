@@ -1,63 +1,20 @@
-"""Table-driven matrix kernels over a finite field, numba-accelerated when available.
+"""Table-driven matrix kernels over a finite field.
 
 Matrices are int32 arrays of field codes; arithmetic goes through the dense
-lookup tables of a PrimeExtField.  INDGL2_BACKEND picks the implementation:
-``numba`` (hard requirement), ``numpy`` (pure fallback), or ``auto``.
+lookup tables of a PrimeExtField, vectorised over whole rows and columns.
 """
-
-import os
 
 import numpy as np
 
-try:
-    from numba import njit
 
-    HAVE_NUMBA = True
-except ImportError:  # pragma: no cover - exercised via INDGL2_BACKEND=numpy
-    HAVE_NUMBA = False
-
-    def njit(*args, **kwargs):
-        def wrap(fn):
-            return fn
-
-        if args and callable(args[0]):
-            return args[0]
-        return wrap
-
-
-def backend() -> str:
-    mode = os.environ.get("INDGL2_BACKEND", "auto").lower()
-    if mode not in ("auto", "numba", "numpy"):
-        raise ValueError(f"INDGL2_BACKEND must be auto|numba|numpy, got {mode!r}")
-    if mode == "numba" and not HAVE_NUMBA:
-        raise RuntimeError("INDGL2_BACKEND=numba but numba is not importable")
-    if mode == "auto":
-        return "numba" if HAVE_NUMBA else "numpy"
-    return mode
-
-
-@njit(cache=True)
-def _matmul_nb(A, B, ADD, MUL):
-    n, m = A.shape
-    r = B.shape[1]
-    C = np.zeros((n, r), dtype=np.int32)
-    for i in range(n):
-        for k in range(m):
-            a = A[i, k]
-            if a == 0:
-                continue
-            for j in range(r):
-                b = B[k, j]
-                if b != 0:
-                    C[i, j] = ADD[C[i, j], MUL[a, b]]
-    return C
-
-
-def _matmul_np(A, B, ADD, MUL):
-    n, m = A.shape
-    r = B.shape[1]
-    C = np.zeros((n, r), dtype=np.int32)
-    for k in range(m):
+def matmul(A: np.ndarray, B: np.ndarray, field) -> np.ndarray:
+    if A.shape[1] != B.shape[0]:
+        raise ValueError(f"shape mismatch {A.shape} @ {B.shape}")
+    A = np.ascontiguousarray(A, dtype=np.int32)
+    B = np.ascontiguousarray(B, dtype=np.int32)
+    ADD, MUL = field.ADD, field.MUL
+    C = np.zeros((A.shape[0], B.shape[1]), dtype=np.int32)
+    for k in range(A.shape[1]):
         col = A[:, k]
         nz = np.nonzero(col)[0]
         if nz.size == 0:
@@ -67,47 +24,12 @@ def _matmul_np(A, B, ADD, MUL):
     return C
 
 
-@njit(cache=True)
-def _rref_nb(M, ADD, MUL, NEG, INV):
-    R = M.copy()
-    n, m = R.shape
-    pivots = np.empty(min(n, m), dtype=np.int64)
-    npiv = 0
-    row = 0
-    for col in range(m):
-        if row >= n:
-            break
-        sel = -1
-        for i in range(row, n):
-            if R[i, col] != 0:
-                sel = i
-                break
-        if sel == -1:
-            continue
-        if sel != row:
-            for j in range(m):
-                t = R[row, j]
-                R[row, j] = R[sel, j]
-                R[sel, j] = t
-        inv = INV[R[row, col]]
-        if inv != 1:
-            for j in range(m):
-                if R[row, j] != 0:
-                    R[row, j] = MUL[R[row, j], inv]
-        for i in range(n):
-            if i != row and R[i, col] != 0:
-                c = NEG[R[i, col]]
-                for j in range(m):
-                    v = R[row, j]
-                    if v != 0:
-                        R[i, j] = ADD[R[i, j], MUL[c, v]]
-        pivots[npiv] = col
-        npiv += 1
-        row += 1
-    return R, pivots[:npiv]
-
-
-def _rref_np(M, ADD, MUL, NEG, INV):
+def rref(M: np.ndarray, field):
+    """Reduced row echelon form with first-nonzero pivoting; returns (R, pivot columns)."""
+    M = np.ascontiguousarray(M, dtype=np.int32)
+    if M.size == 0:
+        return M.copy(), np.empty(0, dtype=np.int64)
+    ADD, MUL, NEG, INV = field.ADD, field.MUL, field.NEG, field.INV
     R = M.copy()
     n, m = R.shape
     pivots = []
@@ -132,26 +54,6 @@ def _rref_np(M, ADD, MUL, NEG, INV):
         pivots.append(col)
         row += 1
     return R, np.array(pivots, dtype=np.int64)
-
-
-def matmul(A: np.ndarray, B: np.ndarray, field) -> np.ndarray:
-    if A.shape[1] != B.shape[0]:
-        raise ValueError(f"shape mismatch {A.shape} @ {B.shape}")
-    A = np.ascontiguousarray(A, dtype=np.int32)
-    B = np.ascontiguousarray(B, dtype=np.int32)
-    if backend() == "numba":
-        return _matmul_nb(A, B, field.ADD, field.MUL)
-    return _matmul_np(A, B, field.ADD, field.MUL)
-
-
-def rref(M: np.ndarray, field):
-    """Reduced row echelon form with first-nonzero pivoting; returns (R, pivot columns)."""
-    M = np.ascontiguousarray(M, dtype=np.int32)
-    if M.size == 0:
-        return M.copy(), np.empty(0, dtype=np.int64)
-    if backend() == "numba":
-        return _rref_nb(M, field.ADD, field.MUL, field.NEG, field.INV)
-    return _rref_np(M, field.ADD, field.MUL, field.NEG, field.INV)
 
 
 def vec_mat(v: np.ndarray, M: np.ndarray, field) -> np.ndarray:

@@ -17,8 +17,8 @@ q x D contraction at every level), and every certificate ingredient is
 itself machine-checked.
 """
 
+import functools
 import itertools
-import math
 from dataclasses import dataclass, field as dc_field
 
 import numpy as np
@@ -49,6 +49,10 @@ from .weight import WeightCtx, action_matrix
 DENSE_FIXED_CAP = 2048
 DENSE_RANK_ROW_CAP = 2048
 DENSE_RANK_COST_CAP = 8e9
+
+# ring precision the main lemma needs: R₂ sits at level N - 1 = 2, and the
+# generators of U act on it modulo ϖ³
+MAIN_LEMMA_PRECISION = 3
 
 
 def build_ctx(p: int, f: int, e: int, rvec, chi_c: int = 0, nu_code: int | None = None,
@@ -81,6 +85,22 @@ def config_echo(ctx: InductionCtx) -> dict:
 # -- building blocks --
 
 
+def _per_ctx(build):
+    """Memoise build(ctx) on the ctx, so it runs once per configuration.
+
+    Every caller gets the same object back and must not mutate it.
+    """
+
+    @functools.wraps(build)
+    def once(ctx: InductionCtx):
+        memo = ctx._memo
+        if build.__name__ not in memo:
+            memo[build.__name__] = build(ctx)
+        return memo[build.__name__]
+
+    return once
+
+
 def u_generators(ctx: InductionCtx, n: int):
     """Additive generators {[λ_s]·ϖ^i : 0 ≤ i ≤ n, λ_s an F_p-basis of F_q} of O/ϖ^{n+1}."""
     ring = ctx.ring
@@ -110,6 +130,7 @@ def r1_prime(ctx: InductionCtx) -> linalg.Subspace:
     return linalg.kernel(tminus_matrix(ctx, 1))
 
 
+@_per_ctx
 def tplus_block_rank(ctx: InductionCtx) -> int:
     """Rank of the D x q local matrix [i⃗, λ] ↦ (-λ)^{i⃗}.
 
@@ -138,6 +159,7 @@ def tplus_kernel_dim(ctx: InductionCtx, n: int):
 # -- weight-level coinvariant functional --
 
 
+@_per_ctx
 def weight_coinvariant_functional(ctx: InductionCtx):
     """(complement Cσ = Σ(u-1)σ, functional φ: K^D → K with ker φ ⊇ Cσ, φ ≠ 0)."""
     w = ctx.weight
@@ -234,7 +256,9 @@ class CandidateSpaces:
     qu_dim: int
 
 
+@_per_ctx
 def _candidate_spaces(ctx: InductionCtx) -> CandidateSpaces:
+    """R₁′, T₊R₁, T₊R₁′, Q^U, V and W; the only place these spaces are built."""
     kk = ctx.weight.field.kk
     r1p = r1_prime(ctx)
     Mplus = tplus_matrix(ctx, 1)
@@ -370,25 +394,19 @@ def paper_candidate(ctx: InductionCtx, case: str | None = None):
 
 
 def candidate_checks(ctx: InductionCtx, g: InducedElem) -> dict:
-    """The two defining checks, run on induced-element arithmetic directly."""
-    spaces_needed = g.levels() == [2]
-    if not spaces_needed:
+    """The two defining checks, run on induced-element arithmetic directly.
+
+    (u-1)g is computed by u_act on g itself, independently of the quotient
+    maps that produced V; only the spaces it is tested against are shared.
+    """
+    if g.levels() != [2]:
         raise CheckFailed("candidate must be supported on level 2")
-    kk = ctx.weight.field.kk
+    spaces = _candidate_spaces(ctx)
     lr2 = LevelRange("all", 2, 2)
-    r1p = r1_prime(ctx)
-    Mplus = tplus_matrix(ctx, 1)
-    tplus_r1 = linalg.image(Mplus)
-    rows = _kernels.matmul(r1p.rows, Mplus.matrix, kk) if r1p.dim else np.zeros((0, Mplus.codomain), dtype=np.int32)
-    tplus_r1p = linalg.echelon(rows, kk, ambient=Mplus.codomain)
-    coords = flatten(g, lr2)
-    not_in_t_r1 = not linalg.member(coords, tplus_r1)
-    invariant = True
-    for c in u_generators(ctx, 2):
-        delta = u_act(c, g) - g
-        if not linalg.member(flatten(delta, lr2), tplus_r1p):
-            invariant = False
-            break
+    not_in_t_r1 = not linalg.member(flatten(g, lr2), spaces.tplus_r1)
+    invariant = all(
+        linalg.member(flatten(u_act(c, g) - g, lr2), spaces.tplus_r1p) for c in u_generators(ctx, 2)
+    )
     return {"g_not_in_TplusR1": not_in_t_r1, "u_invariance_mod_TplusR1prime": invariant}
 
 
@@ -404,7 +422,7 @@ def independence_certificate(ctx: InductionCtx, g: InducedElem, raise_on_fail: b
     subchecks["g-level-2-support"] = g.levels() == [2]
     if subchecks["g-nonzero"] and subchecks["g-level-2-support"]:
         lr2 = LevelRange("all", 2, 2)
-        tplus_r1 = linalg.image(tplus_matrix(ctx, 1))
+        tplus_r1 = _candidate_spaces(ctx).tplus_r1
         subchecks["g-not-in-TplusR1"] = not linalg.member(flatten(g, lr2), tplus_r1)
     else:
         subchecks["g-not-in-TplusR1"] = False
@@ -453,6 +471,7 @@ class MainLemmaReport:
         }
 
 
+@_per_ctx
 def main_lemma_report(ctx: InductionCtx) -> MainLemmaReport:
     spaces = _candidate_spaces(ctx)
     case = select_case(ctx)
@@ -579,10 +598,15 @@ def _coinv_dim_collapsed(ctx: InductionCtx, N: int) -> int:
     return (N + 1) - len(piv)
 
 
+def truncation_precision(N: int) -> int:
+    """Ring precision truncated_L(ctx, N) needs: T on level 2N-1 lands on level 2N."""
+    return 2 * N + 1
+
+
 def truncated_L(ctx: InductionCtx, N: int, main: MainLemmaReport | None = None,
                 prev: TruncationReport | None = None) -> TruncationReport:
-    if 2 * N + 1 > ctx.ring.N:
-        raise PrecisionExhausted(f"need ring precision {2 * N + 1}, have {ctx.ring.N}")
+    if truncation_precision(N) > ctx.ring.N:
+        raise PrecisionExhausted(f"need ring precision {truncation_precision(N)}, have {ctx.ring.N}")
     kk = ctx.weight.field.kk
     lr_even = LevelRange("even", 0, 2 * N)
     lr_odd = LevelRange("odd", 1, 2 * N - 1)

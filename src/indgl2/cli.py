@@ -12,7 +12,6 @@ strings allowed), field elements are coordinate lists over the prime field.
 import argparse
 import json
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field as dc_field
 from time import perf_counter
 
@@ -30,7 +29,16 @@ from .induction import (
     singleton,
     u_act,
 )
-from .localring import RingElem, digits, from_digits, residue, teichmuller, witt_carry, witt_carry_closed_form
+from .localring import (
+    RingElem,
+    digits,
+    from_digits,
+    residue,
+    teichmuller,
+    witt_carry,
+    witt_carry_closed_form,
+    witt_carry_precision,
+)
 
 SUITES = ("arith", "hecke", "mainlemma", "negative", "truncation")
 
@@ -97,8 +105,24 @@ class Config:
         return self
 
     def effective_precision(self) -> int:
-        auto = max(2 * self.N_max + 2, 6)
+        auto = max(2 * self.N_max + 2, 6, self.e + 1)
         return self.N if self.N is not None else auto
+
+    def check_precision(self, suites):
+        """Reject a ring precision N below what one of the selected suites needs."""
+        main_lemma = analysis.MAIN_LEMMA_PRECISION
+        search_only = self.e == 1 and self.f == 1  # analysis.select_case; no main lemma runs
+        need = {
+            "arith": witt_carry_precision(self.e),
+            "hecke": 3,  # T on level-1 elements lands on level 2 = N - 1
+            "mainlemma": main_lemma,
+            "negative": 0,  # builds its own contexts
+            "truncation": max(analysis.truncation_precision(self.N_max), 0 if search_only else main_lemma),
+        }
+        N = self.effective_precision()
+        for suite in suites:
+            if N < need[suite]:
+                raise ConfigError(f"suite {suite!r} needs ring precision N >= {need[suite]}, got N = {N}", location="N")
 
     def build(self) -> analysis.InductionCtx:
         try:
@@ -428,15 +452,17 @@ _SUITE_FNS = {
 }
 
 
-def run(cfg: Config, suites=None, jobs: int = 1, timings: bool = False) -> Report:
+def run(cfg: Config, suites=None, timings: bool = False) -> Report:
     """Execute the selected suites; suite crashes become failed records."""
-    ctx = cfg.build()
     selected = list(suites) if suites is not None else list(cfg.suites)
     for s in selected:
         if s not in SUITES:
             raise ConfigError(f"unknown suite {s!r}", location="--suites")
+    cfg.check_precision(selected)
+    ctx = cfg.build()
 
-    def task(name):
+    records = []
+    for name in selected:
         rng = np.random.default_rng(cfg.seed + SUITES.index(name))
         t0 = perf_counter()
         try:
@@ -447,16 +473,7 @@ def run(cfg: Config, suites=None, jobs: int = 1, timings: bool = False) -> Repor
         if timings:
             for r in recs:
                 r.seconds = round(dt / max(len(recs), 1), 6)
-        return recs
-
-    records = []
-    if jobs > 1 and len(selected) > 1:
-        with ThreadPoolExecutor(max_workers=jobs) as pool:
-            for recs in pool.map(task, selected):
-                records.extend(recs)
-    else:
-        for name in selected:
-            records.extend(task(name))
+        records.extend(recs)
     if cfg.inject_failure:
         records.append(CheckRecord("injected-failure", "fail", detail="forced by configuration"))
     records.sort(key=lambda r: r.name)
@@ -487,7 +504,6 @@ def main(argv=None) -> int:
     v.add_argument("--preset", help=f"named configuration: {', '.join(sorted(PRESETS))}")
     v.add_argument("--suites", help=f"comma-separated subset of: {', '.join(SUITES)}")
     v.add_argument("--trunc", type=int, help="override the truncation depth N_max")
-    v.add_argument("--jobs", type=int, default=1, help="run suites concurrently")
     v.add_argument("--out", help="write the report to this path instead of stdout")
     v.add_argument("--format", choices=("text", "json"), default="text")
     v.add_argument("--timings", action="store_true", help="record wall-clock seconds (breaks byte-determinism)")
@@ -509,7 +525,7 @@ def main(argv=None) -> int:
         if args.seed is not None:
             cfg.seed = args.seed
         suites = [s for s in args.suites.split(",") if s] if args.suites else None
-        report = run(cfg, suites=suites, jobs=args.jobs, timings=args.timings)
+        report = run(cfg, suites=suites, timings=args.timings)
     except ConfigError as ex:
         print(f"config error: {ex}", file=sys.stderr)
         return 2

@@ -41,6 +41,7 @@ class InductionCtx:
         self._ushift_cache: dict = {}
         self._tplus_local = None
         self._tminus_local = None
+        self._memo: dict = {}  # analysis results, built on first use
 
     @property
     def q(self) -> int:

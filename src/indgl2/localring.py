@@ -13,7 +13,6 @@ top tracked ϖ-digit is lost (e·M ≥ N + 1).
 
 import math
 from dataclasses import dataclass
-from functools import lru_cache
 
 import numpy as np
 
@@ -51,6 +50,7 @@ class LocalRingCtx:
         # y^(f+k) mod h for k = 0..f-2, used to fold products
         self._ypow_hi = self._build_ypow()
         self._u0_inv = None  # lazy: inverse of E[0]/p in GR
+        self._teich_cache: dict = {}  # residue code -> Teichmüller lift coordinates
 
     def _normalize_eisenstein(self, E):
         e, f = self.e, self.f
@@ -318,22 +318,13 @@ def _teich_vec(ctx: LocalRingCtx, code: int) -> np.ndarray:
     raise NonConvergence("Teichmüller iteration did not stabilize")
 
 
-@lru_cache(maxsize=None)
-def _teich_cached(ctx_id: int, code: int) -> bytes:
-    ctx = _CTX_REGISTRY[ctx_id]
-    return _teich_vec(ctx, code).tobytes()
-
-
-_CTX_REGISTRY: dict = {}
-
-
 def teichmuller(lam: FqElem, ctx: LocalRingCtx) -> RingElem:
     """The unique lift of λ with x^q = x; computed by q-power stabilization."""
     if lam.field is not ctx.field.fq:
         raise MixedFieldContexts("element not in the residue field of this context")
-    key = id(ctx)
-    _CTX_REGISTRY.setdefault(key, ctx)
-    flat = np.frombuffer(_teich_cached(key, lam.code), dtype=np.int64)
+    flat = ctx._teich_cache.get(lam.code)
+    if flat is None:
+        flat = ctx._teich_cache[lam.code] = _teich_vec(ctx, lam.code)
     vec = np.zeros((ctx.e, ctx.f), dtype=np.int64)
     vec[0] = flat
     return RingElem(ctx, vec, ctx.N)
@@ -428,12 +419,17 @@ def witt_carry_closed_form(a: FqElem, b: FqElem, ctx: LocalRingCtx) -> FqElem:
     return total
 
 
+def witt_carry_precision(e: int, carries: int = 1) -> int:
+    """Ring precision witt_carry needs: the k-th carry sits at digit k·e."""
+    return e * carries + 1
+
+
 def witt_carry(a: FqElem, b: FqElem, ctx: LocalRingCtx, carries: int = 1) -> DigitString:
     """Digit string of [a]+[b] through the first `carries` carry positions.
 
     Positions 1..e-1 vanish; position e holds the first carry polynomial.
     """
-    need = ctx.e * carries + 1
+    need = witt_carry_precision(ctx.e, carries)
     if ctx.N < need:
         raise PrecisionExhausted(f"need precision {need}, ctx has {ctx.N}")
     s = teichmuller(a, ctx) + teichmuller(b, ctx)

@@ -1,26 +1,17 @@
 """Acceptance gate: one test per criterion, one printed pass/fail line each.
 
-Every check is exact; the stated runtime budgets are asserted after a
-one-time kernel warmup so compilation never counts against a criterion.
+Every check is exact; the stated runtime budgets are asserted per criterion.
 """
 
 import time
 
 import numpy as np
-import pytest
 
 from indgl2 import analysis, cli, linalg
 from indgl2.gf import FieldCtx, sum_over_field
 from indgl2.induction import InducedElem, hecke_T, hecke_T_minus, hecke_T_plus, singleton, u_act
 from indgl2.localring import LocalRingCtx, RingElem, teichmuller, witt_carry, witt_carry_closed_form
 from indgl2.weight import WeightCtx, u_invariants
-
-
-@pytest.fixture(scope="module", autouse=True)
-def _warm_kernels():
-    # trigger backend compilation outside the timed sections
-    ctx = analysis.build_ctx(3, 1, 1, (1,), N=4)
-    analysis.invariant_candidates(ctx)
 
 
 def announce(n: int, ok: bool, detail: str, elapsed: float):

@@ -1,11 +1,16 @@
 """Configuration parsing, suite driver, report emission, exit codes."""
 
 import json
+import re
+from pathlib import Path
 
 import pytest
 
-from indgl2 import cli
+from indgl2 import analysis, cli
 from indgl2.errors import ConfigError
+from indgl2.induction import LevelRange
+
+README = Path(__file__).resolve().parent.parent / "README.md"
 
 
 def make_cfg(**over):
@@ -126,11 +131,21 @@ class TestRun:
         with pytest.raises(ConfigError):
             cli.run(make_cfg(), suites=["nope"])
 
-    def test_jobs_equivalent(self):
-        cfg = make_cfg(suites=["arith", "negative", "mainlemma"])
-        a = cli.emit(cli.run(cfg, jobs=1), "json")
-        b = cli.emit(cli.run(cfg, jobs=3), "json")
-        assert a == b
+    def test_candidate_spaces_built_once_per_ctx(self, monkeypatch):
+        # V and W come from the quotient maps on R₂; the mainlemma and
+        # truncation suites and the generic-case candidate must share one build
+        real = analysis.induced_quotient_maps
+        builds = {}
+
+        def counting(ctx, ops, lr, S, P):
+            if lr == LevelRange("all", 2, 2):
+                builds[id(ctx)] = builds.get(id(ctx), 0) + 1
+            return real(ctx, ops, lr, S, P)
+
+        monkeypatch.setattr(analysis, "induced_quotient_maps", counting)
+        rep = cli.run(cli.config_from_preset("unramified-generic"), suites=["mainlemma", "truncation"])
+        assert rep.verdict == "pass"
+        assert list(builds.values()) == [1]
 
     def test_truncation_suite_records(self):
         rep = cli.run(make_cfg(N_max=2), suites=["truncation"])
@@ -210,6 +225,36 @@ class TestMain:
         assert code == 0
         out = capsys.readouterr().out
         assert "truncation:N=1" in out and "truncation:N=2" not in out
+
+    @pytest.mark.parametrize(
+        "lines, need",
+        [
+            ("N = 2", "N >= 3"),  # every suite but negative needs R₂
+            ("N = 4\nN_max = 2", "N >= 5"),  # truncation to N_max = 2 needs 2·2+1
+            ("N = 3\nN_max = 2", "N >= 5"),
+        ],
+        ids=["N=2", "N=4-trunc2", "N=3-trunc2"],
+    )
+    def test_exit_2_when_precision_too_small(self, tmp_path, capsys, lines, need):
+        cfg = tmp_path / "c.txt"
+        cfg.write_text(f"p = 3\nf = 1\ne = 2\nr = [1]\n{lines}\n")
+        assert cli.main(["verify", "--config", str(cfg)]) == 2
+        err = capsys.readouterr().err
+        assert "config error" in err and need in err
+
+    def test_precision_check_follows_selected_suites(self, tmp_path, capsys):
+        cfg = tmp_path / "c.txt"
+        cfg.write_text("p = 3\nf = 1\ne = 2\nr = [1]\nN = 3\nN_max = 2\n")
+        assert cli.main(["verify", "--config", str(cfg), "--suites", "arith,mainlemma"]) == 0
+        assert cli.main(["verify", "--config", str(cfg), "--suites", "truncation", "--trunc", "1"]) == 0
+
+    def test_readme_config_example(self, tmp_path, capsys):
+        blocks = re.findall(r"```\n(.*?)```", README.read_text(encoding="utf-8"), re.S)
+        example = next(b for b in blocks if "suites = " in b)
+        cfg = tmp_path / "c.txt"
+        cfg.write_text(example)
+        assert cli.main(["verify", "--config", str(cfg)]) == 0
+        assert "verdict: pass" in capsys.readouterr().out
 
     def test_determinism_across_processes(self, tmp_path):
         cfg = tmp_path / "c.txt"

@@ -1,3 +1,6 @@
+import gc
+import weakref
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -91,6 +94,15 @@ class TestTeichmuller:
         for a in els:
             for b in els:
                 assert teichmuller(a, ctx) * teichmuller(b, ctx) == teichmuller(a * b, ctx)
+
+    def test_cache_does_not_keep_ctx_alive(self):
+        ctx = LocalRingCtx(2, 2, 1, N=3)
+        lam = ctx.field.fq.elem(2)
+        assert teichmuller(lam, ctx) == teichmuller(lam, ctx)  # second call reads the cache
+        ref = weakref.ref(ctx)
+        del ctx
+        gc.collect()
+        assert ref() is None
 
 
 class TestDigits:
