@@ -18,7 +18,6 @@ itself machine-checked.
 """
 
 import functools
-import itertools
 from dataclasses import dataclass, field as dc_field
 
 import numpy as np
@@ -30,7 +29,6 @@ from .induction import (
     InducedElem,
     InductionCtx,
     LevelRange,
-    basis_R,
     flatten,
     hecke_T,
     hecke_T_minus,
@@ -39,6 +37,8 @@ from .induction import (
     range_dim,
     singleton,
     to_records,
+    translate_vectors,
+    translation_product,
     u_act,
     unflatten,
 )
@@ -144,13 +144,20 @@ def tplus_block_rank(ctx: InductionCtx) -> int:
     return len(piv)
 
 
+@_per_ctx
+def _tplus_r1(ctx: InductionCtx):
+    """(T₊|R₁ as a matrix, its image T₊R₁); shared by the witness spaces and the kernel check."""
+    M = tplus_matrix(ctx, 1)
+    return M, linalg.image(M)
+
+
 def tplus_kernel_dim(ctx: InductionCtx, n: int):
-    """(kernel dimension of T₊|R_n, method); dense matrix when affordable."""
+    """(kernel dimension of T₊|R_n, method); rank–nullity on the dense image when affordable."""
     rows = ctx.q**n * ctx.D
     cols = ctx.q ** (n + 1) * ctx.D
     if rows <= DENSE_RANK_ROW_CAP and rows * rows * cols <= DENSE_RANK_COST_CAP and n + 1 <= ctx.max_level():
-        M = tplus_matrix(ctx, n)
-        return linalg.kernel(M).dim, "dense"
+        img = _tplus_r1(ctx)[1] if n == 1 else linalg.image(tplus_matrix(ctx, n))
+        return rows - img.dim, "dense"
     # block certificate: disjoint child supports + local rank
     deficiency = ctx.D - tplus_block_rank(ctx)
     return deficiency * ctx.q**n, "blockwise"
@@ -199,47 +206,12 @@ def quotient_projection(S: linalg.Subspace) -> np.ndarray:
     return P
 
 
-def _basis_coords(ctx: InductionCtx, lr: LevelRange):
-    """Flat index -> (level, digit tuple, weight index) for the frozen basis."""
-    out = []
-    for n in lr.levels():
-        for mu in itertools.product(range(ctx.q), repeat=n):
-            for widx in range(ctx.D):
-                out.append((n, mu, widx))
-    return out
-
-
 def induced_quotient_maps(ctx: InductionCtx, ops, lr: LevelRange, S: linalg.Subspace, P: np.ndarray):
-    """Matrices of translation maps on ambient/S, assembled through sparse images."""
+    """Matrices of translation maps on ambient/S: the complement rows of each
+    translation matrix, projected by P."""
     kk = ctx.weight.field.kk
-    coords = _basis_coords(ctx, lr)
-    piv = set(int(c) for c in S.pivots)
-    nonpiv = [j for j in range(S.ambient) if j not in piv]
-    L = len(nonpiv)
-    offsets = {}
-    pos = 0
-    for n in lr.levels():
-        offsets[n] = pos
-        pos += ctx.q**n * ctx.D
-    maps = []
-    for c in ops:
-        Q = np.zeros((L, L), dtype=np.int32)
-        for a, j in enumerate(nonpiv):
-            n, mu, widx = coords[j]
-            y = u_act(c, singleton(ctx, n, mu, widx))
-            row = np.zeros(L, dtype=np.int32)
-            for (nn, nmu), v in y.terms.items():
-                rank = 0
-                for dcode in nmu:
-                    rank = rank * ctx.q + int(dcode)
-                base = offsets[nn] + rank * ctx.D
-                for d in range(ctx.D):
-                    cc = int(v[d])
-                    if cc:
-                        row = kk.ADD[row, kk.MUL[cc, P[base + d]]]
-            Q[a] = row
-        maps.append(linalg.LinMap(kk, Q))
-    return maps
+    nonpiv = np.setdiff1d(np.arange(S.ambient), S.pivots)
+    return [linalg.LinMap(kk, translation_product(ctx, c, lr, nonpiv, P)) for c in ops]
 
 
 # -- the main existence computation --
@@ -261,8 +233,7 @@ def _candidate_spaces(ctx: InductionCtx) -> CandidateSpaces:
     """R₁′, T₊R₁, T₊R₁′, Q^U, V and W; the only place these spaces are built."""
     kk = ctx.weight.field.kk
     r1p = r1_prime(ctx)
-    Mplus = tplus_matrix(ctx, 1)
-    tplus_r1 = linalg.image(Mplus)
+    Mplus, tplus_r1 = _tplus_r1(ctx)
     if r1p.dim:
         img_rows = _kernels.matmul(r1p.rows, Mplus.matrix, kk)
     else:
@@ -273,14 +244,13 @@ def _candidate_spaces(ctx: InductionCtx) -> CandidateSpaces:
     gens = u_generators(ctx, 2)
     lr2 = LevelRange("all", 2, 2)
     for c in gens:
-        for row in tplus_r1p.rows:
-            moved = flatten(u_act(c, unflatten(ctx, lr2, row)), lr2)
-            assert linalg.member(moved, tplus_r1p), "T₊R₁′ must be U-stable"
+        moved = translate_vectors(ctx, c, 2, tplus_r1p.rows)
+        assert not np.any(tplus_r1p.reduce(moved)), "T₊R₁′ must be U-stable"
 
     P = quotient_projection(tplus_r1p)
-    qmaps = induced_quotient_maps(ctx, gens, lr2, tplus_r1p, P)
     q_dim = P.shape[1]
-    fixedQ = linalg.fixed_space(qmaps) if qmaps else linalg.full_space(kk, q_dim)
+    # the maps are dropped as soon as their fixed space is known
+    fixedQ = linalg.fixed_space(induced_quotient_maps(ctx, gens, lr2, tplus_r1p, P), field=kk, ambient=q_dim)
     V = linalg.preimage(linalg.LinMap(kk, P), fixedQ)
     W = linalg.intersect(V, tplus_r1)
     return CandidateSpaces(V, W, r1p, tplus_r1p, tplus_r1, q_dim, fixedQ.dim)
@@ -607,7 +577,6 @@ def truncated_L(ctx: InductionCtx, N: int, main: MainLemmaReport | None = None,
                 prev: TruncationReport | None = None) -> TruncationReport:
     if truncation_precision(N) > ctx.ring.N:
         raise PrecisionExhausted(f"need ring precision {truncation_precision(N)}, have {ctx.ring.N}")
-    kk = ctx.weight.field.kk
     lr_even = LevelRange("even", 0, 2 * N)
     lr_odd = LevelRange("odd", 1, 2 * N - 1)
     dim_ie = range_dim(ctx, lr_even)
@@ -616,15 +585,8 @@ def truncated_L(ctx: InductionCtx, N: int, main: MainLemmaReport | None = None,
 
     dense_rank = dim_io <= DENSE_RANK_ROW_CAP and dim_io * dim_io * dim_ie <= DENSE_RANK_COST_CAP
     block_ok = tplus_block_rank(ctx) == ctx.D
-    W_rows = None
     if dense_rank:
-        W_rows = np.zeros((dim_io, dim_ie), dtype=np.int32)
-        r = 0
-        for n in lr_odd.levels():
-            for x in basis_R(ctx, n):
-                W_rows[r] = flatten(hecke_T(x), lr_even)
-                r += 1
-        S_W = linalg.echelon(W_rows, kk, ambient=dim_ie)
+        S_W = linalg.image(operator_matrix(ctx, hecke_T, lr_odd, lr_even))
         dim_t_io = S_W.dim
         methods["t_io"] = "dense-rank"
         if block_ok:

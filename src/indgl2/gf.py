@@ -458,31 +458,6 @@ class FieldCtx:
 # -- free functions --
 
 
-def field_arith(op: str, a: FqElem, b: FqElem | None = None) -> FqElem:
-    if op == "add":
-        return a + b
-    if op == "sub":
-        return a - b
-    if op == "mul":
-        return a * b
-    if op == "neg":
-        return -a
-    if op == "inv":
-        if not a:
-            raise DivisionByZero("inverse of zero")
-        return a.inverse()
-    raise ValueError(f"unknown op {op!r}")
-
-
-def frobenius(a: FqElem, j: int) -> FqElem:
-    if j < 0:
-        raise ValueError("negative Frobenius power")
-    code = a.code
-    for _ in range(j):
-        code = int(a.field.FROB[code])
-    return FqElem(a.field, code)
-
-
 def monomial_exp(lam: FqElem, ivec) -> FqElem:
     """lam ** (sum_j p^j i_j) with the convention 0^0 = 1."""
     p = lam.field.p
@@ -511,10 +486,3 @@ def sum_over_field(coeffs, ctx: FieldCtx) -> FqElem:
             acc = acc * tk + c
         total = total + acc
     return total
-
-
-def char_value(ctx: FieldCtx, c: int, a: FqElem) -> FqElem:
-    """Value of the character x -> x^c of F_q^x inside K."""
-    if not a:
-        raise DivisionByZero("character evaluated at 0")
-    return FqElem(ctx.kk, ctx.kk.pow_code(ctx.embed_code(a.code), c))

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import linalg
+from . import _kernels, linalg
 from .errors import (
     DimensionMismatch,
     LevelZeroInput,
@@ -26,7 +26,7 @@ from .errors import (
     PrecisionExhausted,
 )
 from .gf import monomial_exp
-from .localring import DigitString, LocalRingCtx, RingElem, digits, from_digits
+from .localring import LocalRingCtx, RingElem, translate_digits, translation_table
 from .weight import WeightCtx, WeightVector, action_matrix
 
 
@@ -38,7 +38,6 @@ class InductionCtx:
             raise ValueError("weight and ring must share a single field context")
         self.weight = weight
         self.ring = ring
-        self._ushift_cache: dict = {}
         self._tplus_local = None
         self._tminus_local = None
         self._memo: dict = {}  # analysis results, built on first use
@@ -203,40 +202,22 @@ def u_act(c: RingElem, x: InducedElem) -> InducedElem:
     """Left translation by [[1, c], [0, 1]]: reindex μ ↦ μ″ where μ + c = μ″ + ϖⁿ t,
     and push the leftover unipotent [[1, t], [0, 1]] into the weight."""
     ctx = x.ctx
-    ring = ctx.ring
-    if c.ctx is not ring:
+    if c.ctx is not ctx.ring:
         raise DimensionMismatch("translation amount lives in a different ring context")
     kk = ctx.weight.field.kk
-    fq = ctx.weight.field.fq
     out: dict = {}
-    c_sig = (c.vec.tobytes(), c.prec)
     for (n, mu), v in x.terms.items():
-        if c.prec < n + 1:
-            raise PrecisionExhausted(f"translation needs precision {n + 1}, have {c.prec}")
-        hit = ctx._ushift_cache.get((c_sig, n, mu))
-        if hit is None:
-            r = from_digits(DigitString(ring, mu)) + c
-            s = digits(r, n + 1)
-            hit = (s.codes[:n], s.codes[n])
-            ctx._ushift_cache[(c_sig, n, mu)] = hit
-        mu2, t = hit
-        if t == 0:
-            w = v
-        else:
-            M = action_matrix(ctx.weight, [[fq.one, fq.elem(t)], [fq.zero, fq.one]])
-            w = _row_times(v, M, kk)
+        mu2, t = translate_digits(c, mu)
+        w = v if t == 0 else _kernels.vec_mat(v, _unipotent(ctx, t), kk)
         key = (n, mu2)
         out[key] = kk.ADD[out[key], w] if key in out else w.astype(np.int32)
     return InducedElem(ctx, out)
 
 
-def _row_times(v: np.ndarray, M: np.ndarray, kk) -> np.ndarray:
-    out = np.zeros(M.shape[1], dtype=np.int32)
-    for i in range(v.shape[0]):
-        a = int(v[i])
-        if a:
-            out = kk.ADD[out, kk.MUL[a, M[i]]]
-    return out
+def _unipotent(ctx: InductionCtx, t: int) -> np.ndarray:
+    """D x D action matrix over K of [[1, t], [0, 1]], t an F_q code."""
+    fq = ctx.weight.field.fq
+    return action_matrix(ctx.weight, [[fq.one, fq.elem(int(t))], [fq.zero, fq.one]])
 
 
 def alpha_act(x: InducedElem) -> InducedElem:
@@ -248,10 +229,6 @@ def alpha_act(x: InducedElem) -> InducedElem:
             raise PrecisionExhausted("no precision headroom for the level shift")
         out[(n + 1, (0,) + mu)] = v.copy()
     return InducedElem(ctx, out)
-
-
-def alpha2_act(x: InducedElem) -> InducedElem:
-    return alpha_act(alpha_act(x))
 
 
 # -- Hecke operators --
@@ -360,16 +337,6 @@ def _offsets(ctx: InductionCtx, lr: LevelRange) -> dict:
     return off
 
 
-def index_of(ctx: InductionCtx, lr: LevelRange, n: int, mu, widx: int) -> int:
-    off = _offsets(ctx, lr)
-    if n not in off:
-        raise DimensionMismatch(f"level {n} outside range {lr}")
-    rank = 0
-    for c in mu:
-        rank = rank * ctx.q + int(c)
-    return off[n] + rank * ctx.D + widx
-
-
 def flatten(x: InducedElem, lr: LevelRange) -> np.ndarray:
     """Coordinates of x in the frozen basis of the level range."""
     ctx = x.ctx
@@ -411,6 +378,49 @@ def operator_matrix(ctx: InductionCtx, op, domain: LevelRange, codomain: LevelRa
                 M[r] = flatten(y, codomain)
                 r += 1
     return linalg.LinMap(kk, M)
+
+
+def translation_product(ctx: InductionCtx, c: RingElem, lr: LevelRange, rows, P: np.ndarray) -> np.ndarray:
+    """Rows `rows` of T_c @ P, with T_c the matrix of u_act(c, ·) over the frozen basis of lr.
+
+    Row (n, μ, i) of T_c is row i of the twist [[1, t], [0, 1]] in the block
+    of key (n, μ″), with (μ″, t) read from translation_table; so its product
+    with P combines the D rows of P's block μ″ and T_c itself is never built.
+    """
+    kk = ctx.weight.field.kk
+    D = ctx.D
+    targets, twists = [], []
+    for n, base in _offsets(ctx, lr).items():
+        perm, twist = translation_table(c, n)
+        targets.append(base + D * perm)
+        twists.append(twist)
+    key, i = np.divmod(np.asarray(rows, dtype=np.int64), D)  # every level's offset is a multiple of D
+    target = np.concatenate(targets)[key]
+    twist = np.concatenate(twists)[key]
+    coef = np.stack([_unipotent(ctx, t) for t in range(ctx.q)])[twist, i]
+    out = np.zeros((len(key), P.shape[1]), dtype=np.int32)
+    for d in range(D):
+        nz = np.nonzero(coef[:, d])[0]
+        out[nz] = kk.ADD[out[nz], kk.MUL[coef[nz, d][:, None], P[target[nz] + d]]]
+    return out
+
+
+def translate_vectors(ctx: InductionCtx, c: RingElem, n: int, X: np.ndarray) -> np.ndarray:
+    """u_act(c, ·) applied to each row of X, a stack of flat vectors on level n.
+
+    Keys move by the permutation of translation_table; each key's weight block
+    is multiplied by its twist, one product per distinct twist value.
+    """
+    perm, twist = translation_table(c, n)
+    kk = ctx.weight.field.kk
+    D = ctx.D
+    blocks = np.asarray(X, dtype=np.int32).reshape(len(X), len(perm), D)
+    out = np.empty_like(blocks)
+    for t in np.unique(twist):
+        keys = np.nonzero(twist == t)[0]
+        moved = _kernels.matmul(blocks[:, keys].reshape(-1, D), _unipotent(ctx, t), kk)
+        out[:, perm[keys]] = moved.reshape(len(X), len(keys), D)
+    return out.reshape(len(X), -1)
 
 
 # -- serialization --

@@ -48,16 +48,20 @@ class Subspace:
         return f"Subspace(dim={self.dim}, ambient={self.ambient})"
 
     def reduce(self, v: np.ndarray) -> np.ndarray:
-        """Remainder of v after clearing all pivot coordinates; zero iff v is a member."""
+        """Remainder of v (one vector or a stack of rows) after clearing all
+        pivot coordinates; zero iff v is a member.
+
+        The rows are in reduced echelon form, so the remainder is
+        v - v[pivots] @ rows in a single product.
+        """
         F = self.field
-        out = np.array(v, dtype=np.int32)
-        if out.shape != (self.ambient,):
+        out = np.asarray(v, dtype=np.int32)
+        if out.ndim not in (1, 2) or out.shape[-1] != self.ambient:
             raise DimensionMismatch(f"vector length {out.shape} vs ambient {self.ambient}")
-        for k, col in enumerate(self.pivots):
-            c = out[col]
-            if c != 0:
-                out = F.ADD[out, F.MUL[int(F.NEG[c]), self.rows[k]]]
-        return out
+        stack = out if out.ndim == 2 else out[None]
+        cleared = _kernels.matmul(stack[:, self.pivots], self.rows, F)
+        rem = F.ADD[stack, F.NEG[cleared]]
+        return rem if out.ndim == 2 else rem[0]
 
 
 def echelon(vectors, field: PrimeExtField, ambient: int | None = None) -> Subspace:
@@ -122,12 +126,6 @@ class LinMap:
         return f"LinMap({self.domain} -> {self.codomain})"
 
 
-def identity_map(field: PrimeExtField, n: int) -> LinMap:
-    eye = np.zeros((n, n), dtype=np.int32)
-    np.fill_diagonal(eye, 1)
-    return LinMap(field, eye)
-
-
 def kernel(M: LinMap) -> Subspace:
     """{v : v @ M = 0} via row reduction of [M | I]."""
     F = M.field
@@ -169,17 +167,7 @@ def preimage(M: LinMap, S: Subspace) -> Subspace:
     """{v : v @ M ∈ S}; reduction of rows mod S is linear, then a kernel solve."""
     if S.ambient != M.codomain:
         raise DimensionMismatch("subspace ambient must equal map codomain")
-    reduced = np.vstack([S.reduce(row) for row in M.matrix]) if M.domain else M.matrix.copy()
-    return kernel(LinMap(M.field, reduced.reshape(M.domain, M.codomain)))
-
-
-def quotient_dim(S: Subspace, T: Subspace) -> int:
-    """dim(T/S) for S ⊆ T."""
-    _same_ambient(S, T)
-    for row in S.rows:
-        if not member(row, T):
-            raise DimensionMismatch("first subspace is not contained in the second")
-    return T.dim - S.dim
+    return kernel(LinMap(M.field, S.reduce(M.matrix)))
 
 
 def _same_ambient(S: Subspace, T: Subspace):

@@ -51,6 +51,8 @@ class LocalRingCtx:
         self._ypow_hi = self._build_ypow()
         self._u0_inv = None  # lazy: inverse of E[0]/p in GR
         self._teich_cache: dict = {}  # residue code -> Teichmüller lift coordinates
+        self._carries: dict = {}  # (prec, c mod ϖ^prec, λ) -> _carry_step result
+        self._translations: dict = {}  # (n, c mod ϖ^{n+1}) -> translation_table result
 
     def _normalize_eisenstein(self, E):
         e, f = self.e, self.f
@@ -333,16 +335,6 @@ def teichmuller(lam: FqElem, ctx: LocalRingCtx) -> RingElem:
 # -- free functions --
 
 
-def ring_arith(op: str, a: RingElem, b: RingElem) -> RingElem:
-    if op == "add":
-        return a + b
-    if op == "sub":
-        return a - b
-    if op == "mul":
-        return a * b
-    raise ValueError(f"unknown op {op!r}")
-
-
 def divide_by_uniformizer(a: RingElem) -> RingElem:
     """Exact division by ϖ; requires a ≡ 0 mod ϖ, drops one unit of precision."""
     ctx = a.ctx
@@ -394,10 +386,66 @@ def from_digits(s: DigitString, prec: int | None = None) -> RingElem:
     return acc
 
 
-def truncate_digits(s: DigitString, n: int) -> DigitString:
-    if n > len(s):
-        raise ValueError("cannot extend a digit string by truncation")
-    return DigitString(s.ctx, s.codes[:n])
+# -- translation of digit strings --
+
+
+def _carry_step(c: RingElem, lam: int) -> tuple:
+    """(s, c′) with [λ] + c = [s] + ϖ·c′; c′ carries one unit less precision.
+
+    Memoised on the ctx by (precision, c mod ϖ^precision, λ).  For c ≡ 0 mod
+    ϖ the result is (λ, c/ϖ) whatever λ is, so the translations by [λ]ϖ^i
+    share every later step with the translation by [λ]ϖ^{i-1}.
+    """
+    ctx = c.ctx
+    key = (c.prec, ctx.canon(c.vec, c.prec).tobytes(), lam)
+    hit = ctx._carries.get(key)
+    if hit is None:
+        r = teichmuller(ctx.field.fq.elem(lam), ctx) + c
+        s = residue(r)
+        hit = ctx._carries[key] = (s.code, divide_by_uniformizer(r - teichmuller(s, ctx)))
+    return hit
+
+
+def _translation_precision(c: RingElem, n: int) -> RingElem:
+    if c.prec < n + 1:
+        raise PrecisionExhausted(f"translation needs precision {n + 1}, have {c.prec}")
+    return c.at_precision(n + 1)
+
+
+def translate_digits(c: RingElem, mu: tuple) -> tuple:
+    """(μ″, t) with [μ] + c = [μ″] + ϖⁿ[t] mod ϖ^{n+1}, where n = len(μ)."""
+    c = _translation_precision(c, len(mu))
+    out = []
+    for lam in mu:
+        s, c = _carry_step(c, lam)
+        out.append(s)
+    return tuple(out), residue(c).code
+
+
+def translation_table(c: RingElem, n: int) -> tuple:
+    """translate_digits over all qⁿ digit strings of length n, as arrays.
+
+    Strings are ranked lexicographically, first digit most significant:
+    perm[rank μ] = rank μ″ and twist[rank μ] = t.  Built digit by digit
+    through _carry_step and memoised on the ctx by (n, c mod ϖ^{n+1}).
+    """
+    ctx = c.ctx
+    c = _translation_precision(c, n)
+    key = (n, ctx.canon(c.vec, n + 1).tobytes())
+    hit = ctx._translations.get(key)
+    if hit is None:
+        if n == 0:
+            hit = (np.zeros(1, dtype=np.int64), np.array([residue(c).code], dtype=np.int64))
+        else:
+            perms, twists = [], []
+            for lam in range(ctx.q):
+                s, tail = _carry_step(c, lam)
+                perm, twist = translation_table(tail, n - 1)
+                perms.append(s * ctx.q ** (n - 1) + perm)
+                twists.append(twist)
+            hit = (np.concatenate(perms), np.concatenate(twists))
+        ctx._translations[key] = hit
+    return hit
 
 
 def _carry_poly_coeffs(p: int):

@@ -3,6 +3,7 @@
 Every check is exact; the stated runtime budgets are asserted per criterion.
 """
 
+import hashlib
 import time
 
 import numpy as np
@@ -196,14 +197,27 @@ def test_criterion_7_negative_control():
     assert elapsed < 30.0
 
 
+# sha256 of each preset's `--format json` report, recorded before the
+# translation tables replaced the per-basis-vector u_act assembly; a change
+# that alters any report byte must update these on purpose
+PRESET_REPORT_SHA256 = {
+    "ramified-r0": "73fc6b8eb743a54d57e51eae90b2c1fd5800c1dc11f51f8b030be6efe70dd0cd",
+    "ramified-r1": "378b11ab6068cc8ca9eeaf858807644be687e9548ef9591fad43e646ec08578a",
+    "unramified-generic": "cebfb10315192a58d57eef311759af87007e030ca46459777b9911c55cff2157",
+    "unramified-maximal": "703e176f107e95e05c9af0d887609b72fda2261d695ce0595c0d86f1b9cac860",
+    "unramified-stretch": "0302c769fcabb42f516d11ceba99676cce8552221462c0c2e545922cbaded7bf",
+}
+
+
 def test_criterion_8_deterministic_reports():
     t0 = time.perf_counter()
-    ok = True
+    ok = sorted(cli.PRESETS) == sorted(PRESET_REPORT_SHA256)
     for preset in sorted(cli.PRESETS):
         cfg = cli.config_from_preset(preset)
         a = cli.emit(cli.run(cfg), "json")
         b = cli.emit(cli.run(cli.config_from_preset(preset)), "json")
         ok = ok and a == b and b"\"verdict\": \"pass\"" in a
+        ok = ok and hashlib.sha256(a).hexdigest() == PRESET_REPORT_SHA256.get(preset)
     elapsed = time.perf_counter() - t0
-    announce(8, ok, "preset suites re-run byte-identical, all verdicts pass", elapsed)
+    announce(8, ok, "preset suites re-run byte-identical to each other and to the recorded digests, all verdicts pass", elapsed)
     assert ok

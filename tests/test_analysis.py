@@ -8,7 +8,7 @@ cross-checked against independent dense linear algebra built inline here.
 import numpy as np
 import pytest
 
-from indgl2 import analysis, linalg
+from indgl2 import _kernels, analysis, linalg
 from indgl2.errors import CaseMismatch, CheckFailed, PrecisionExhausted
 from indgl2.induction import (
     InducedElem,
@@ -21,7 +21,9 @@ from indgl2.induction import (
     operator_matrix,
     range_dim,
     singleton,
+    translate_vectors,
     u_act,
+    unflatten,
 )
 
 
@@ -242,8 +244,6 @@ class TestCandidateChecks:
         lr2 = LevelRange("all", 2, 2)
         r1p = analysis.r1_prime(ram_r1)
         Mp = analysis.tplus_matrix(ram_r1, 1)
-        from indgl2 import _kernels
-
         tpr1p = linalg.echelon(_kernels.matmul(r1p.rows, Mp.matrix, kk), kk, ambient=Mp.codomain)
         for c in analysis.u_generators(ram_r1, 2):
             delta = u_act(c, g) - g
@@ -323,14 +323,49 @@ class TestQuotientProjection:
         kk = ram_r0.weight.field.kk
         S = linalg.echelon(rng.integers(0, 3, size=(3, 8)).astype(np.int32), kk, ambient=8)
         P = analysis.quotient_projection(S)
-        from indgl2 import _kernels
-
         for _ in range(40):
             v = rng.integers(0, 3, size=8).astype(np.int32)
             proj = _kernels.vec_mat(v, P, kk)
             assert (not proj.any()) == linalg.member(v, S)
             nonpiv = [j for j in range(8) if j not in set(int(c) for c in S.pivots)]
             assert np.array_equal(proj, S.reduce(v)[nonpiv])
+
+
+class TestTranslationMatrices:
+    """The table-built translation matrices against the per-basis-vector u_act."""
+
+    def _subspace(self, ctx, lr):
+        if lr == LevelRange("all", 2, 2):
+            return analysis._candidate_spaces(ctx).tplus_r1p
+        return linalg.image(operator_matrix(ctx, hecke_T, LevelRange("odd", 1, lr.hi - 1), lr))
+
+    @pytest.mark.parametrize(
+        "name,lr",
+        [
+            ("ram_r1", LevelRange("all", 2, 2)),
+            ("ram_r1", LevelRange("even", 0, 4)),
+            ("unram_gen", LevelRange("all", 2, 2)),
+        ],
+    )
+    def test_quotient_maps_match_operator_matrix(self, name, lr, request):
+        ctx = request.getfixturevalue(name)
+        kk = ctx.weight.field.kk
+        S = self._subspace(ctx, lr)
+        gens = analysis.u_generators(ctx, lr.hi)
+        P = analysis.quotient_projection(S)
+        nonpiv = [j for j in range(S.ambient) if j not in set(int(c) for c in S.pivots)]
+        maps = analysis.induced_quotient_maps(ctx, gens, lr, S, P)
+        for c, Q in zip(gens, maps):
+            T = operator_matrix(ctx, lambda x, c=c: u_act(c, x), lr, lr).matrix
+            assert np.array_equal(Q.matrix, _kernels.matmul(T[nonpiv], P, kk))
+
+    def test_translate_vectors_matches_u_act(self, unram_gen):
+        lr2 = LevelRange("all", 2, 2)
+        rng = np.random.default_rng(17)
+        X = rng.integers(0, 3, size=(5, range_dim(unram_gen, lr2))).astype(np.int32)
+        for c in analysis.u_generators(unram_gen, 2):
+            want = [flatten(u_act(c, unflatten(unram_gen, lr2, row)), lr2) for row in X]
+            assert np.array_equal(translate_vectors(unram_gen, c, 2, X), np.array(want))
 
 
 class TestTruncatedL:

@@ -8,7 +8,7 @@ import pytest
 
 from indgl2 import analysis, cli
 from indgl2.errors import ConfigError
-from indgl2.induction import LevelRange
+from indgl2.induction import LevelRange, hecke_T_plus
 
 README = Path(__file__).resolve().parent.parent / "README.md"
 
@@ -146,6 +146,28 @@ class TestRun:
         rep = cli.run(cli.config_from_preset("unramified-generic"), suites=["mainlemma", "truncation"])
         assert rep.verdict == "pass"
         assert list(builds.values()) == [1]
+
+    def test_tplus_r1_matrix_built_once(self, monkeypatch):
+        # the hecke kernel check and the witness spaces share one T₊|R₁ image
+        real = analysis.operator_matrix
+        builds = []
+
+        def counting(ctx, op, domain, codomain):
+            if op is hecke_T_plus and domain == LevelRange("all", 1, 1):
+                builds.append(codomain)
+            return real(ctx, op, domain, codomain)
+
+        monkeypatch.setattr(analysis, "operator_matrix", counting)
+        rep = cli.run(cli.config_from_preset("ramified-r1"), suites=["hecke", "mainlemma", "truncation"])
+        assert rep.verdict == "pass"
+        assert builds == [LevelRange("all", 2, 2)]
+
+    def test_timings_give_each_record_its_suite_time(self, monkeypatch):
+        clock = iter([10.0, 11.0])  # one suite, timed at 1.0 s
+        monkeypatch.setattr(cli, "perf_counter", lambda: next(clock))
+        rep = cli.run(make_cfg(), suites=["arith"], timings=True)
+        assert len(rep.records) > 1
+        assert all(r.seconds == 1.0 for r in rep.records)
 
     def test_truncation_suite_records(self):
         rep = cli.run(make_cfg(N_max=2), suites=["truncation"])

@@ -13,7 +13,6 @@ from indgl2.induction import (
     InducedElem,
     InductionCtx,
     LevelRange,
-    alpha2_act,
     alpha_act,
     basis_R,
     deserialize,
@@ -22,7 +21,6 @@ from indgl2.induction import (
     hecke_T,
     hecke_T_minus,
     hecke_T_plus,
-    index_of,
     operator_matrix,
     range_dim,
     serialize,
@@ -177,7 +175,7 @@ class TestAlpha:
     def test_prepends_zero_digit(self, steinberg3):
         x = singleton(steinberg3, 1, (2,), (1,))
         assert alpha_act(x).support() == [(2, (0, 2))]
-        assert alpha2_act(x).support() == [(3, (0, 0, 2))]
+        assert alpha_act(alpha_act(x)).support() == [(3, (0, 0, 2))]
 
     def test_intertwines_u_act(self, steinberg3):
         ring = steinberg3.ring
@@ -362,13 +360,6 @@ class TestMatrixExports:
         for _ in range(20):
             x = rand_elem(steinberg3, rng)
             assert unflatten(steinberg3, lr, flatten(x, lr)) == x
-
-    def test_index_of_matches_flatten(self, steinberg3):
-        lr = LevelRange("all", 0, 2)
-        x = singleton(steinberg3, 2, (1, 2), (1,))
-        coords = flatten(x, lr)
-        idx = index_of(steinberg3, lr, 2, (1, 2), 1)
-        assert coords[idx] == 1 and coords.sum() == 1
 
     def test_matrix_agrees_with_apply(self, steinberg3):
         rng = random.Random(13)

@@ -1,4 +1,5 @@
 import gc
+import itertools
 import weakref
 
 import numpy as np
@@ -15,9 +16,9 @@ from indgl2.localring import (
     from_digits,
     make_digits,
     residue,
-    ring_arith,
     teichmuller,
-    truncate_digits,
+    translate_digits,
+    translation_table,
     witt_carry,
     witt_carry_closed_form,
 )
@@ -152,12 +153,31 @@ class TestDigits:
         with pytest.raises(PrecisionExhausted):
             digits(a, 3)
 
-    def test_truncate(self, q3):
-        d = make_digits(q3, (2, 1, 0))
-        assert truncate_digits(d, 2).codes == (2, 1)
-        assert truncate_digits(d, 0).codes == ()
-        with pytest.raises(ValueError):
-            truncate_digits(d, 4)
+
+class TestTranslation:
+    """[μ] + c = [μ″] + ϖⁿ[t] mod ϖ^{n+1}, against the greedy digit expansion."""
+
+    @pytest.mark.parametrize("p,f,e", [(3, 1, 2), (3, 2, 1)])
+    def test_table_matches_digit_expansion(self, p, f, e):
+        ctx = LocalRingCtx(p, f, e, N=5)
+        pi = ctx.uniformizer()
+        lam = teichmuller(ctx.field.fq.elem(ctx.q - 1), ctx)
+        unit = ctx.from_int(1 + p) + pi  # a unit that is no Teichmüller lift
+        for c in (lam, lam * pi, lam * pi * pi, unit):  # valuations 0, 1, 2, 0
+            for n in range(4):
+                perm, twist = translation_table(c, n)
+                for rank, mu in enumerate(itertools.product(range(ctx.q), repeat=n)):
+                    want = digits(from_digits(make_digits(ctx, mu)) + c, n + 1).codes
+                    assert translate_digits(c, mu) == (want[:n], want[n])
+                    assert perm[rank] == sum(d * ctx.q ** (n - 1 - i) for i, d in enumerate(want[:n]))
+                    assert twist[rank] == want[n]
+
+    def test_precision_guard(self, ram3):
+        c = ram3.one().at_precision(2)
+        with pytest.raises(PrecisionExhausted):
+            translation_table(c, 2)
+        with pytest.raises(PrecisionExhausted):
+            translate_digits(c, (0, 0))
 
 
 class TestDivision:
@@ -255,13 +275,11 @@ class TestWittCarry:
         assert len(w.codes) == 3
 
 
-def test_ring_arith_dispatch(q3):
+def test_ring_operators_match_integers(q3):
     a, b = q3.from_int(4), q3.from_int(7)
-    assert ring_arith("add", a, b) == q3.from_int(11)
-    assert ring_arith("sub", a, b) == q3.from_int(-3)
-    assert ring_arith("mul", a, b) == q3.from_int(28)
-    with pytest.raises(ValueError):
-        ring_arith("div", a, b)
+    assert a + b == q3.from_int(11)
+    assert a - b == q3.from_int(-3)
+    assert a * b == q3.from_int(28)
 
 
 def test_equality_respects_min_precision(q3):
