@@ -9,6 +9,11 @@ Central objects, all over one InductionCtx:
   W          = V ∩ T₊R₁
   L_N        = I^e_{[0,2N]} / T(I^o_{[1,2N-1]})
 
+V and W are built blockwise, never on all of Q: T₊R₁ = B₀ ⊕ .. ⊕ B₀ over the
+q first digits of R₂, and the translations by ϖO act by one matrix on every
+first-digit block, so V lies in V′ = V₀ ⊕ .. ⊕ V₀ with V₀ ⊂ K^{qD} a single
+kernel, and V is a kernel over the q·dim V₀ coordinates of V′.
+
 A witness g of the main existence statement is any element of V outside W;
 its classes together with x^{r⃗} at level 0 span a 2-dimensional piece of
 L_N^U.  Large configurations replace dense computations by certificates
@@ -42,7 +47,7 @@ from .induction import (
     u_act,
     unflatten,
 )
-from .localring import LocalRingCtx, RingElem, teichmuller
+from .localring import LocalRingCtx, RingElem, teichmuller, translation_table
 from .weight import WeightCtx, action_matrix
 
 # dense-computation guards; beyond these the certified routes take over
@@ -146,9 +151,23 @@ def tplus_block_rank(ctx: InductionCtx) -> int:
 
 @_per_ctx
 def _tplus_r1(ctx: InductionCtx):
-    """(T₊|R₁ as a matrix, its image T₊R₁); shared by the witness spaces and the kernel check."""
+    """(T₊|R₁ as a matrix, T₊R₁, B₀) with T₊R₁ = B₀ ⊕ .. ⊕ B₀ over the first digits.
+
+    T₊ sends key (1, μ₀) only to the children (2, (μ₀, λ)), by the same
+    D x qD block whatever μ₀ is; B₀ ⊂ K^{qD} is the image of that block.
+    Shared by the witness spaces and the kernel check.
+    """
+    kk = ctx.weight.field.kk
+    q, D = ctx.q, ctx.D
     M = tplus_matrix(ctx, 1)
-    return M, linalg.image(M)
+    blocks = M.matrix.reshape(q, D, q, q * D)
+    first = np.arange(q)
+    assert np.array_equal(blocks[first, :, first], np.broadcast_to(blocks[0, :, 0], (q, D, q * D))), (
+        "T₊ must act by one block on every first digit"
+    )
+    assert np.count_nonzero(blocks) == q * np.count_nonzero(blocks[0, :, 0]), "T₊ must keep the first digit"
+    B0 = linalg.echelon(blocks[0, :, 0], kk, ambient=q * D)
+    return M, linalg.direct_sum(B0, q), B0
 
 
 def tplus_kernel_dim(ctx: InductionCtx, n: int):
@@ -228,32 +247,78 @@ class CandidateSpaces:
     qu_dim: int
 
 
+def _minus_identity(ctx: InductionCtx, moved: np.ndarray, X: np.ndarray) -> np.ndarray:
+    """(u - 1)X from moved = uX."""
+    kk = ctx.weight.field.kk
+    return kk.ADD[moved, kk.NEG[X]]
+
+
+def _first_digit_block(ctx: InductionCtx, deep, B0: linalg.Subspace) -> linalg.Subspace:
+    """V₀ = {x ∈ K^{qD} : (u-1)x ∈ B₀ for every u in deep}, on one first-digit block of R₂.
+
+    Each u in deep is ≡ 0 mod ϖ, so it keeps the first digit and acts by one
+    qD x qD matrix on every block; that matrix is read off block 0.
+    """
+    kk = ctx.weight.field.kk
+    q, D = ctx.q, ctx.D
+    heads = np.arange(q)[:, None] * q
+    block0 = np.zeros((q * D, q * q * D), dtype=np.int32)
+    eye = block0[:, : q * D]
+    eye[np.arange(q * D), np.arange(q * D)] = 1
+    deltas = []
+    for c in deep:
+        perm, twist = (a.reshape(q, q) for a in translation_table(c, 2))
+        assert np.array_equal(perm, heads + perm[0]) and np.array_equal(twist, np.broadcast_to(twist[0], (q, q))), (
+            "a translation by ϖO must act by one matrix on every first digit"
+        )
+        moved = translate_vectors(ctx, c, 2, block0)[:, : q * D]
+        deltas.append(B0.reduce(_minus_identity(ctx, moved, eye)))
+    return linalg.kernel(linalg.LinMap(kk, np.hstack(deltas)))
+
+
 @_per_ctx
 def _candidate_spaces(ctx: InductionCtx) -> CandidateSpaces:
-    """R₁′, T₊R₁, T₊R₁′, Q^U, V and W; the only place these spaces are built."""
+    """R₁′, T₊R₁, T₊R₁′, Q^U, V and W; the only place these spaces are built.
+
+    T₊R₁′ ⊆ T₊R₁ = ⊕ B₀ and the translations by ϖO act blockwise, so every g
+    in V has each first-digit block in V₀ (see _first_digit_block).  V is
+    then one kernel over the coordinates of V′ = ⊕ V₀, and W = V ∩ T₊R₁ is an
+    intersection inside V′.  Every basis row of V is re-verified against
+    every generator before it is returned.
+    """
     kk = ctx.weight.field.kk
+    q, D = ctx.q, ctx.D
     r1p = r1_prime(ctx)
-    Mplus, tplus_r1 = _tplus_r1(ctx)
+    Mplus, tplus_r1, B0 = _tplus_r1(ctx)
     if r1p.dim:
         img_rows = _kernels.matmul(r1p.rows, Mplus.matrix, kk)
     else:
         img_rows = np.zeros((0, Mplus.codomain), dtype=np.int32)
     tplus_r1p = linalg.echelon(img_rows, kk, ambient=Mplus.codomain)
 
-    # U-stability of T₊R₁′ (the induced action below depends on it)
     gens = u_generators(ctx, 2)
-    lr2 = LevelRange("all", 2, 2)
-    for c in gens:
-        moved = translate_vectors(ctx, c, 2, tplus_r1p.rows)
-        assert not np.any(tplus_r1p.reduce(moved)), "T₊R₁′ must be U-stable"
 
-    P = quotient_projection(tplus_r1p)
-    q_dim = P.shape[1]
-    # the maps are dropped as soon as their fixed space is known
-    fixedQ = linalg.fixed_space(induced_quotient_maps(ctx, gens, lr2, tplus_r1p, P), field=kk, ambient=q_dim)
-    V = linalg.preimage(linalg.LinMap(kk, P), fixedQ)
-    W = linalg.intersect(V, tplus_r1)
-    return CandidateSpaces(V, W, r1p, tplus_r1p, tplus_r1, q_dim, fixedQ.dim)
+    def delta_mod_tplus_r1p(c, X):
+        return tplus_r1p.reduce(_minus_identity(ctx, translate_vectors(ctx, c, 2, X), X))
+
+    # U-stability of T₊R₁′ (V contains T₊R₁′ and Q^U = V / T₊R₁′ rest on it)
+    for c in gens:
+        assert not np.any(delta_mod_tplus_r1p(c, tplus_r1p.rows)), "T₊R₁′ must be U-stable"
+
+    V0 = _first_digit_block(ctx, gens[ctx.ring.f :], B0)  # [λ]ϖ and [λ]ϖ²
+    assert not np.any(V0.reduce(B0.rows)), "B₀ must lie in V₀"
+    Vp = linalg.direct_sum(V0, q)
+    # V in coordinates over the rows of V′; constraint columns that are zero on all of V′ are dropped
+    delta = np.hstack([delta_mod_tplus_r1p(c, Vp.rows) for c in gens])
+    V_coords = linalg.kernel(linalg.LinMap(kk, delta[:, np.any(delta, axis=0)]))
+    V = linalg.embed(V_coords, Vp)
+    # T₊R₁ ⊆ V′ as B₀ ⊆ V₀, so its coordinates are its entries on the pivots of V′
+    tplus_r1_coords = linalg.echelon(tplus_r1.rows[:, Vp.pivots], kk, ambient=Vp.dim)
+    W = linalg.embed(linalg.intersect(V_coords, tplus_r1_coords), Vp)
+    for c in gens:  # every basis row of V is U-fixed modulo T₊R₁′
+        assert not np.any(delta_mod_tplus_r1p(c, V.rows)), "V must be U-fixed modulo T₊R₁′"
+    q_dim = q * q * D - tplus_r1p.dim
+    return CandidateSpaces(V, W, r1p, tplus_r1p, tplus_r1, q_dim, V.dim - tplus_r1p.dim)
 
 
 def invariant_candidates(ctx: InductionCtx):

@@ -182,19 +182,6 @@ def singleton(ctx: InductionCtx, n: int, mu, weight) -> InducedElem:
     return InducedElem(ctx, {(n, tuple(int(c) for c in mu)): v})
 
 
-def basis_R(ctx: InductionCtx, n: int):
-    """The q^n·D standard basis of R_n, μ lexicographic then i⃗ lexicographic."""
-    if n < 0:
-        raise ValueError("level must be >= 0")
-    if n > ctx.max_level():
-        raise PrecisionExhausted(f"level {n} exceeds ring headroom N-1 = {ctx.max_level()}")
-    out = []
-    for mu in itertools.product(range(ctx.q), repeat=n):
-        for widx in range(ctx.D):
-            out.append(singleton(ctx, n, mu, widx))
-    return out
-
-
 # -- group actions --
 
 

@@ -17,7 +17,7 @@ from .gf import PrimeExtField
 class Subspace:
     """Row span in K^ambient, held in reduced echelon form."""
 
-    __slots__ = ("field", "ambient", "rows", "pivots")
+    __slots__ = ("field", "ambient", "rows", "pivots", "_support")
 
     def __init__(self, field: PrimeExtField, ambient: int, rows: np.ndarray, pivots: np.ndarray, _canonical: bool = False):
         self.field = field
@@ -26,6 +26,7 @@ class Subspace:
             raise ValueError("use echelon() to build subspaces")
         self.rows = rows
         self.pivots = pivots
+        self._support = None  # (columns where some row is nonzero, rows on those columns)
 
     @property
     def dim(self) -> int:
@@ -52,15 +53,21 @@ class Subspace:
         pivot coordinates; zero iff v is a member.
 
         The rows are in reduced echelon form, so the remainder is
-        v - v[pivots] @ rows in a single product.
+        v - v[pivots] @ rows in a single product, taken only over the
+        columns where some row is nonzero.
         """
         F = self.field
         out = np.asarray(v, dtype=np.int32)
         if out.ndim not in (1, 2) or out.shape[-1] != self.ambient:
             raise DimensionMismatch(f"vector length {out.shape} vs ambient {self.ambient}")
+        if self._support is None:
+            cols = np.flatnonzero(self.rows.any(axis=0))
+            self._support = cols, np.ascontiguousarray(self.rows[:, cols])
+        cols, rows = self._support
         stack = out if out.ndim == 2 else out[None]
-        cleared = _kernels.matmul(stack[:, self.pivots], self.rows, F)
-        rem = F.ADD[stack, F.NEG[cleared]]
+        cleared = _kernels.matmul(stack[:, self.pivots], rows, F)
+        rem = stack.copy()
+        rem[:, cols] = F.ADD[stack[:, cols], F.NEG[cleared]]
         return rem if out.ndim == 2 else rem[0]
 
 
@@ -84,6 +91,32 @@ def full_space(field: PrimeExtField, ambient: int) -> Subspace:
     eye = np.zeros((ambient, ambient), dtype=np.int32)
     np.fill_diagonal(eye, 1)
     return Subspace(field, ambient, eye, np.arange(ambient, dtype=np.int64), _canonical=True)
+
+
+def direct_sum(S: Subspace, copies: int) -> Subspace:
+    """S ⊕ .. ⊕ S in K^(copies·ambient), copy k on coordinates k·ambient .. (k+1)·ambient - 1.
+
+    The copies have disjoint supports, so S's reduced rows placed block by
+    block are already the reduced echelon form of the sum.
+    """
+    n, d = S.ambient, S.dim
+    rows = np.zeros((copies * d, copies * n), dtype=np.int32)
+    for k in range(copies):
+        rows[k * d : (k + 1) * d, k * n : (k + 1) * n] = S.rows
+    pivots = (S.pivots[None, :] + n * np.arange(copies)[:, None]).reshape(-1)
+    return Subspace(S.field, copies * n, rows, pivots.astype(np.int64), _canonical=True)
+
+
+def embed(S: Subspace, Z: Subspace) -> Subspace:
+    """S, given in coordinates over the rows of Z, as a subspace of Z's ambient.
+
+    Both are in reduced echelon form, so S.rows @ Z.rows is too, with pivots
+    Z.pivots[S.pivots]; the coordinates of a member v of Z are v[Z.pivots].
+    """
+    if S.ambient != Z.dim or S.field is not Z.field:
+        raise DimensionMismatch(f"coordinates of length {S.ambient} vs a basis of {Z.dim} rows")
+    rows = _kernels.matmul(S.rows, Z.rows, Z.field) if S.dim else np.zeros((0, Z.ambient), dtype=np.int32)
+    return Subspace(Z.field, Z.ambient, rows, Z.pivots[S.pivots], _canonical=True)
 
 
 def member(v, S: Subspace) -> bool:
@@ -201,8 +234,7 @@ def fixed_space(ops, field: PrimeExtField | None = None, ambient: int | None = N
             basis = _kernels.matmul(coeffs.rows, basis, F)
     out = echelon(basis if basis is not None else np.zeros((0, n), dtype=np.int32), F, ambient=n)
     for u in ops:  # the result must be genuinely fixed
-        for row in out.rows:
-            assert np.array_equal(u.apply(row), row), "fixed_space post-check failed"
+        assert np.array_equal(_kernels.matmul(out.rows, u.matrix, F), out.rows), "fixed_space post-check failed"
     return out
 
 

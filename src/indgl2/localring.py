@@ -8,7 +8,9 @@ precision.  Digit strings (λ_0, .., λ_{n-1}) denote Σ ϖ^i [λ_i] and give th
 canonical set of representatives of O/ϖ^n used to index induced vectors.
 
 The coefficient precision M = ⌈N/e⌉ + 1 guarantees that no carry into the
-top tracked ϖ-digit is lost (e·M ≥ N + 1).
+top tracked ϖ-digit is lost (e·M ≥ N + 1).  Coefficients are int64 and every
+product is reduced mod p^M before the next one, so arithmetic is exact while
+f·(p^M - 1)² < 2^63; a larger precision is rejected when the ctx is built.
 """
 
 import math
@@ -35,6 +37,10 @@ class LocalRingCtx:
         self.M = -(-N // e) + 1
         assert self.e * self.M >= N + 1
         self.pM = p**self.M
+        if f * (self.pM - 1) ** 2 >= 2**63:
+            raise ValueError(
+                f"precision N = {N} needs coefficients mod {p}^{self.M}, beyond exact int64 arithmetic"
+            )
         self.field = field if field is not None else FieldCtx(p, f)
         if self.field.p != p or self.field.f != f:
             raise ValueError("field context does not match (p, f)")
@@ -105,11 +111,11 @@ class LocalRingCtx:
 
     def gr_mul(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
         f, pM = self.f, self.pM
-        conv = np.convolve(a, b)
-        out = conv[:f].copy()
+        conv = np.convolve(a, b) % pM
+        out = conv[:f]
         for k in range(f, len(conv)):
-            out = out + conv[k] * self._ypow_hi[k - f]
-        return out % pM
+            out = (out + conv[k] * self._ypow_hi[k - f]) % pM
+        return out
 
     def gr_pow(self, a: np.ndarray, n: int) -> np.ndarray:
         out = np.zeros(self.f, dtype=np.int64)

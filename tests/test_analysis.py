@@ -5,6 +5,8 @@ structural facts (kernel dimensions, coinvariant counts, flag values) are
 cross-checked against independent dense linear algebra built inline here.
 """
 
+import itertools
+
 import numpy as np
 import pytest
 
@@ -13,7 +15,6 @@ from indgl2.errors import CaseMismatch, CheckFailed, PrecisionExhausted
 from indgl2.induction import (
     InducedElem,
     LevelRange,
-    basis_R,
     flatten,
     hecke_T,
     hecke_T_minus,
@@ -139,6 +140,52 @@ class TestInvariantCandidates:
         spaces = analysis._candidate_spaces(ram_r1)
         for row in spaces.tplus_r1p.rows:
             assert linalg.member(row, spaces.V)
+
+
+class TestBlockRouteAgainstDense:
+    """V and W of the first-digit block route against the dense route: the
+    induced maps on all of Q = R₂/T₊R₁′, their fixed space, its preimage in R₂
+    and the intersection with T₊R₁, each space rebuilt here by row reduction."""
+
+    @staticmethod
+    def _dense(ctx):
+        kk = ctx.weight.field.kk
+        r1p = analysis.r1_prime(ctx)
+        Mplus = analysis.tplus_matrix(ctx, 1)
+        tplus_r1 = linalg.image(Mplus)
+        tplus_r1p = linalg.echelon(_kernels.matmul(r1p.rows, Mplus.matrix, kk), kk, ambient=Mplus.codomain)
+        P = analysis.quotient_projection(tplus_r1p)
+        gens = analysis.u_generators(ctx, 2)
+        maps = analysis.induced_quotient_maps(ctx, gens, LevelRange("all", 2, 2), tplus_r1p, P)
+        fixed = linalg.fixed_space(maps, field=kk, ambient=P.shape[1])
+        V = linalg.preimage(linalg.LinMap(kk, P), fixed)
+        return V, linalg.intersect(V, tplus_r1), tplus_r1, P.shape[1], fixed.dim
+
+    @pytest.mark.parametrize(
+        "args",
+        [
+            (3, 1, 2, (0,)),
+            (3, 1, 2, (1,)),
+            (2, 1, 3, (0,)),
+            (5, 1, 2, (3,)),
+            (3, 2, 1, (0, 0)),
+            (3, 2, 1, (1, 0)),
+            (2, 2, 1, (1, 1)),
+            (3, 2, 1, (2, 2)),
+            (2, 2, 2, (1, 1)),
+            (3, 2, 2, (1, 0)),
+            (3, 1, 1, (1,)),
+            (5, 1, 1, (2,)),
+        ],
+    )
+    def test_v_and_w_equal(self, args):
+        ctx = analysis.build_ctx(*args, N=5)
+        spaces = analysis._candidate_spaces(ctx)
+        V, W, tplus_r1, q_dim, qu_dim = self._dense(ctx)
+        assert np.array_equal(spaces.V.rows, V.rows)
+        assert np.array_equal(spaces.W.rows, W.rows)
+        assert np.array_equal(spaces.tplus_r1.rows, tplus_r1.rows)
+        assert (spaces.q_dim, spaces.qu_dim) == (q_dim, qu_dim)
 
 
 class TestNegativeControl:
@@ -420,9 +467,10 @@ class TestCollapseAgainstDense:
         ops = [operator_matrix(ctx, lambda x, c=c: u_act(c, x), lr_even, lr_even) for c in gens]
         C = linalg.coinvariant_complement(ops)
         rows = [
-            flatten(hecke_T(x), lr_even)
+            flatten(hecke_T(singleton(ctx, n, mu, widx)), lr_even)
             for n in LevelRange("odd", 1, 2 * N - 1).levels()
-            for x in basis_R(ctx, n)
+            for mu in itertools.product(range(ctx.q), repeat=n)
+            for widx in range(ctx.D)
         ]
         W = linalg.echelon(np.array(rows, dtype=np.int32), kk, ambient=dim_ie)
         coinv = dim_ie - linalg.subspace_sum(C, W).dim

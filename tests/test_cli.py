@@ -2,6 +2,7 @@
 
 import json
 import re
+import shlex
 from pathlib import Path
 
 import pytest
@@ -132,17 +133,16 @@ class TestRun:
             cli.run(make_cfg(), suites=["nope"])
 
     def test_candidate_spaces_built_once_per_ctx(self, monkeypatch):
-        # V and W come from the quotient maps on R₂; the mainlemma and
+        # V and W come from one first-digit block V₀ of R₂; the mainlemma and
         # truncation suites and the generic-case candidate must share one build
-        real = analysis.induced_quotient_maps
+        real = analysis._first_digit_block
         builds = {}
 
-        def counting(ctx, ops, lr, S, P):
-            if lr == LevelRange("all", 2, 2):
-                builds[id(ctx)] = builds.get(id(ctx), 0) + 1
-            return real(ctx, ops, lr, S, P)
+        def counting(ctx, deep, B0):
+            builds[id(ctx)] = builds.get(id(ctx), 0) + 1
+            return real(ctx, deep, B0)
 
-        monkeypatch.setattr(analysis, "induced_quotient_maps", counting)
+        monkeypatch.setattr(analysis, "_first_digit_block", counting)
         rep = cli.run(cli.config_from_preset("unramified-generic"), suites=["mainlemma", "truncation"])
         assert rep.verdict == "pass"
         assert list(builds.values()) == [1]
@@ -277,6 +277,34 @@ class TestMain:
         cfg.write_text(example)
         assert cli.main(["verify", "--config", str(cfg)]) == 0
         assert "verdict: pass" in capsys.readouterr().out
+
+    def test_readme_cli_lines(self, tmp_path, monkeypatch, capsys):
+        # every `indgl2 verify` line of the README's CLI block, run from a
+        # directory holding the README config example as myconfig.txt
+        blocks = re.findall(r"```\n(.*?)```", README.read_text(encoding="utf-8"), re.S)
+        example = next(b for b in blocks if "suites = " in b)
+        commands = next(b for b in blocks if b.startswith("indgl2 verify")).splitlines()
+        assert len(commands) == 3
+        (tmp_path / "myconfig.txt").write_text(example)
+        monkeypatch.chdir(tmp_path)
+        for line in commands:
+            argv = shlex.split(line)
+            assert argv[0] == "indgl2"
+            assert cli.main(argv[1:]) == 0, line
+        assert json.loads((tmp_path / "report.json").read_text())["verdict"] == "pass"
+
+    def test_q49_arith_beyond_cubed_int64(self, tmp_path, capsys):
+        # p^{3M} > 2^63 here: Galois-ring products must be reduced before they wrap
+        cfg = tmp_path / "c.txt"
+        cfg.write_text('p = 7\nf = 2\ne = 1\nr = [1, 1]\nN = 7\nsuites = ["arith"]\n')
+        assert cli.main(["verify", "--config", str(cfg)]) == 0
+        assert "verdict: pass" in capsys.readouterr().out
+
+    def test_exit_2_when_precision_beyond_int64(self, tmp_path, capsys):
+        cfg = tmp_path / "c.txt"
+        cfg.write_text('p = 7\nf = 2\ne = 1\nr = [1, 1]\nN = 20\nsuites = ["arith"]\n')
+        assert cli.main(["verify", "--config", str(cfg)]) == 2
+        assert "int64" in capsys.readouterr().err
 
     def test_determinism_across_processes(self, tmp_path):
         cfg = tmp_path / "c.txt"

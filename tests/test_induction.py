@@ -1,3 +1,4 @@
+import itertools
 import random
 
 import numpy as np
@@ -14,7 +15,6 @@ from indgl2.induction import (
     InductionCtx,
     LevelRange,
     alpha_act,
-    basis_R,
     deserialize,
     flatten,
     from_records,
@@ -56,6 +56,11 @@ def ram3():
 def unram4():
     # q = 4, e = 1, r = (1,1)
     return make_ctx(2, 2, 1, (1, 1))
+
+
+def basis_R(ctx, n):
+    """The q^n·D standard basis of R_n, μ lexicographic then i⃗ lexicographic."""
+    return [singleton(ctx, n, mu, widx) for mu in itertools.product(range(ctx.q), repeat=n) for widx in range(ctx.D)]
 
 
 def rand_elem(ctx, rng, levels=(0, 1, 2)):

@@ -9,7 +9,9 @@ from indgl2.linalg import (
     LinMap,
     Subspace,
     coinvariant_complement,
+    direct_sum,
     echelon,
+    embed,
     fixed_space,
     full_space,
     image,
@@ -73,6 +75,47 @@ def test_reduce_stack_matches_pivot_loop(F9):
     assert np.array_equal(S.reduce(V), want)
     assert all(np.array_equal(S.reduce(v), w) for v, w in zip(V, want))
     assert not S.reduce(S.rows).any()
+
+
+def test_reduce_narrow_support(F9):
+    # rows that vanish on most columns: the remainder there is the input itself
+    rng = np.random.default_rng(22)
+    M = rand_mat(rng, F9, 3, 12)
+    M[:, [0, 2, 5, 6, 7, 11]] = 0
+    S = echelon(M, F9)
+    V = rand_mat(rng, F9, 5, 12)
+    want = V.copy()
+    for row in want:
+        for k, col in enumerate(S.pivots):
+            row[:] = F9.ADD[row, F9.MUL[int(F9.NEG[row[col]]), S.rows[k]]]
+    assert np.array_equal(S.reduce(V), want)
+    assert np.array_equal(S.reduce(V)[:, [0, 2, 5, 6, 7, 11]], V[:, [0, 2, 5, 6, 7, 11]])
+    assert all(np.array_equal(S.reduce(v), w) for v, w in zip(V, want))
+
+
+def test_direct_sum_is_echelon_of_blocks(F9):
+    rng = np.random.default_rng(23)
+    S = echelon(rand_mat(rng, F9, 3, 5), F9)
+    blocks = np.zeros((4 * S.dim, 4 * 5), dtype=np.int32)
+    for k in range(4):
+        blocks[k * S.dim : (k + 1) * S.dim, 5 * k : 5 * (k + 1)] = S.rows
+    T = direct_sum(S, 4)
+    assert T == echelon(blocks, F9)
+    assert np.array_equal(T.pivots, echelon(blocks, F9).pivots)
+
+
+def test_embed_matches_echelon(F9):
+    rng = np.random.default_rng(24)
+    Z = echelon(rand_mat(rng, F9, 5, 9), F9)
+    S = echelon(rand_mat(rng, F9, 3, Z.dim), F9)
+    want = echelon(_kernels.matmul(S.rows, Z.rows, F9), F9, ambient=9)
+    got = embed(S, Z)
+    assert got == want and np.array_equal(got.pivots, want.pivots)
+    # coordinates of a member of Z are its entries on Z's pivot columns
+    assert np.array_equal(got.rows[:, Z.pivots], S.rows)
+    assert embed(echelon(np.zeros((0, Z.dim), dtype=np.int32), F9, ambient=Z.dim), Z).dim == 0
+    with pytest.raises(DimensionMismatch):
+        embed(S, echelon(rand_mat(rng, F9, 2, 9), F9))
 
 
 def test_kernel_zero_map(F3):

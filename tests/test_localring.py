@@ -46,6 +46,37 @@ def test_coefficient_precision_guard():
     assert ctx.e * ctx.M >= ctx.N + 1
 
 
+def _gr_mul_oracle(ctx, a, b):
+    """a·b in GR(p^M, f) = (Z/p^M)[y]/(h), in Python integers."""
+    f = ctx.f
+    prod = [0] * (2 * f - 1)
+    for i in range(f):
+        for j in range(f):
+            prod[i + j] += int(a[i]) * int(b[j])
+    h = [int(c) for c in ctx.h]  # monic, ascending
+    for k in range(2 * f - 2, f - 1, -1):
+        c, prod[k] = prod[k], 0
+        for i in range(f):
+            prod[k - f + i] -= c * h[i]
+    return [x % ctx.pM for x in prod[:f]]
+
+
+@pytest.mark.parametrize("p,f,N", [(7, 2, 7), (5, 2, 9), (3, 2, 13), (5, 2, 8), (2, 3, 20)])
+def test_gr_mul_matches_integer_oracle(p, f, N):
+    # p^{3M} > 2^63 in the first three: an unreduced product would wrap
+    ctx = LocalRingCtx(p, f, 1, N=N)
+    rng = np.random.default_rng(N)
+    for _ in range(500):
+        a, b = rng.integers(0, ctx.pM, size=(2, f))
+        assert ctx.gr_mul(a, b).tolist() == _gr_mul_oracle(ctx, a, b)
+
+
+def test_precision_beyond_int64_rejected():
+    LocalRingCtx(7, 2, 1, N=10)  # M = 11: 2·(7^11 - 1)^2 < 2^63
+    with pytest.raises(ValueError, match="int64"):
+        LocalRingCtx(7, 2, 1, N=11)  # M = 12: 2·(7^12 - 1)^2 ≥ 2^63
+
+
 def test_eisenstein_validation():
     with pytest.raises(ValueError):
         LocalRingCtx(3, 1, 2, E=[-9, 0, 1])  # constant coeff divisible by p^2
