@@ -56,6 +56,16 @@ _CONFIG_KEYS = {
 }
 
 
+def _is_int(x) -> bool:
+    return isinstance(x, int) and not isinstance(x, bool)
+
+
+def _is_coords(x, length: int, p: int | None = None) -> bool:
+    """x lists `length` integers, each in [0, p-1] when p is given."""
+    ok = isinstance(x, (list, tuple)) and len(x) == length and all(_is_int(c) for c in x)
+    return ok and (p is None or all(0 <= c < p for c in x))
+
+
 @dataclass
 class Config:
     p: int
@@ -77,31 +87,40 @@ class Config:
         def bad(msg):
             raise ConfigError(msg, location=where)
 
-        if not isinstance(self.p, int) or not is_prime(self.p):
+        if not _is_int(self.p) or not is_prime(self.p):
             bad(f"p must be prime, got {self.p!r}")
-        if not isinstance(self.f, int) or self.f < 1:
-            bad(f"f must be a positive integer, got {self.f!r}")
-        if not isinstance(self.e, int) or self.e < 1:
-            bad(f"e must be a positive integer, got {self.e!r}")
-        if not isinstance(self.m, int) or self.m < 1:
-            bad(f"m must be a positive integer, got {self.m!r}")
+        for key in ("f", "e", "m"):
+            if not _is_int(getattr(self, key)) or getattr(self, key) < 1:
+                bad(f"{key} must be a positive integer, got {getattr(self, key)!r}")
         if not isinstance(self.r, (list, tuple)) or len(self.r) != self.f:
             bad(f"r must list {self.f} weight exponents, got {self.r!r}")
-        if any(not isinstance(x, int) or not 0 <= x <= self.p - 1 for x in self.r):
+        if any(not _is_int(x) or not 0 <= x <= self.p - 1 for x in self.r):
             bad(f"weight exponents must lie in [0, {self.p - 1}]")
-        if self.nu is not None and (
-            not isinstance(self.nu, (list, tuple)) or not all(isinstance(x, int) for x in self.nu)
+        if not _is_int(self.chi):
+            bad(f"chi must be an integer, got {self.chi!r}")
+        if self.nu is not None and not _is_coords(self.nu, self.f * self.m, self.p):
+            bad(f"nu must list {self.f * self.m} coordinates in [0, {self.p - 1}], got {self.nu!r}")
+        if self.E is not None and (
+            not isinstance(self.E, (list, tuple))
+            or len(self.E) != self.e + 1
+            or not all(_is_int(c) or _is_coords(c, self.f) for c in self.E)
         ):
-            bad("nu must be a coordinate list over the prime field")
-        if not isinstance(self.N_max, int) or self.N_max < 0:
+            bad(f"E must list {self.e + 1} coefficients, each an integer or {self.f} integers")
+        if not _is_int(self.N_max) or self.N_max < 0:
             bad(f"N_max must be a non-negative integer, got {self.N_max!r}")
-        if self.N is not None and (not isinstance(self.N, int) or self.N < 2):
+        if self.N is not None and (not _is_int(self.N) or self.N < 2):
             bad(f"N must be an integer >= 2, got {self.N!r}")
+        if not isinstance(self.suites, (list, tuple)):
+            bad(f"suites must be a list, got {self.suites!r}")
         for s in self.suites:
             if s not in SUITES:
                 bad(f"unknown suite {s!r}; valid: {', '.join(SUITES)}")
-        if not isinstance(self.seed, int):
-            bad(f"seed must be an integer, got {self.seed!r}")
+        if not _is_int(self.seed) or self.seed < 0:
+            bad(f"seed must be a non-negative integer, got {self.seed!r}")
+        if self.out is not None and not isinstance(self.out, str):
+            bad(f"out must be a path, got {self.out!r}")
+        if not isinstance(self.inject_failure, bool):
+            bad(f"inject_failure must be true or false, got {self.inject_failure!r}")
         return self
 
     def effective_precision(self) -> int:
@@ -126,19 +145,13 @@ class Config:
 
     def build(self) -> analysis.InductionCtx:
         try:
-            ctx = analysis.build_ctx(
+            # nu lists coordinates over F_p, lowest first: its code in K
+            nu_code = None if self.nu is None else sum(c * self.p**i for i, c in enumerate(self.nu))
+            return analysis.build_ctx(
                 self.p, self.f, self.e, tuple(self.r),
-                chi_c=self.chi, nu_code=None, E=self.E,
+                chi_c=self.chi, nu_code=nu_code, E=self.E,
                 N=self.effective_precision(), m=self.m,
             )
-            if self.nu is not None:
-                kk = ctx.weight.field.kk
-                code = kk.code_of(self.nu)
-                from .weight import WeightCtx
-
-                w = WeightCtx(ctx.weight.field, tuple(self.r), chi_c=self.chi, nu=kk.elem(code))
-                ctx = analysis.InductionCtx(w, ctx.ring)
-            return ctx
         except ConfigError:
             raise
         except (ValueError, ZeroDivisionError) as ex:
@@ -210,7 +223,7 @@ def config_from_preset(name: str) -> Config:
 @dataclass
 class CheckRecord:
     name: str
-    status: str  # pass | fail | skipped | assumed
+    status: str  # pass | fail | skipped
     dims: dict = dc_field(default_factory=dict)
     seconds: float = 0.0
     detail: str | None = None
@@ -371,18 +384,20 @@ def _suite_mainlemma(ctx, cfg, rng):
         ok = rep.found and all(rep.checks.values())
         detail = f"case={rep.case}" + (f" j0={rep.j0}" if rep.j0 is not None else "")
         recs.append(CheckRecord("mainlemma:witness", "pass" if ok else "fail", dims, detail=detail))
+        block_rank = analysis.tplus_block_rank(ctx)
         recs.append(
             CheckRecord(
                 "mainlemma:certificate",
                 "pass" if rep.certificate else "fail",
-                {"block_rank": analysis.tplus_block_rank(ctx), "D": ctx.D},
+                {"block_rank": block_rank, "D": ctx.D},
             )
         )
+        # T₊|R_n is qⁿ copies of one local block, so full block rank is injectivity at every level
         recs.append(
             CheckRecord(
                 "mainlemma:tplus-injectivity-beyond-R3",
-                "assumed",
-                detail=rep.certificate_detail.get("higher-levels", ""),
+                "pass" if block_rank == ctx.D else "fail",
+                detail="method=blockwise",
             )
         )
     return recs
@@ -529,6 +544,7 @@ def main(argv=None) -> int:
             cfg.validate("--trunc")
         if args.seed is not None:
             cfg.seed = args.seed
+            cfg.validate("--seed")
         suites = [s for s in args.suites.split(",") if s] if args.suites else None
         report = run(cfg, suites=suites, timings=args.timings)
     except ConfigError as ex:

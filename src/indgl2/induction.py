@@ -367,6 +367,35 @@ def operator_matrix(ctx: InductionCtx, op, domain: LevelRange, codomain: LevelRa
     return linalg.LinMap(kk, M)
 
 
+def hecke_matrix(ctx: InductionCtx, domain: LevelRange, codomain: LevelRange) -> linalg.LinMap:
+    """LinMap of T = T₊ + T₋ over the frozen bases, keeping the parts that land in codomain.
+
+    Filled by index arithmetic from the two local matrices: T₊ sends row
+    (n, μ, i) to column (n+1, μλ, 0) with entry tplus_local[λ, i], and T₋
+    sends row (n, μ, r⃗) to the block of μ[:n-1] with entries
+    ν·tminus_local[μ_{n-1}].  operator_matrix over hecke_T is its oracle.
+    """
+    kk = ctx.weight.field.kk
+    q, D = ctx.q, ctx.D
+    cols = _offsets(ctx, codomain)
+    M = np.zeros((range_dim(ctx, domain), range_dim(ctx, codomain)), dtype=np.int32)
+    tplus = ctx.tplus_local().T  # D x q
+    tminus = kk.MUL[ctx.weight.nu.code, ctx.tminus_local()]
+    top = ctx.weight.index[ctx.weight.rvec]
+    for n, base in _offsets(ctx, domain).items():
+        if n == 0:
+            raise LevelZeroInput("T is only defined on levels >= 1 here")
+        keys = np.arange(q**n)
+        rows = base + D * keys  # row of (n, μ, 0), μ ranked big-endian
+        if n + 1 in codomain:
+            children = cols[n + 1] + D * (q * keys[:, None] + np.arange(q))  # (n+1, μλ, 0)
+            M[rows[:, None, None] + np.arange(D)[:, None], children[:, None, :]] = tplus
+        if n - 1 in codomain:
+            parent, last = np.divmod(keys, q)
+            M[(rows + top)[:, None], (cols[n - 1] + D * parent)[:, None] + np.arange(D)] = tminus[last]
+    return linalg.LinMap(kk, M)
+
+
 def translation_product(ctx: InductionCtx, c: RingElem, lr: LevelRange, rows, P: np.ndarray) -> np.ndarray:
     """Rows `rows` of T_c @ P, with T_c the matrix of u_act(c, ·) over the frozen basis of lr.
 

@@ -16,6 +16,7 @@ from indgl2.induction import (
     InducedElem,
     LevelRange,
     flatten,
+    hecke_matrix,
     hecke_T,
     hecke_T_minus,
     hecke_T_plus,
@@ -114,11 +115,80 @@ class TestBlockRank:
         assert analysis.tplus_block_rank(ctx) == ctx.D
 
     def test_matches_dense_kernel(self, ram_r1):
-        # blockwise certificate against honest kernels at levels 1 and 2
+        # blockwise kernel dimension against honest kernels of the per-basis-vector T₊ at levels 1 and 2
         for n in (1, 2):
             dim, method = analysis.tplus_kernel_dim(ram_r1, n)
-            assert dim == 0
-            assert method == "dense"
+            T = operator_matrix(ram_r1, hecke_T_plus, LevelRange("all", n, n), LevelRange("all", n + 1, n + 1))
+            assert dim == linalg.kernel(T).dim == 0
+            assert method == "blockwise"
+
+
+class TestHeckeMatrixAgainstOracle:
+    """hecke_matrix, the collapsed coinvariant scalars and the blockwise T₊ kernel
+    against the per-basis-vector walk through singleton and hecke_T*."""
+
+    GRID = [
+        ((3, 1, 2, (1,)), {}),
+        ((3, 1, 2, (1,)), {"chi_c": 1, "nu_code": 2}),
+        ((2, 1, 3, (0,)), {}),
+        ((2, 1, 3, (1,)), {}),
+        ((5, 1, 2, (3,)), {"nu_code": 3}),
+        ((3, 2, 1, (1, 0)), {"nu_code": 5}),
+        ((2, 2, 1, (1, 1)), {}),
+        ((2, 2, 2, (1, 1)), {"nu_code": 2}),
+        ((3, 1, 1, (2,)), {"m": 2, "nu_code": 5}),
+        ((2, 1, 2, (1,)), {"m": 2, "nu_code": 3}),
+    ]
+
+    @pytest.mark.parametrize("args,kw", GRID)
+    def test_hecke_matrix_equals_walk(self, args, kw):
+        ctx = analysis.build_ctx(*args, N=5, **kw)
+        top = 3 if ctx.q <= 5 else 2  # highest domain level; q = 9 stops at R₂ to stay small
+        R = [LevelRange("all", n, n) for n in range(top + 2)]
+        cases = [(R[1], LevelRange("even", 0, 2), hecke_T)]
+        cases.append((LevelRange("odd", 1, 2 * top - 3), LevelRange("even", 0, 2 * top - 2), hecke_T))
+        for n in range(1, top + 1):
+            cases += [(R[n], R[n + 1], hecke_T_plus), (R[n], R[n - 1], hecke_T_minus)]
+        for dom, cod, op in cases:
+            want = operator_matrix(ctx, op, dom, cod)
+            assert np.array_equal(hecke_matrix(ctx, dom, cod).matrix, want.matrix), (dom, cod, op.__name__)
+            if op is hecke_T_plus:
+                assert analysis.tplus_kernel_dim(ctx, dom.lo) == (linalg.kernel(want).dim, "blockwise")
+        # T₊|R₁ acts by one D x qD block on every first digit and keeps the first digit
+        q, D = ctx.q, ctx.D
+        blocks = operator_matrix(ctx, hecke_T_plus, R[1], R[2]).matrix.reshape(q, D, q, q * D)
+        first = np.arange(q)
+        assert np.array_equal(blocks[first, :, first], np.broadcast_to(blocks[0, :, 0], (q, D, q * D)))
+        assert np.count_nonzero(blocks) == q * np.count_nonzero(blocks[0, :, 0])
+        B0 = analysis._tplus_r1(ctx)[2]
+        assert B0 == linalg.echelon(blocks[0, :, 0], ctx.weight.field.kk, ambient=q * D)
+
+    @staticmethod
+    def _walk_collapse(ctx, n):
+        """(T₋ scalar, T₊ vanishes, (level n-1, level n+1) classes of T e_free) at key (0, .., 0) of level n."""
+        _, phi, free = analysis.weight_coinvariant_functional(ctx)
+        kk = ctx.weight.field.kk
+        key = (0,) * n
+
+        def phi_sum(x, level=None):
+            total = 0
+            for (m, _mu), v in x.terms.items():
+                if level is None or m == level:
+                    total = int(kk.ADD[total, phi(v)])
+            return total
+
+        rep = singleton(ctx, n, key, free)
+        vanish = all(phi_sum(hecke_T_plus(singleton(ctx, n, key, i))) == 0 for i in range(ctx.D))
+        T = hecke_T(rep)
+        return phi_sum(hecke_T_minus(rep)), vanish, (phi_sum(T, n - 1), phi_sum(T, n + 1))
+
+    @pytest.mark.parametrize("args,kw", GRID)
+    def test_collapsed_scalars_equal_walk(self, args, kw):
+        # the walk at levels 1, 3, 5 covers the odd levels of L_N for N = 1..3
+        ctx = analysis.build_ctx(*args, N=7, **kw)
+        a, b, vanish = analysis._collapsed_scalars(ctx)
+        for n in (1, 3, 5):
+            assert self._walk_collapse(ctx, n) == (a, vanish, (a, b))
 
 
 class TestInvariantCandidates:
@@ -150,13 +220,14 @@ class TestBlockRouteAgainstDense:
     @staticmethod
     def _dense(ctx):
         kk = ctx.weight.field.kk
-        r1p = analysis.r1_prime(ctx)
-        Mplus = analysis.tplus_matrix(ctx, 1)
+        r1, r2 = LevelRange("all", 1, 1), LevelRange("all", 2, 2)
+        r1p = linalg.kernel(operator_matrix(ctx, hecke_T_minus, r1, LevelRange("all", 0, 0)))
+        Mplus = operator_matrix(ctx, hecke_T_plus, r1, r2)
         tplus_r1 = linalg.image(Mplus)
         tplus_r1p = linalg.echelon(_kernels.matmul(r1p.rows, Mplus.matrix, kk), kk, ambient=Mplus.codomain)
         P = analysis.quotient_projection(tplus_r1p)
         gens = analysis.u_generators(ctx, 2)
-        maps = analysis.induced_quotient_maps(ctx, gens, LevelRange("all", 2, 2), tplus_r1p, P)
+        maps = analysis.induced_quotient_maps(ctx, gens, r2, tplus_r1p, P)
         fixed = linalg.fixed_space(maps, field=kk, ambient=P.shape[1])
         V = linalg.preimage(linalg.LinMap(kk, P), fixed)
         return V, linalg.intersect(V, tplus_r1), tplus_r1, P.shape[1], fixed.dim
@@ -290,7 +361,7 @@ class TestCandidateChecks:
         kk = ram_r1.weight.field.kk
         lr2 = LevelRange("all", 2, 2)
         r1p = analysis.r1_prime(ram_r1)
-        Mp = analysis.tplus_matrix(ram_r1, 1)
+        Mp = operator_matrix(ram_r1, hecke_T_plus, LevelRange("all", 1, 1), lr2)
         tpr1p = linalg.echelon(_kernels.matmul(r1p.rows, Mp.matrix, kk), kk, ambient=Mp.codomain)
         for c in analysis.u_generators(ram_r1, 2):
             delta = u_act(c, g) - g
@@ -306,7 +377,7 @@ class TestIndependenceCertificate:
         g, _, _ = analysis.paper_candidate(ram_r1)
         ok, detail = analysis.independence_certificate(ram_r1, g)
         assert ok
-        assert detail["methods"]["R1"] == "dense"
+        assert detail["methods"] == {"R1": "blockwise", "R3": "blockwise"}
 
     def test_false_for_image_member(self, ram_r1):
         g = hecke_T_plus(singleton(ram_r1, 1, (0,), 0))

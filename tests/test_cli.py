@@ -1,15 +1,18 @@
 """Configuration parsing, suite driver, report emission, exit codes."""
 
+import contextlib
+import io
 import json
 import re
 import shlex
 from pathlib import Path
 
 import pytest
+from hypothesis import HealthCheck, given, settings, strategies as st
 
 from indgl2 import analysis, cli
 from indgl2.errors import ConfigError
-from indgl2.induction import LevelRange, hecke_T_plus
+from indgl2.induction import LevelRange
 
 README = Path(__file__).resolve().parent.parent / "README.md"
 
@@ -76,6 +79,13 @@ class TestConfigParsing:
             {"suites": ["nope"]},
             {"N_max": -1},
             {"N": 1},
+            {"seed": -1},
+            {"chi": 1.5},
+            {"nu": [5, 7]},
+            {"nu": [1, 0]},
+            {"E": 5},
+            {"suites": 3},
+            {"out": 5},
         ],
     )
     def test_validation_rejects(self, over):
@@ -114,8 +124,8 @@ class TestRun:
         assert rec.status == "pass"
         for key in ("R1", "R1prime", "Q", "V", "V_cap_TplusR1"):
             assert key in rec.dims
-        assumed = next(r for r in rep.records if "beyond" in r.name)
-        assert assumed.status == "assumed"
+        beyond = next(r for r in rep.records if "beyond" in r.name)
+        assert (beyond.status, beyond.dims, beyond.detail) == ("pass", {}, "method=blockwise")
 
     def test_search_only_config_skips_mainlemma(self):
         rep = cli.run(cli.config_from_mapping({"p": 3, "f": 1, "e": 1, "r": [1]}), suites=["mainlemma"])
@@ -148,19 +158,18 @@ class TestRun:
         assert list(builds.values()) == [1]
 
     def test_tplus_r1_matrix_built_once(self, monkeypatch):
-        # the hecke kernel check and the witness spaces share one T₊|R₁ image
-        real = analysis.operator_matrix
+        # the witness spaces build T₊|R₁ once; the hecke kernel check reads the block rank
+        real = analysis.hecke_matrix
         builds = []
 
-        def counting(ctx, op, domain, codomain):
-            if op is hecke_T_plus and domain == LevelRange("all", 1, 1):
-                builds.append(codomain)
-            return real(ctx, op, domain, codomain)
+        def counting(ctx, domain, codomain):
+            builds.append((domain, codomain))
+            return real(ctx, domain, codomain)
 
-        monkeypatch.setattr(analysis, "operator_matrix", counting)
+        monkeypatch.setattr(analysis, "hecke_matrix", counting)
         rep = cli.run(cli.config_from_preset("ramified-r1"), suites=["hecke", "mainlemma", "truncation"])
         assert rep.verdict == "pass"
-        assert builds == [LevelRange("all", 2, 2)]
+        assert builds.count((LevelRange("all", 1, 1), LevelRange("all", 2, 2))) == 1
 
     def test_timings_give_each_record_its_suite_time(self, monkeypatch):
         clock = iter([10.0, 11.0])  # one suite, timed at 1.0 s
@@ -225,6 +234,22 @@ class TestMain:
         cfg = tmp_path / "c.txt"
         cfg.write_text("p = 3\nf = 1\ne = 0\nr = [0]\n")
         assert cli.main(["verify", "--config", str(cfg)]) == 2
+        assert "config error" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "lines, argv",
+        [
+            ("seed = -1", []),
+            ("", ["--seed", "-1"]),
+            ("chi = 1.5", []),
+            ("nu = [5, 7]", []),
+        ],
+        ids=["seed-config", "seed-flag", "chi-float", "nu-out-of-range"],
+    )
+    def test_exit_2_on_contract_holes(self, tmp_path, capsys, lines, argv):
+        cfg = tmp_path / "c.txt"
+        cfg.write_text(f'p = 3\nf = 1\ne = 2\nr = [0]\nsuites = ["arith"]\n{lines}\n')
+        assert cli.main(["verify", "--config", str(cfg), *argv]) == 2
         assert "config error" in capsys.readouterr().err
 
     def test_exit_2_when_no_source(self, capsys):
@@ -315,3 +340,85 @@ class TestMain:
             assert cli.main(["verify", "--config", str(cfg), "--format", "json", "--out", str(out)]) == 0
             outs.append(out.read_bytes())
         assert outs[0] == outs[1]
+
+
+FUZZ = settings(derandomize=True, database=None, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+_SCALARS = st.one_of(st.none(), st.booleans(), st.integers(-3, 40), st.floats(), st.text(max_size=4))
+_ANY = _SCALARS | st.recursive(
+    _SCALARS,
+    lambda inner: st.lists(inner, max_size=4) | st.dictionaries(st.text(max_size=3), inner, max_size=2),
+    max_leaves=6,
+)
+
+
+@st.composite
+def _valid_configs(draw):
+    """A valid configuration, small enough for the arith suite to take well under a second."""
+    p = draw(st.sampled_from([2, 3, 5]))
+    f, m = draw(st.integers(1, 2)), draw(st.integers(1, 2))
+    cfg = {"p": p, "f": f, "e": draw(st.integers(1, 3)), "m": m}
+    cfg["r"] = draw(st.lists(st.integers(0, p - 1), min_size=f, max_size=f))
+    optional = {
+        "chi": st.integers(-2, 5),
+        "nu": st.lists(st.integers(0, p - 1), min_size=f * m, max_size=f * m),
+        "N": st.integers(3, 8),
+        "N_max": st.integers(0, 3),
+        "seed": st.integers(0, 5),
+    }
+    for key in draw(st.lists(st.sampled_from(sorted(optional)), unique=True)):
+        cfg[key] = draw(optional[key])
+    return cfg
+
+
+@st.composite
+def _arbitrary_mappings(draw):
+    """A valid configuration with one or two keys, known or not, set to arbitrary values."""
+    cfg = draw(_valid_configs())
+    for key in draw(st.lists(st.sampled_from(sorted(cli._CONFIG_KEYS) + ["bogus"]), min_size=1, max_size=2, unique=True)):
+        cfg[key] = draw(_ANY)
+    return cfg
+
+
+@st.composite
+def _grid_configs(draw):
+    """A valid configuration with at most one key set to a typical bad value."""
+    cfg = draw(_valid_configs())
+    bad = {
+        "p": st.sampled_from([0, 4, 1.5, "3"]),
+        "f": st.sampled_from([0, -1, True]),
+        "r": st.lists(st.integers(-1, 5), max_size=3),
+        "chi": st.one_of(st.floats(-2, 5), st.text(max_size=2)),
+        "nu": st.lists(st.integers(-1, 8), max_size=4),
+        "E": st.one_of(st.lists(st.integers(-9, 9), max_size=4), st.just([[3, 0], [0, 0], 1]), st.text(max_size=2)),
+        "N": st.integers(-1, 2),
+        "seed": st.integers(-3, -1),
+    }
+    key = draw(st.none() | st.sampled_from(sorted(bad)))
+    if key is not None:
+        cfg[key] = draw(bad[key])
+    return cfg
+
+
+class TestContractFuzz:
+    """Arbitrary configurations end in ConfigError, never in another exception;
+    main() on a small grid exits 0, 1 or 2 and lets no exception escape."""
+
+    @FUZZ
+    @given(mapping=_arbitrary_mappings())
+    def test_mapping_raises_only_config_error(self, mapping):
+        try:
+            cfg = cli.config_from_mapping(mapping)
+            cfg.check_precision(cfg.suites)
+        except ConfigError:
+            pass
+
+    @FUZZ
+    @given(mapping=_grid_configs(), seed=st.one_of(st.none(), st.integers(-2, 5)), trunc=st.one_of(st.none(), st.integers(-1, 2)))
+    def test_main_exit_codes(self, tmp_path_factory, mapping, seed, trunc):
+        cfg = tmp_path_factory.getbasetemp() / "fuzz.txt"
+        cfg.write_text("".join(f"{k} = {json.dumps(v)}\n" for k, v in mapping.items()))
+        argv = ["verify", "--config", str(cfg), "--suites", "arith", "--format", "json"]
+        argv += ["--seed", str(seed)] if seed is not None else []
+        argv += ["--trunc", str(trunc)] if trunc is not None else []
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+            assert cli.main(argv) in (0, 1, 2)
