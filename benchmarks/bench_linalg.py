@@ -1,7 +1,9 @@
 """Timings for the finite-field kernels.
 
-Times matmul / rref at one square size and an end-to-end truncated_L(N=2)
-computation.  Each end-to-end repeat builds a fresh context (inside the
+Times matmul, rref and linalg.kernel at one square size and an end-to-end
+truncated_L(N=2) computation.  The kernel's matrix repeats its first size/30
+columns at the end, so its rank falls short of the size and the kernel is
+not zero.  Each end-to-end repeat builds a fresh context (inside the
 timed call), so results memoised on a context never shortcut a repeat.
 Run from the repository root:
 
@@ -31,7 +33,7 @@ def main():
     ap.add_argument("--f", type=int, default=2)
     args = ap.parse_args()
 
-    from indgl2 import _kernels, analysis
+    from indgl2 import _kernels, analysis, linalg
     from indgl2.gf import FieldCtx
 
     field = FieldCtx(args.p, args.f).fq
@@ -42,10 +44,14 @@ def main():
 
     t_mm = best_of(lambda: _kernels.matmul(A, B, field), args.repeat)
     t_rr = best_of(lambda: _kernels.rref(A, field), args.repeat)
+    K = A.copy()
+    K[:, n - n // 30 :] = K[:, : n // 30]
+    t_ker = best_of(lambda: linalg.kernel(linalg.LinMap(field, K)), args.repeat)
     t_e2e = best_of(lambda: analysis.truncated_L(analysis.build_ctx(3, 1, 2, (0,), N=8), 2), args.repeat)
     print(
         f"matmul {n}x{n}: {t_mm * 1e3:8.1f} ms   "
-        f"rref {n}x{n}: {t_rr * 1e3:8.1f} ms   truncated_L(N=2): {t_e2e * 1e3:8.1f} ms"
+        f"rref {n}x{n}: {t_rr * 1e3:8.1f} ms   kernel {n}x{n}: {t_ker * 1e3:8.1f} ms   "
+        f"truncated_L(N=2): {t_e2e * 1e3:8.1f} ms"
     )
 
 

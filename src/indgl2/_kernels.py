@@ -1,10 +1,34 @@
-"""Table-driven matrix kernels over a finite field.
+"""Exact matrix kernels over a finite field F_{p^k}.
 
-Matrices are int32 arrays of field codes; arithmetic goes through the dense
-lookup tables of a PrimeExtField, vectorised over whole rows and columns.
+Matrices are int32 arrays of field codes (the code of Σ_j c_j x^j is
+Σ_j c_j p^j).  `matmul` takes one of two routes, chosen by the shape of the
+left operand alone:
+
+- the table loop, for an inner dimension below PLANE_MIN_INNER: one
+  vectorised lookup in the field's MUL and ADD tables per inner index;
+- coefficient planes, from PLANE_MIN_INNER on: digit d of a·b is
+  Σ_j a_j · digit_d(b·x^j), so A @ B is one float64 (BLAS) product of the
+  r × n·k digit matrix of A with the n·k × c·k matrix of the digits of
+  B·x^j, followed by one reduction mod p (of the sums, cast to int64) and the
+  recombination Σ_d plane_d·p^d (delayed reduction, as in FFLAS-FFPACK:
+  Dumas–Giorgi–Pernet, ACM TOMS 35(3), 2008).  Every partial sum is an
+  integer at most n·k·(p−1)² < 2^53, so the product is exact whatever order
+  or thread count BLAS sums in; a larger inner dimension is a ValueError.
+
+`rref` is Gauss–Jordan elimination through the tables; each pivot updates
+only the columns from the pivot on, because the pivot row is zero left of it.
 """
 
 import numpy as np
+
+# Inner dimension from which matmul multiplies coefficient planes.  Below it
+# the table loop wins: the plane route converts all of B to a float64 matrix
+# k² times its size, which on the few-row, very sparse translation products
+# (inner dimension ≤ 100) costs more time and memory than the lookups it saves.
+PLANE_MIN_INNER = 256
+
+# Largest integer up to which float64 arithmetic is exact.
+_EXACT_FLOAT = 2**53
 
 
 def matmul(A: np.ndarray, B: np.ndarray, field) -> np.ndarray:
@@ -12,6 +36,8 @@ def matmul(A: np.ndarray, B: np.ndarray, field) -> np.ndarray:
         raise ValueError(f"shape mismatch {A.shape} @ {B.shape}")
     A = np.ascontiguousarray(A, dtype=np.int32)
     B = np.ascontiguousarray(B, dtype=np.int32)
+    if A.shape[1] >= PLANE_MIN_INNER:
+        return _matmul_planes(A, B, field)
     ADD, MUL = field.ADD, field.MUL
     C = np.zeros((A.shape[0], B.shape[1]), dtype=np.int32)
     for k in range(A.shape[1]):
@@ -22,6 +48,22 @@ def matmul(A: np.ndarray, B: np.ndarray, field) -> np.ndarray:
         prod = MUL[col[nz][:, None], B[k][None, :]]
         C[nz] = ADD[C[nz], prod]
     return C
+
+
+def _matmul_planes(A: np.ndarray, B: np.ndarray, field) -> np.ndarray:
+    """A @ B as one float64 product of coefficient planes, reduced mod p once."""
+    p, k = field.p, field.deg
+    (r, n), c = A.shape, B.shape[1]
+    if n * k * (p - 1) ** 2 >= _EXACT_FLOAT:
+        raise ValueError(f"inner dimension {n} over F_{p}^{k} exceeds exact float64 accumulation")
+    if k == 1:
+        C = A.astype(np.float64) @ B.astype(np.float64)
+        return (C.astype(np.int64) % p).astype(np.int32)
+    digits = field.AXJ_DIGITS
+    left = digits[A, 0, :].reshape(r, n * k)  # digit j of A[i, l] at column l·k + j
+    right = digits[B].transpose(0, 2, 1, 3).reshape(n * k, c * k)  # digit d of B[l, m]·x^j
+    planes = (left @ right).astype(np.int64).reshape(r, c, k) % p
+    return (planes @ p ** np.arange(k, dtype=np.int64)).astype(np.int32)
 
 
 def rref(M: np.ndarray, field):
@@ -42,15 +84,15 @@ def rref(M: np.ndarray, field):
             continue
         sel = row + int(nz[0])
         if sel != row:
-            R[[row, sel]] = R[[sel, row]]
+            R[[row, sel], col:] = R[[sel, row], col:]
         inv = int(INV[R[row, col]])
         if inv != 1:
-            R[row] = MUL[inv, R[row]]
+            R[row, col:] = MUL[inv, R[row, col:]]
         others = np.nonzero(R[:, col])[0]
         others = others[others != row]
         if others.size:
             coef = NEG[R[others, col]]
-            R[others] = ADD[R[others], MUL[coef[:, None], R[row][None, :]]]
+            R[others, col:] = ADD[R[others, col:], MUL[coef[:, None], R[row, col:][None, :]]]
         pivots.append(col)
         row += 1
     return R, np.array(pivots, dtype=np.int64)

@@ -19,7 +19,7 @@ import numpy as np
 
 from . import __version__, analysis
 from .errors import ConfigError, LevelZeroInput
-from .gf import is_prime, sum_over_field
+from .gf import TABLE_CAP, is_prime, sum_over_field
 from .induction import (
     InducedElem,
     alpha_act,
@@ -87,6 +87,8 @@ class Config:
         def bad(msg):
             raise ConfigError(msg, location=where)
 
+        if _is_int(self.p) and self.p > TABLE_CAP:  # before the trial division, which would spin on a large p
+            bad(f"p = {self.p} exceeds the field table cap {TABLE_CAP}")
         if not _is_int(self.p) or not is_prime(self.p):
             bad(f"p must be prime, got {self.p!r}")
         for key in ("f", "e", "m"):

@@ -228,6 +228,8 @@ class PrimeExtField:
         inv[0] = 0  # sentinel; callers must not invert 0
         self.INV = inv
         self._pows_of_p = pows
+        # AXJ_DIGITS[a, j, d] = digit d of a * x^j, in float64 for the BLAS product of _kernels.matmul
+        self.AXJ_DIGITS = axj_digits.astype(np.float64)
 
     def _pow_all(self, e: int) -> np.ndarray:
         out = np.ones(self.order, dtype=np.int32)

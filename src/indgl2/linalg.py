@@ -160,15 +160,20 @@ class LinMap:
 
 
 def kernel(M: LinMap) -> Subspace:
-    """{v : v @ M = 0} via row reduction of [M | I]."""
+    """{v : v @ M = 0}, read off R = rref(Mᵀ).
+
+    v @ M = 0 says Mᵀ vᵀ = 0, so every free column j of R gives the kernel
+    vector e_j − Σ_i R[i, j]·e_{piv_i}; these span the kernel and go through
+    `echelon` for the canonical basis.  The row reduction is only as wide as
+    the domain, with no identity block beside M.
+    """
     F = M.field
     n = M.domain
-    aug = np.zeros((n, M.codomain + n), dtype=np.int32)
-    aug[:, : M.codomain] = M.matrix
-    aug[np.arange(n), M.codomain + np.arange(n)] = 1
-    R, piv = _kernels.rref(aug, F)
-    R = R[: len(piv)]
-    null_rows = R[piv >= M.codomain][:, M.codomain :]
+    R, piv = _kernels.rref(M.matrix.T, F)
+    free = np.setdiff1d(np.arange(n), piv)
+    null_rows = np.zeros((free.size, n), dtype=np.int32)
+    null_rows[np.arange(free.size), free] = 1
+    null_rows[:, piv] = F.NEG[R[: len(piv)][:, free]].T
     return echelon(null_rows, F, ambient=n)
 
 

@@ -3,8 +3,11 @@
 import contextlib
 import io
 import json
+import os
 import re
 import shlex
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -251,6 +254,20 @@ class TestMain:
         cfg.write_text(f'p = 3\nf = 1\ne = 2\nr = [0]\nsuites = ["arith"]\n{lines}\n')
         assert cli.main(["verify", "--config", str(cfg), *argv]) == 2
         assert "config error" in capsys.readouterr().err
+
+    def test_exit_2_promptly_on_huge_prime(self, tmp_path):
+        # p = 2^61 - 1 is prime, so trial division before the table cap would
+        # spin for minutes; a child process turns that into a timeout, not a hang
+        cfg = tmp_path / "c.txt"
+        cfg.write_text(f"p = {2**61 - 1}\nf = 1\ne = 2\nr = [0]\n")
+        src = Path(cli.__file__).resolve().parent.parent
+        code = "import sys; from indgl2 import cli; sys.exit(cli.main(sys.argv[1:]))"
+        done = subprocess.run(
+            [sys.executable, "-c", code, "verify", "--config", str(cfg)],
+            env={**os.environ, "PYTHONPATH": str(src)}, capture_output=True, text=True, timeout=30,
+        )
+        assert done.returncode == 2
+        assert "table cap" in done.stderr
 
     def test_exit_2_when_no_source(self, capsys):
         assert cli.main(["verify"]) == 2

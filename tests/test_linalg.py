@@ -1,3 +1,5 @@
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -295,6 +297,28 @@ def _rref_loops(M, F):
     return R, np.array(pivots, dtype=np.int64)
 
 
+def _kernel_augmented(M):
+    """{v : v @ M = 0} from the rref of [M | I]: the oracle for linalg.kernel."""
+    F = M.field
+    n = M.domain
+    aug = np.zeros((n, M.codomain + n), dtype=np.int32)
+    aug[:, : M.codomain] = M.matrix
+    aug[np.arange(n), M.codomain + np.arange(n)] = 1
+    R, piv = _kernels.rref(aug, F)
+    R = R[: len(piv)]
+    null_rows = R[piv >= M.codomain][:, M.codomain :]
+    return echelon(null_rows, F, ambient=n)
+
+
+def rand_low_rank(rng, F, n, m, rank):
+    return _kernels.matmul(rand_mat(rng, F, n, rank), rand_mat(rng, F, rank, m), F)
+
+
+# (p, degree) of F_2, F_3, F_8, F_9, F_25, F_49 and the largest prime field under the table cap
+MATMUL_FIELDS = [(2, 1), (3, 1), (2, 3), (3, 2), (5, 2), (7, 2), (4093, 1)]
+EDGE = _kernels.PLANE_MIN_INNER
+
+
 class TestBackends:
     # the vectorised kernels against the scalar loops above
     def test_rref_agrees(self, F9):
@@ -306,6 +330,19 @@ class TestBackends:
             assert np.array_equal(r1, r2)
             assert np.array_equal(p1, p2)
 
+    @pytest.mark.parametrize("p,k", [(3, 2), (5, 2)])
+    @pytest.mark.parametrize("n,m,rank", [(60, 90, 60), (70, 90, 41), (90, 60, 35)])
+    def test_rref_agrees_wide(self, p, k, n, m, rank):
+        # enough pivots and free columns that the update right of each pivot matters
+        F = FieldCtx(p, k).fq
+        rng = np.random.default_rng(p * 1000 + n + m + rank)
+        M = rand_low_rank(rng, F, n, m, rank)
+        M[:, [3, 17]] = 0
+        r1, p1 = _kernels.rref(M, F)
+        r2, p2 = _rref_loops(M, F)
+        assert np.array_equal(p1, p2) and len(p1) == rank
+        assert np.array_equal(r1, r2)
+
     def test_matmul_agrees(self, F9):
         rng = np.random.default_rng(9)
         for _ in range(10):
@@ -314,6 +351,66 @@ class TestBackends:
             c1 = _kernels.matmul(A, B, F9)
             c2 = _matmul_loops(A, B, F9)
             assert np.array_equal(c1, c2)
+
+    @pytest.mark.parametrize("p,k", MATMUL_FIELDS)
+    @pytest.mark.parametrize("inner", [EDGE - 1, EDGE, EDGE + 45])
+    def test_matmul_routes_agree(self, p, k, inner):
+        F = FieldCtx(p, k).fq
+        rng = np.random.default_rng(p * 100 + k * 10 + inner)
+        A = rand_mat(rng, F, 4, inner)
+        B = rand_mat(rng, F, inner, 5)
+        A[2] = 0
+        A[:, 7] = 0
+        B[:, 1] = 0
+        B[11] = 0
+        # the largest code everywhere makes every partial sum of digits as large as it gets
+        top = np.full((2, inner), F.order - 1, dtype=np.int32)
+        for X, Y in ((A, B), (top, np.full((inner, 3), F.order - 1, dtype=np.int32))):
+            assert np.array_equal(_kernels.matmul(X, Y, F), _matmul_loops(X, Y, F))
+
+    @pytest.mark.parametrize("p,k", [(2, 1), (3, 2), (7, 2)])
+    @pytest.mark.parametrize("shape", [(0, EDGE, 4), (3, EDGE, 0), (0, EDGE, 0), (3, 0, 4), (0, 0, 0), (3, 4, 0)])
+    def test_matmul_empty_shapes(self, p, k, shape):
+        F = FieldCtx(p, k).fq
+        r, n, c = shape
+        C = _kernels.matmul(np.zeros((r, n), dtype=np.int32), np.ones((n, c), dtype=np.int32), F)
+        assert C.dtype == np.int32 and C.shape == (r, c) and not C.any()
+
+    def test_matmul_exactness_bound(self):
+        # an inner dimension whose partial sums could pass 2^53 is refused, not rounded
+        huge = SimpleNamespace(p=2**27 + 29, deg=1)
+        with pytest.raises(ValueError, match="exact"):
+            _kernels.matmul(np.zeros((1, EDGE), dtype=np.int32), np.zeros((EDGE, 1), dtype=np.int32), huge)
+
+
+class TestKernelAgainstAugmented:
+    # linalg.kernel reads the kernel off rref(Mᵀ); the rref of [M | I] is the oracle
+    @pytest.mark.parametrize("p,k", [(3, 2), (5, 2)])
+    def test_random_and_low_rank(self, p, k):
+        F = FieldCtx(p, k).fq
+        rng = np.random.default_rng(p + k)
+        for n, m, rank in [(12, 12, 12), (12, 9, 9), (9, 12, 9), (15, 15, 6), (20, 7, 3), (7, 20, 5)]:
+            M = LinMap(F, rand_low_rank(rng, F, n, m, rank))
+            got = kernel(M)
+            assert got == _kernel_augmented(M)
+            assert got.dim == n - image(M).dim >= n - rank
+
+    @pytest.mark.parametrize("p,k", [(3, 2), (5, 2)])
+    @pytest.mark.parametrize("n,m", [(6, 6), (6, 4), (0, 5), (5, 0), (0, 0)])
+    def test_zero_and_empty_maps(self, p, k, n, m):
+        F = FieldCtx(p, k).fq
+        M = LinMap(F, np.zeros((n, m), dtype=np.int32))
+        got = kernel(M)
+        assert got == _kernel_augmented(M)
+        assert got == full_space(F, n)
+
+    @pytest.mark.parametrize("p,k", [(3, 2), (5, 2)])
+    def test_invertible_map(self, p, k):
+        F = FieldCtx(p, k).fq
+        M = np.triu(rand_mat(np.random.default_rng(k), F, 8, 8))
+        np.fill_diagonal(M, 1)
+        got = kernel(LinMap(F, M))
+        assert got.dim == 0 and got == _kernel_augmented(LinMap(F, M))
 
 
 @given(st.lists(st.integers(0, 8), min_size=12, max_size=12))
