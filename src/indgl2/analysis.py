@@ -27,7 +27,7 @@ itself machine-checked.
 """
 
 import functools
-from dataclasses import dataclass, field as dc_field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -51,10 +51,8 @@ from .induction import (
 from .localring import LocalRingCtx, RingElem, teichmuller, translation_table
 from .weight import WeightCtx, action_matrix
 
-# dense-computation guards; beyond these the certified routes take over
+# largest dim I^e whose L_N^U is computed densely; beyond it a certified lower bound
 DENSE_FIXED_CAP = 2048
-DENSE_RANK_ROW_CAP = 2048
-DENSE_RANK_COST_CAP = 8e9
 
 # ring precision the main lemma needs: R₂ sits at level N - 1 = 2, and the
 # generators of U act on it modulo ϖ³
@@ -108,14 +106,21 @@ def _per_ctx(build):
 
 
 def u_generators(ctx: InductionCtx, n: int):
-    """Additive generators {[λ_s]·ϖ^i : 0 ≤ i ≤ n, λ_s an F_p-basis of F_q} of O/ϖ^{n+1}."""
+    """Additive generators {[λ_s]·ϖ^i : 0 ≤ i < min(e, n+1), λ_s an F_p-basis of F_q} of O/ϖ^{n+1}.
+
+    These f·min(e, n+1) elements suffice: O is the direct sum of the W(F_q)·ϖ^i
+    for i < e, and by Nakayama the Teichmüller lifts of an F_p-basis generate
+    W(F_q) as a Z_p-module, so the deeper powers ϖ^i (i ≥ e) are Z_p-multiples
+    already.  Invariance under them is invariance under all of U whenever the
+    subspace it is tested against is U-stable, as every such subspace here is.
+    """
     ring = ctx.ring
     if n + 1 > ring.N:
         raise PrecisionExhausted(f"generators need precision {n + 1}, ring has {ring.N}")
     fq = ring.field.fq
     out = []
     pi = ring.uniformizer()
-    for i in range(n + 1):
+    for i in range(min(ring.e, n + 1)):
         pi_i = ring.one() if i == 0 else pi**i
         for s in range(ring.f):
             lam = fq.elem(ring.p**s)  # 1, t, t^2, ...
@@ -159,13 +164,13 @@ def _tplus_r1(ctx: InductionCtx):
     return M, linalg.direct_sum(B0, ctx.q), B0
 
 
-def tplus_kernel_dim(ctx: InductionCtx, n: int):
-    """(kernel dimension of T₊|R_n, method).
+def tplus_kernel_dim(ctx: InductionCtx, n: int) -> int:
+    """Kernel dimension of T₊|R_n.
 
     T₊|R_n is qⁿ copies of the local block with disjoint child supports, so
     its kernel dimension is exactly qⁿ·(D - block rank).
     """
-    return ctx.q**n * (ctx.D - tplus_block_rank(ctx)), "blockwise"
+    return ctx.q**n * (ctx.D - tplus_block_rank(ctx))
 
 
 # -- weight-level coinvariant functional --
@@ -291,7 +296,8 @@ def _candidate_spaces(ctx: InductionCtx) -> CandidateSpaces:
     for c in gens:
         assert not np.any(delta_mod_tplus_r1p(c, tplus_r1p.rows)), "T₊R₁′ must be U-stable"
 
-    V0 = _first_digit_block(ctx, gens[ctx.ring.f :], B0)  # [λ]ϖ and [λ]ϖ²
+    pi = ctx.ring.uniformizer()
+    V0 = _first_digit_block(ctx, [c * pi for c in u_generators(ctx, 1)], B0)  # generators of ϖO/ϖ³
     assert not np.any(V0.reduce(B0.rows)), "B₀ must lie in V₀"
     Vp = linalg.direct_sum(V0, q)
     # V in coordinates over the rows of V′; constraint columns that are zero on all of V′ are dropped
@@ -446,15 +452,13 @@ def independence_certificate(ctx: InductionCtx, g: InducedElem, raise_on_fail: b
         subchecks["g-not-in-TplusR1"] = not linalg.member(flatten(g, lr2), tplus_r1)
     else:
         subchecks["g-not-in-TplusR1"] = False
-    k1, m1 = tplus_kernel_dim(ctx, 1)
-    k3, m3 = tplus_kernel_dim(ctx, 3)
-    subchecks["tplus-kernel-R1-zero"] = k1 == 0
-    subchecks["tplus-kernel-R3-zero"] = k3 == 0
+    subchecks["tplus-kernel-R1-zero"] = tplus_kernel_dim(ctx, 1) == 0
+    subchecks["tplus-kernel-R3-zero"] = tplus_kernel_dim(ctx, 3) == 0
     ok = all(subchecks.values())
     if not ok and raise_on_fail:
         failing = next(k for k, v in subchecks.items() if v is False)
         raise CheckFailed(f"independence certificate failed at {failing}")
-    return ok, {**subchecks, "methods": {"R1": m1, "R3": m3}}
+    return ok, subchecks
 
 
 # -- reports --
@@ -544,21 +548,7 @@ class TruncationReport:
     dim_coinv: int
     tminus_surjective: tuple
     tplus_vanishing: tuple
-    methods: dict = dc_field(default_factory=dict)
-
-    def to_dict(self) -> dict:
-        return {
-            "config": self.config,
-            "N": self.N,
-            "dim_Ie": self.dim_ie,
-            "dim_T_Io": self.dim_t_io,
-            "dim_LN": self.dim_ln,
-            "dim_LN_U": self.dim_ln_u,
-            "dim_coinvariants": self.dim_coinv,
-            "tminus_surjective": list(self.tminus_surjective),
-            "tplus_vanishing": list(self.tplus_vanishing),
-            "methods": self.methods,
-        }
+    ln_u_method: str  # "dense" or "certified-lower-bound"
 
 
 @_per_ctx
@@ -588,53 +578,37 @@ def truncation_precision(N: int) -> int:
     return 2 * N + 1
 
 
-def truncated_L(ctx: InductionCtx, N: int, main: MainLemmaReport | None = None,
-                prev: TruncationReport | None = None) -> TruncationReport:
+def truncated_L(ctx: InductionCtx, N: int, prev: TruncationReport | None = None) -> TruncationReport:
     if truncation_precision(N) > ctx.ring.N:
         raise PrecisionExhausted(f"need ring precision {truncation_precision(N)}, have {ctx.ring.N}")
+    if tplus_block_rank(ctx) != ctx.D:
+        raise CheckFailed("T is injective on I^o only when the T₊ block rank is full")
     lr_even = LevelRange("even", 0, 2 * N)
     lr_odd = LevelRange("odd", 1, 2 * N - 1)
     dim_ie = range_dim(ctx, lr_even)
-    dim_io = range_dim(ctx, lr_odd)
-    methods = {}
-
-    dense_rank = dim_io <= DENSE_RANK_ROW_CAP and dim_io * dim_io * dim_ie <= DENSE_RANK_COST_CAP
-    block_ok = tplus_block_rank(ctx) == ctx.D
-    if dense_rank:
-        S_W = linalg.image(hecke_matrix(ctx, lr_odd, lr_even))
-        dim_t_io = S_W.dim
-        methods["t_io"] = "dense-rank"
-        if block_ok:
-            assert dim_t_io == dim_io, "T must be injective on odd levels when the block rank is full"
-    else:
-        if not block_ok:
-            raise CheckFailed("certified rank route needs the full block rank")
-        # triangular filtration: the top even level sees only the injective T₊
-        S_W = None
-        dim_t_io = dim_io
-        methods["t_io"] = "certified-injective"
+    # triangular filtration: the top even level of T x sees only the injective
+    # T₊ on the top odd level of x, so T is injective on I^o
+    dim_t_io = range_dim(ctx, lr_odd)
     dim_ln = dim_ie - dim_t_io
 
-    dense_fixed = dense_rank and dim_ie <= DENSE_FIXED_CAP
-    gens = u_generators(ctx, 2 * N)
-    if dense_fixed:
-        P = quotient_projection(S_W)
-        qmaps = induced_quotient_maps(ctx, gens, lr_even, S_W, P)
-        dim_ln_u = linalg.fixed_space(qmaps).dim if qmaps else dim_ln
-        methods["ln_u"] = "dense"
+    if dim_ie <= DENSE_FIXED_CAP:
+        S_W = linalg.image(hecke_matrix(ctx, lr_odd, lr_even))
+        assert S_W.dim == dim_t_io, "T must be injective on odd levels when the block rank is full"
+        qmaps = induced_quotient_maps(ctx, u_generators(ctx, 2 * N), lr_even, S_W, quotient_projection(S_W))
+        dim_ln_u = linalg.fixed_space(qmaps).dim
+        ln_u_method = "dense"
     else:
-        dim_ln_u = _certified_fixed_lower_bound(ctx, N, main)
+        dim_ln_u = _certified_fixed_lower_bound(ctx, N)
         if prev is not None:
             # full block rank certifies W_N ∩ I^e_{≤2N-2} = W_{N-1}, hence a
             # U-equivariant embedding L_{N-1} ↪ L_N and monotone fixed spaces
             dim_ln_u = max(dim_ln_u, prev.dim_ln_u)
-        methods["ln_u"] = "certified-lower-bound"
+        ln_u_method = "certified-lower-bound"
 
     # I^e maps onto K^{N+1} by weight class per level, and T(I^o) onto the row
     # space of the N x (N+1) bidiagonal matrix with a on the diagonal, b above it
     a, b, tplus_vanishes = _collapsed_scalars(ctx)
     dim_coinv = 1 if a or b else N + 1
-    methods["coinv"] = "collapsed-exact"
 
     return TruncationReport(
         config=config_echo(ctx),
@@ -646,21 +620,20 @@ def truncated_L(ctx: InductionCtx, N: int, main: MainLemmaReport | None = None,
         dim_coinv=dim_coinv,
         tminus_surjective=(a != 0,) * N,
         tplus_vanishing=(tplus_vanishes,) * N,
-        methods=methods,
+        ln_u_method=ln_u_method,
     )
 
 
-def _certified_fixed_lower_bound(ctx: InductionCtx, N: int, main: MainLemmaReport | None) -> int:
+def _certified_fixed_lower_bound(ctx: InductionCtx, N: int) -> int:
     """Lower bound for dim L_N^U via the witness pair {x^{r⃗} at level 0, g}.
 
     Ingredients, each machine-checked here or upstream:
-      - full block rank makes T₊ injective at every level, so an element of
-        T(I^o) supported in levels ≤ 2 already lies in T(R₁);
+      - full block rank (checked by truncated_L) makes T₊ injective at every
+        level, so an element of T(I^o) supported in levels ≤ 2 already lies
+        in T(R₁);
       - the level-0 vector is exactly U-fixed, g is U-fixed modulo T₊R₁′ ⊆ T(R₁);
       - their span meets T(R₁) trivially (small dense computation in R₀ ⊕ R₂).
     """
-    if tplus_block_rank(ctx) != ctx.D:
-        raise CheckFailed("certified fixed-space route needs the full block rank")
     kk = ctx.weight.field.kk
     v0 = singleton(ctx, 0, (), 0)
     for c in u_generators(ctx, 2 * N):
@@ -668,8 +641,7 @@ def _certified_fixed_lower_bound(ctx: InductionCtx, N: int, main: MainLemmaRepor
             raise CheckFailed("level-0 top vector must be exactly U-fixed")
     lr02 = LevelRange("even", 0, 2)
     img = linalg.image(hecke_matrix(ctx, LevelRange("all", 1, 1), lr02))
-    if main is None:
-        main = main_lemma_report(ctx)
+    main = main_lemma_report(ctx)
     if not (main.found and main.certificate):
         # only the level-0 line is certified
         return 1 if not linalg.member(flatten(v0, lr02), img) else 0

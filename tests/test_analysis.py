@@ -27,6 +27,7 @@ from indgl2.induction import (
     u_act,
     unflatten,
 )
+from oracles import all_translations
 
 
 @pytest.fixture(scope="module")
@@ -82,14 +83,41 @@ class TestR1Prime:
 
 
 class TestUGenerators:
+    # f·min(e, n+1) generators: depths i ≥ e are Z_p-multiples of the shallower ones
+
     def test_count_prime_field(self, q3_r0):
-        assert len(analysis.u_generators(q3_r0, 2)) == 3
+        assert len(analysis.u_generators(q3_r0, 2)) == 1
 
     @pytest.mark.parametrize("p,f", [(2, 2), (3, 2)])
     def test_count_extensions(self, p, f):
         ctx = analysis.build_ctx(p, f, 1, (0,) * f, N=6)
-        assert len(analysis.u_generators(ctx, 2)) == 3 * f
-        assert len(analysis.u_generators(ctx, 4)) == 5 * f
+        assert len(analysis.u_generators(ctx, 2)) == f
+        assert len(analysis.u_generators(ctx, 4)) == f
+
+    def test_count_ramified(self):
+        ctx = analysis.build_ctx(2, 2, 3, (0, 0), N=6)
+        assert [len(analysis.u_generators(ctx, n)) for n in range(5)] == [2, 4, 6, 6, 6]
+
+    @pytest.mark.parametrize("e", [1, 2, 3])
+    @pytest.mark.parametrize("p,f", [(2, 1), (3, 1), (2, 2), (3, 2)])
+    def test_additive_closure_is_all_classes(self, p, f, e):
+        # the subgroup generated by u_generators(ctx, n) is all q^{n+1} classes of O/ϖ^{n+1}
+        ctx = analysis.build_ctx(p, f, e, (0,) * f, N=4)
+        ring = ctx.ring
+        for n in range(4):
+            gens = [ring.canon(c.vec, n + 1) for c in analysis.u_generators(ctx, n)]
+            zero = ring.canon(ring.zero().vec, n + 1)
+            seen, frontier = {zero.tobytes()}, [zero]
+            while frontier:
+                nxt = []
+                for x in frontier:
+                    for g in gens:
+                        y = ring.canon((x + g) % ring.pM, n + 1)
+                        if y.tobytes() not in seen:
+                            seen.add(y.tobytes())
+                            nxt.append(y)
+                frontier = nxt
+            assert len(seen) == ctx.q ** (n + 1), (n, len(seen))
 
     def test_values_are_teichmuller_shifts(self, ram_r0):
         from indgl2.localring import teichmuller
@@ -117,10 +145,9 @@ class TestBlockRank:
     def test_matches_dense_kernel(self, ram_r1):
         # blockwise kernel dimension against honest kernels of the per-basis-vector T₊ at levels 1 and 2
         for n in (1, 2):
-            dim, method = analysis.tplus_kernel_dim(ram_r1, n)
+            dim = analysis.tplus_kernel_dim(ram_r1, n)
             T = operator_matrix(ram_r1, hecke_T_plus, LevelRange("all", n, n), LevelRange("all", n + 1, n + 1))
             assert dim == linalg.kernel(T).dim == 0
-            assert method == "blockwise"
 
 
 class TestHeckeMatrixAgainstOracle:
@@ -153,7 +180,7 @@ class TestHeckeMatrixAgainstOracle:
             want = operator_matrix(ctx, op, dom, cod)
             assert np.array_equal(hecke_matrix(ctx, dom, cod).matrix, want.matrix), (dom, cod, op.__name__)
             if op is hecke_T_plus:
-                assert analysis.tplus_kernel_dim(ctx, dom.lo) == (linalg.kernel(want).dim, "blockwise")
+                assert analysis.tplus_kernel_dim(ctx, dom.lo) == linalg.kernel(want).dim
         # T₊|R₁ acts by one D x qD block on every first digit and keeps the first digit
         q, D = ctx.q, ctx.D
         blocks = operator_matrix(ctx, hecke_T_plus, R[1], R[2]).matrix.reshape(q, D, q, q * D)
@@ -226,7 +253,7 @@ class TestBlockRouteAgainstDense:
         tplus_r1 = linalg.image(Mplus)
         tplus_r1p = linalg.echelon(_kernels.matmul(r1p.rows, Mplus.matrix, kk), kk, ambient=Mplus.codomain)
         P = analysis.quotient_projection(tplus_r1p)
-        gens = analysis.u_generators(ctx, 2)
+        gens = all_translations(ctx, 2)
         maps = analysis.induced_quotient_maps(ctx, gens, r2, tplus_r1p, P)
         fixed = linalg.fixed_space(maps, field=kk, ambient=P.shape[1])
         V = linalg.preimage(linalg.LinMap(kk, P), fixed)
@@ -363,7 +390,7 @@ class TestCandidateChecks:
         r1p = analysis.r1_prime(ram_r1)
         Mp = operator_matrix(ram_r1, hecke_T_plus, LevelRange("all", 1, 1), lr2)
         tpr1p = linalg.echelon(_kernels.matmul(r1p.rows, Mp.matrix, kk), kk, ambient=Mp.codomain)
-        for c in analysis.u_generators(ram_r1, 2):
+        for c in all_translations(ram_r1, 2):
             delta = u_act(c, g) - g
             assert linalg.member(flatten(delta, lr2), tpr1p)
 
@@ -377,7 +404,9 @@ class TestIndependenceCertificate:
         g, _, _ = analysis.paper_candidate(ram_r1)
         ok, detail = analysis.independence_certificate(ram_r1, g)
         assert ok
-        assert detail["methods"] == {"R1": "blockwise", "R3": "blockwise"}
+        assert set(detail) == {
+            "g-nonzero", "g-level-2-support", "g-not-in-TplusR1", "tplus-kernel-R1-zero", "tplus-kernel-R3-zero"
+        }
 
     def test_false_for_image_member(self, ram_r1):
         g = hecke_T_plus(singleton(ram_r1, 1, (0,), 0))
@@ -469,7 +498,7 @@ class TestTranslationMatrices:
         ctx = request.getfixturevalue(name)
         kk = ctx.weight.field.kk
         S = self._subspace(ctx, lr)
-        gens = analysis.u_generators(ctx, lr.hi)
+        gens = all_translations(ctx, lr.hi)
         P = analysis.quotient_projection(S)
         nonpiv = [j for j in range(S.ambient) if j not in set(int(c) for c in S.pivots)]
         maps = analysis.induced_quotient_maps(ctx, gens, lr, S, P)
@@ -481,7 +510,7 @@ class TestTranslationMatrices:
         lr2 = LevelRange("all", 2, 2)
         rng = np.random.default_rng(17)
         X = rng.integers(0, 3, size=(5, range_dim(unram_gen, lr2))).astype(np.int32)
-        for c in analysis.u_generators(unram_gen, 2):
+        for c in all_translations(unram_gen, 2):
             want = [flatten(u_act(c, unflatten(unram_gen, lr2, row)), lr2) for row in X]
             assert np.array_equal(translate_vectors(unram_gen, c, 2, X), np.array(want))
 
@@ -499,19 +528,17 @@ class TestTruncatedL:
             prev = analysis.truncated_L(ram_r0, N, prev=prev)
             assert prev.dim_coinv == 1
             assert all(prev.tminus_surjective) and all(prev.tplus_vanishing)
-            assert prev.methods["ln_u"] == "dense"
+            assert prev.ln_u_method == "dense"
             dims.append(prev.dim_ln_u)
         assert dims == [2, 3, 4]
 
     def test_certified_route_large_config(self, unram_max):
-        main = analysis.main_lemma_report(unram_max)
         prev = None
         dims = []
         for N in (1, 2, 3):
-            prev = analysis.truncated_L(unram_max, N, main=main, prev=prev)
+            prev = analysis.truncated_L(unram_max, N, prev=prev)
             dims.append(prev.dim_ln_u)
-        assert prev.methods["t_io"] == "certified-injective"
-        assert prev.methods["ln_u"] == "certified-lower-bound"
+        assert prev.ln_u_method == "certified-lower-bound"
         assert prev.dim_t_io == range_dim(unram_max, LevelRange("odd", 1, 5))
         assert all(a <= b for a, b in zip(dims, dims[1:]))
         assert dims[-1] >= 2
@@ -533,7 +560,7 @@ class TestCollapseAgainstDense:
     def _dense(self, ctx, N):
         kk = ctx.weight.field.kk
         lr_even = LevelRange("even", 0, 2 * N)
-        gens = analysis.u_generators(ctx, 2 * N)
+        gens = all_translations(ctx, 2 * N)
         dim_ie = range_dim(ctx, lr_even)
         ops = [operator_matrix(ctx, lambda x, c=c: u_act(c, x), lr_even, lr_even) for c in gens]
         C = linalg.coinvariant_complement(ops)
@@ -578,10 +605,42 @@ class TestCollapseAgainstDense:
             lr = LevelRange("all", n, n)
             ops = [
                 operator_matrix(ram_r1, lambda x, c=c: u_act(c, x), lr, lr)
-                for c in analysis.u_generators(ram_r1, max(n, 1))
+                for c in all_translations(ram_r1, max(n, 1))
             ]
             C = linalg.coinvariant_complement(ops, field=kk, ambient=range_dim(ram_r1, lr))
             assert C.dim == 3**n * ram_r1.D - 1
+
+
+class TestTruncationAgainstDense:
+    """dim T(I^o) and the dense dim L_N^U of truncated_L against the per-basis-vector operators."""
+
+    GRID = [(3, 1, 2, (0,)), (3, 1, 2, (1,)), (2, 1, 3, (0,)), (2, 2, 1, (1, 1)), (3, 1, 1, (1,))]
+
+    @pytest.mark.parametrize("N", [1, 2])
+    @pytest.mark.parametrize("args", GRID)
+    def test_fixed_dim_matches_operator_matrices(self, args, N):
+        # L_N^U = {x in I^e : (u-1)x in T(I^o) for every u} / T(I^o), over all-depth translations
+        ctx = analysis.build_ctx(*args, N=analysis.truncation_precision(N))
+        kk = ctx.weight.field.kk
+        lr_even, lr_odd = LevelRange("even", 0, 2 * N), LevelRange("odd", 1, 2 * N - 1)
+        S = linalg.image(operator_matrix(ctx, hecke_T, lr_odd, lr_even))
+        eye = np.eye(S.ambient, dtype=np.int32)
+        deltas = [
+            S.reduce(kk.ADD[operator_matrix(ctx, lambda x, c=c: u_act(c, x), lr_even, lr_even).matrix, kk.NEG[eye]])
+            for c in all_translations(ctx, 2 * N)
+        ]
+        fixed = linalg.kernel(linalg.LinMap(kk, np.hstack(deltas)))
+        rep = analysis.truncated_L(ctx, N)
+        assert rep.ln_u_method == "dense"
+        assert (rep.dim_t_io, rep.dim_ln_u) == (S.dim, fixed.dim - S.dim)
+
+    @pytest.mark.parametrize("args,N", [(args, N) for args in GRID for N in (1, 2)] + [((3, 2, 1, (0, 0)), 2)])
+    def test_t_injective_on_odd_levels(self, args, N):
+        # dim T(I^o) = dim I^o, which truncated_L reads off the full block rank
+        ctx = analysis.build_ctx(*args, N=analysis.truncation_precision(N))
+        lr_odd = LevelRange("odd", 1, 2 * N - 1)
+        image = linalg.image(hecke_matrix(ctx, lr_odd, LevelRange("even", 0, 2 * N)))
+        assert image.dim == range_dim(ctx, lr_odd) == analysis.truncated_L(ctx, N).dim_t_io
 
 
 class TestWeightFunctional:

@@ -59,6 +59,16 @@ class TestConfigParsing:
         with pytest.raises(ConfigError):
             cli.parse_config_text("p = 3\np = 5\n")
 
+    def test_hash_inside_quoted_value(self):
+        raw = cli.parse_config_text('out = "rep #1.txt"\nseed = 2 # a # b\nr = [1]# tight\n')
+        assert raw == {"out": "rep #1.txt", "seed": 2, "r": [1]}
+        assert cli.parse_config_text('out = "rep #1.txt"   # where it goes\n') == {"out": "rep #1.txt"}
+
+    def test_comment_cannot_hide_the_equals_sign(self):
+        with pytest.raises(ConfigError) as ex:
+            cli.parse_config_text("p # = 3\n", where="cfg")
+        assert "expected 'key = value'" in str(ex.value)
+
     def test_missing_required(self):
         with pytest.raises(ConfigError) as ex:
             cli.config_from_mapping({"p": 3})
@@ -88,6 +98,8 @@ class TestConfigParsing:
             {"nu": [1, 0]},
             {"E": 5},
             {"suites": 3},
+            {"suites": ["arith", "arith"]},
+            {"suites": "arith,negative,arith"},
             {"out": 5},
         ],
     )
@@ -144,6 +156,10 @@ class TestRun:
     def test_unknown_suite_rejected(self):
         with pytest.raises(ConfigError):
             cli.run(make_cfg(), suites=["nope"])
+
+    def test_repeated_suite_rejected(self):
+        with pytest.raises(ConfigError):
+            cli.run(make_cfg(), suites=["arith", "arith"])
 
     def test_candidate_spaces_built_once_per_ctx(self, monkeypatch):
         # V and W come from one first-digit block V₀ of R₂; the mainlemma and
@@ -254,6 +270,18 @@ class TestMain:
         cfg.write_text(f'p = 3\nf = 1\ne = 2\nr = [0]\nsuites = ["arith"]\n{lines}\n')
         assert cli.main(["verify", "--config", str(cfg), *argv]) == 2
         assert "config error" in capsys.readouterr().err
+
+    def test_report_path_with_hash(self, tmp_path, monkeypatch, capsys):
+        # the whole quoted value is the path; a "#" inside it does not start a comment
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "c.txt").write_text('p = 3\nf = 1\ne = 2\nr = [0]\nsuites = ["negative"]\nout = "rep #1.txt"\n')
+        assert cli.main(["verify", "--config", "c.txt"]) == 0
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["c.txt", "rep #1.txt"]
+        assert "verdict: pass" in (tmp_path / "rep #1.txt").read_text()
+
+    def test_exit_2_on_repeated_suite(self, capsys):
+        assert cli.main(["verify", "--preset", "ramified-r0", "--suites", "arith,arith"]) == 2
+        assert "repeat" in capsys.readouterr().err
 
     def test_exit_2_promptly_on_huge_prime(self, tmp_path):
         # p = 2^61 - 1 is prime, so trial division before the table cap would

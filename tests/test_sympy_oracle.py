@@ -12,6 +12,7 @@ from sympy.polys.matrices import DomainMatrix  # noqa: E402
 from indgl2 import _kernels, analysis, linalg  # noqa: E402
 from indgl2.gf import FieldCtx  # noqa: E402
 from indgl2.induction import LevelRange, hecke_T_minus, hecke_T_plus, operator_matrix, u_act  # noqa: E402
+from oracles import all_translations  # noqa: E402
 
 
 def to_dm(A, p):
@@ -75,7 +76,7 @@ def test_witness_spaces_match(args):
     eye = np.eye(Tplus.shape[1], dtype=np.int64)
     deltas = [
         (operator_matrix(ctx, lambda x, c=c: u_act(c, x), R2, R2).matrix - eye) @ ann % p
-        for c in analysis.u_generators(ctx, 2)
+        for c in all_translations(ctx, 2)
     ]
     V = left_null(np.hstack(deltas), p)
     ann_tplus = to_np(to_dm(Tplus, p).nullspace(), p).T
