@@ -1,10 +1,13 @@
 """Timings for the finite-field kernels.
 
-Times matmul, rref and linalg.kernel at one square size and an end-to-end
-truncated_L(N=2) computation.  The kernel's matrix repeats its first size/30
-columns at the end, so its rank falls short of the size and the kernel is
-not zero.  Each end-to-end repeat builds a fresh context (inside the
-timed call), so results memoised on a context never shortcut a repeat.
+Times matmul, rref and linalg.kernel at one square size, rref of a sparse
+matrix and an end-to-end truncated_L(N=2) computation.  The kernel's matrix
+repeats its first size/30 columns at the end, so its rank falls short of the
+size and the kernel is not zero.  The sparse matrix is T(I^o) -> I^e of
+ramified-r1 at N = 3 over F_3 (546 x 1640, 1820 nonzeros, 729 zero
+columns), the echelon the truncation suite builds.  Each end-to-end repeat
+builds a fresh context (inside the timed call), so results memoised on a
+context never shortcut a repeat.
 Run from the repository root:
 
     python3 benchmarks/bench_linalg.py --size 400 --repeat 3
@@ -35,6 +38,7 @@ def main():
 
     from indgl2 import _kernels, analysis, linalg
     from indgl2.gf import FieldCtx
+    from indgl2.induction import LevelRange, hecke_matrix
 
     field = FieldCtx(args.p, args.f).fq
     rng = np.random.default_rng(0)
@@ -47,10 +51,13 @@ def main():
     K = A.copy()
     K[:, n - n // 30 :] = K[:, : n // 30]
     t_ker = best_of(lambda: linalg.kernel(linalg.LinMap(field, K)), args.repeat)
+    T = hecke_matrix(analysis.build_ctx(3, 1, 2, (1,), N=7), LevelRange("odd", 1, 5), LevelRange("even", 0, 6))
+    t_sp = best_of(lambda: _kernels.rref(T.matrix, T.field), args.repeat)
     t_e2e = best_of(lambda: analysis.truncated_L(analysis.build_ctx(3, 1, 2, (0,), N=8), 2), args.repeat)
     print(
         f"matmul {n}x{n}: {t_mm * 1e3:8.1f} ms   "
         f"rref {n}x{n}: {t_rr * 1e3:8.1f} ms   kernel {n}x{n}: {t_ker * 1e3:8.1f} ms   "
+        f"sparse rref {T.domain}x{T.codomain}: {t_sp * 1e3:8.1f} ms   "
         f"truncated_L(N=2): {t_e2e * 1e3:8.1f} ms"
     )
 

@@ -15,8 +15,13 @@ left operand alone:
   integer at most n·k·(p−1)² < 2^53, so the product is exact whatever order
   or thread count BLAS sums in; a larger inner dimension is a ValueError.
 
-`rref` is Gauss–Jordan elimination through the tables; each pivot updates
-only the columns from the pivot on, because the pivot row is zero left of it.
+`rref` is Gauss–Jordan elimination through the tables on one C-order working
+copy, in proportion to the nonzeros (the first step of structured Gaussian
+elimination: LaMacchia–Odlyzko, CRYPTO '90).  Row operations never make a
+zero column nonzero, so pivots are searched for only in the column support,
+found once.  A pivot row is zero left of the pivot, and a mostly-zero one
+updates only the columns where it is nonzero; a mostly-nonzero pivot row
+updates the whole slice from the pivot on.
 """
 
 import numpy as np
@@ -67,32 +72,41 @@ def _matmul_planes(A: np.ndarray, B: np.ndarray, field) -> np.ndarray:
 
 
 def rref(M: np.ndarray, field):
-    """Reduced row echelon form with first-nonzero pivoting; returns (R, pivot columns)."""
-    M = np.ascontiguousarray(M, dtype=np.int32)
-    if M.size == 0:
-        return M.copy(), np.empty(0, dtype=np.int64)
-    ADD, MUL, NEG, INV = field.ADD, field.MUL, field.NEG, field.INV
-    R = M.copy()
+    """Reduced row echelon form with first-nonzero pivoting; returns (R, pivot columns).
+
+    R is the one C-order working copy of M.  Row operations never make a zero
+    column nonzero, so only the columns in M's support are searched for
+    pivots, and each pivot updates only the columns where its row is nonzero
+    (all of them from the pivot on when the row is mostly nonzero).
+    """
+    R = np.array(M, dtype=np.int32, order="C")
     n, m = R.shape
+    ADD, MUL, NEG, INV = field.ADD, field.MUL, field.NEG, field.INV
     pivots = []
     row = 0
-    for col in range(m):
+    for col in np.flatnonzero(R.any(axis=0)).tolist():
         if row >= n:
             break
-        nz = np.nonzero(R[row:, col])[0]
-        if nz.size == 0:
+        nz = R[:, col].nonzero()[0]
+        below = nz[nz >= row]
+        if below.size == 0:
             continue
-        sel = row + int(nz[0])
+        sel = int(below[0])
         if sel != row:
             R[[row, sel], col:] = R[[sel, row], col:]
+        # the swap moved sel's entry to row, where column col was zero
+        others = nz[nz != sel]
+        cols = col + R[row, col:].nonzero()[0]
+        if 2 * cols.size < m - col:
+            rows, span = others[:, None], cols
+        else:
+            rows, span = others, slice(col, m)
         inv = int(INV[R[row, col]])
         if inv != 1:
-            R[row, col:] = MUL[inv, R[row, col:]]
-        others = np.nonzero(R[:, col])[0]
-        others = others[others != row]
+            R[row, span] = MUL[inv, R[row, span]]
         if others.size:
-            coef = NEG[R[others, col]]
-            R[others, col:] = ADD[R[others, col:], MUL[coef[:, None], R[row, col:][None, :]]]
+            coef = NEG[R[others, col]][:, None]
+            R[rows, span] = ADD[R[rows, span], MUL[coef, R[row, span]]]
         pivots.append(col)
         row += 1
     return R, np.array(pivots, dtype=np.int64)

@@ -201,27 +201,28 @@ def weight_coinvariant_functional(ctx: InductionCtx):
 
 
 def quotient_projection(S: linalg.Subspace) -> np.ndarray:
-    """ambient x L matrix P with row j = coordinates of e_j in ambient/S
-    (complement coordinates read off the reduced echelon form of S)."""
-    F = S.field
-    piv = set(int(c) for c in S.pivots)
-    nonpiv = [j for j in range(S.ambient) if j not in piv]
-    P = np.zeros((S.ambient, len(nonpiv)), dtype=np.int32)
-    for a, j in enumerate(nonpiv):
-        P[j, a] = 1
-    if S.dim:
-        neg_rows = F.NEG[S.rows][:, nonpiv]
-        for k, col in enumerate(S.pivots):
-            P[int(col)] = neg_rows[k]
+    """ambient x L matrix P with row j = coordinates of e_j in ambient/S.
+
+    The complement coordinates are the non-pivot columns of S's reduced
+    echelon form: row j of P is the unit vector of j for each non-pivot j,
+    and row pivots[k] is −(row k of S) read on the non-pivot columns.
+    """
+    nonpiv = linalg.non_pivots(S.pivots, S.ambient)
+    P = np.zeros((S.ambient, nonpiv.size), dtype=np.int32)
+    P[nonpiv, np.arange(nonpiv.size)] = 1
+    P[S.pivots] = S.field.NEG[S.rows[:, nonpiv]]
     return P
 
 
 def induced_quotient_maps(ctx: InductionCtx, ops, lr: LevelRange, S: linalg.Subspace, P: np.ndarray):
     """Matrices of translation maps on ambient/S: the complement rows of each
-    translation matrix, projected by P."""
+    translation matrix, projected by P = quotient_projection(S), whose
+    non-pivot rows are unit vectors."""
     kk = ctx.weight.field.kk
-    nonpiv = np.setdiff1d(np.arange(S.ambient), S.pivots)
-    return [linalg.LinMap(kk, translation_product(ctx, c, lr, nonpiv, P)) for c in ops]
+    nonpiv = linalg.non_pivots(S.pivots, S.ambient)
+    unit_col = np.full(S.ambient, -1, dtype=np.int64)
+    unit_col[nonpiv] = np.arange(nonpiv.size)
+    return [linalg.LinMap(kk, translation_product(ctx, c, lr, nonpiv, P, unit_col)) for c in ops]
 
 
 # -- the main existence computation --

@@ -115,6 +115,8 @@ class Config:
             bad(f"N must be an integer >= 2, got {self.N!r}")
         if not isinstance(self.suites, (list, tuple)):
             bad(f"suites must be a list, got {self.suites!r}")
+        if not self.suites:
+            bad("suites must select at least one suite")
         for s in self.suites:
             if s not in SUITES:
                 bad(f"unknown suite {s!r}; valid: {', '.join(SUITES)}")
@@ -556,7 +558,11 @@ def main(argv=None) -> int:
         if args.seed is not None:
             cfg.seed = args.seed
             cfg.validate("--seed")
-        suites = [s for s in args.suites.split(",") if s] if args.suites else None
+        suites = None
+        if args.suites is not None:
+            suites = [s for s in args.suites.split(",") if s]
+            if not suites:
+                raise ConfigError(f"--suites {args.suites!r} selects no suite", location="command line")
         report = run(cfg, suites=suites, timings=args.timings)
     except ConfigError as ex:
         print(f"config error: {ex}", file=sys.stderr)

@@ -396,12 +396,15 @@ def hecke_matrix(ctx: InductionCtx, domain: LevelRange, codomain: LevelRange) ->
     return linalg.LinMap(kk, M)
 
 
-def translation_product(ctx: InductionCtx, c: RingElem, lr: LevelRange, rows, P: np.ndarray) -> np.ndarray:
+def translation_product(ctx: InductionCtx, c: RingElem, lr: LevelRange, rows, P: np.ndarray, unit_col: np.ndarray) -> np.ndarray:
     """Rows `rows` of T_c @ P, with T_c the matrix of u_act(c, ·) over the frozen basis of lr.
 
     Row (n, μ, i) of T_c is row i of the twist [[1, t], [0, 1]] in the block
     of key (n, μ″), with (μ″, t) read from translation_table; so its product
     with P combines the D rows of P's block μ″ and T_c itself is never built.
+    Row j of P is the unit vector at column unit_col[j] wherever that is
+    ≥ 0: a coefficient landing there is scattered straight into its column,
+    and only the other targets gather a row of P.
     """
     kk = ctx.weight.field.kk
     D = ctx.D
@@ -416,8 +419,14 @@ def translation_product(ctx: InductionCtx, c: RingElem, lr: LevelRange, rows, P:
     coef = np.stack([_unipotent(ctx, t) for t in range(ctx.q)])[twist, i]
     out = np.zeros((len(key), P.shape[1]), dtype=np.int32)
     for d in range(D):
-        nz = np.nonzero(coef[:, d])[0]
-        out[nz] = kk.ADD[out[nz], kk.MUL[coef[nz, d][:, None], P[target[nz] + d]]]
+        nz = np.flatnonzero(coef[:, d])  # each output row at most once, so no index repeats below
+        src = target[nz] + d
+        at = unit_col[src]
+        unit = at >= 0
+        hit, at = nz[unit], at[unit]
+        out[hit, at] = kk.ADD[out[hit, at], coef[hit, d]]
+        gather = nz[~unit]
+        out[gather] = kk.ADD[out[gather], kk.MUL[coef[gather, d][:, None], P[src[~unit]]]]
     return out
 
 

@@ -119,6 +119,13 @@ def embed(S: Subspace, Z: Subspace) -> Subspace:
     return Subspace(Z.field, Z.ambient, rows, Z.pivots[S.pivots], _canonical=True)
 
 
+def non_pivots(pivots: np.ndarray, ambient: int) -> np.ndarray:
+    """The columns 0 .. ambient - 1 that are not in pivots, in increasing order."""
+    free = np.ones(ambient, dtype=bool)
+    free[pivots] = False
+    return np.flatnonzero(free)
+
+
 def member(v, S: Subspace) -> bool:
     return not np.any(S.reduce(v))
 
@@ -170,7 +177,7 @@ def kernel(M: LinMap) -> Subspace:
     F = M.field
     n = M.domain
     R, piv = _kernels.rref(M.matrix.T, F)
-    free = np.setdiff1d(np.arange(n), piv)
+    free = non_pivots(piv, n)
     null_rows = np.zeros((free.size, n), dtype=np.int32)
     null_rows[np.arange(free.size), free] = 1
     null_rows[:, piv] = F.NEG[R[: len(piv)][:, free]].T

@@ -101,6 +101,9 @@ class TestConfigParsing:
             {"suites": ["arith", "arith"]},
             {"suites": "arith,negative,arith"},
             {"out": 5},
+            {"suites": []},
+            {"suites": ""},
+            {"suites": ","},
         ],
     )
     def test_validation_rejects(self, over):
@@ -282,6 +285,20 @@ class TestMain:
     def test_exit_2_on_repeated_suite(self, capsys):
         assert cli.main(["verify", "--preset", "ramified-r0", "--suites", "arith,arith"]) == 2
         assert "repeat" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("selection", [",", "", ",,"])
+    def test_exit_2_on_empty_suite_selection(self, selection, capsys):
+        # a run that selects no suite checks nothing, so it must not print a pass
+        assert cli.main(["verify", "--preset", "ramified-r0", "--suites", selection]) == 2
+        captured = capsys.readouterr()
+        assert "selects no suite" in captured.err and "verdict" not in captured.out
+
+    def test_exit_2_on_empty_suites_in_config(self, tmp_path, capsys):
+        cfg = tmp_path / "c.txt"
+        cfg.write_text("p = 3\nf = 1\ne = 1\nr = [0]\nsuites = []\n")
+        assert cli.main(["verify", "--config", str(cfg)]) == 2
+        captured = capsys.readouterr()
+        assert "at least one suite" in captured.err and "verdict" not in captured.out
 
     def test_exit_2_promptly_on_huge_prime(self, tmp_path):
         # p = 2^61 - 1 is prime, so trial division before the table cap would

@@ -5,8 +5,10 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from indgl2 import _kernels
+from indgl2.analysis import build_ctx
 from indgl2.errors import DimensionMismatch
 from indgl2.gf import FieldCtx
+from indgl2.induction import LevelRange, hecke_matrix
 from indgl2.linalg import (
     LinMap,
     Subspace,
@@ -314,6 +316,41 @@ def rand_low_rank(rng, F, n, m, rank):
     return _kernels.matmul(rand_mat(rng, F, n, rank), rand_mat(rng, F, rank, m), F)
 
 
+def rand_sparse_rows(rng, F, n, m, low, high):
+    """n rows of width m, each with low..high nonzeros at random columns."""
+    M = np.zeros((n, m), dtype=np.int32)
+    for row in M:
+        cols = rng.choice(m, size=rng.integers(low, high + 1), replace=False)
+        row[cols] = rng.integers(1, F.order, size=cols.size)
+    return M
+
+
+def sparse_cases(rng, F):
+    """Structured sparse matrices, named, on which the work of rref follows the nonzeros."""
+    zero_cols = rand_sparse_rows(rng, F, 14, 30, 2, 6)
+    zero_cols[:, [0, 1, 9, 17, 29]] = 0
+    one_per_col = np.zeros((12, 30), dtype=np.int32)
+    one_per_col[rng.integers(0, 12, size=30), np.arange(30)] = rng.integers(1, F.order, size=30)
+    # sparse pivot rows (1-3 nonzeros) beside dense ones, so both updates run in one elimination
+    mixed = np.vstack([rand_sparse_rows(rng, F, 12, 40, 1, 3), rand_mat(rng, F, 6, 40)])
+    mixed = mixed[rng.permutation(len(mixed))]
+    # rows that reduce to zero: combinations of two sparse rows
+    base = rand_sparse_rows(rng, F, 10, 36, 2, 3)
+    a, b = rng.integers(1, F.order, size=(2, 5, 1))
+    combos = F.ADD[F.MUL[a, base[:5]], F.MUL[b, base[5:]]]
+    dependent = np.vstack([base, combos])[rng.permutation(15)]
+    return {
+        "zero-columns": zero_cols,
+        "all-zero": np.zeros((6, 9), dtype=np.int32),
+        "one-per-column": one_per_col,
+        "mixed-pivot-rows": mixed,
+        "dependent-rows": dependent,
+        # a transposed view, as linalg.kernel passes it
+        "transposed-view": rand_sparse_rows(rng, F, 40, 16, 1, 3).T,
+        "transposed-mixed": mixed.T,
+    }
+
+
 # (p, degree) of F_2, F_3, F_8, F_9, F_25, F_49 and the largest prime field under the table cap
 MATMUL_FIELDS = [(2, 1), (3, 1), (2, 3), (3, 2), (5, 2), (7, 2), (4093, 1)]
 EDGE = _kernels.PLANE_MIN_INNER
@@ -342,6 +379,27 @@ class TestBackends:
         r2, p2 = _rref_loops(M, F)
         assert np.array_equal(p1, p2) and len(p1) == rank
         assert np.array_equal(r1, r2)
+
+    @pytest.mark.parametrize("p,k", [(3, 1), (3, 2), (5, 2)])
+    def test_rref_agrees_sparse(self, p, k):
+        F = FieldCtx(p, k).fq
+        for name, M in sparse_cases(np.random.default_rng(p * 10 + k), F).items():
+            r1, p1 = _kernels.rref(M, F)
+            r2, p2 = _rref_loops(np.array(M), F)
+            assert r1.shape == M.shape and r1.dtype == np.int32 and p1.dtype == np.int64, name
+            assert np.array_equal(r1, r2) and np.array_equal(p1, p2), name
+
+    @pytest.mark.parametrize("transpose", [False, True])
+    def test_rref_agrees_on_hecke_matrix(self, transpose):
+        # T(I^o) -> I^e of ramified-r1 at N = 2: a few nonzeros per row, many zero columns
+        ctx = build_ctx(3, 1, 2, (1,), N=5)
+        T = hecke_matrix(ctx, LevelRange("odd", 1, 3), LevelRange("even", 0, 4))
+        M = T.matrix.T if transpose else T.matrix
+        F = T.field
+        r1, p1 = _kernels.rref(M, F)
+        r2, p2 = _rref_loops(np.array(M), F)
+        assert np.array_equal(r1, r2) and np.array_equal(p1, p2)
+        assert len(p1) == T.domain  # T is injective on I^o
 
     def test_matmul_agrees(self, F9):
         rng = np.random.default_rng(9)
