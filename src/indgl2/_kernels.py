@@ -1,19 +1,23 @@
 """Exact matrix kernels over a finite field F_{p^k}.
 
 Matrices are int32 arrays of field codes (the code of Σ_j c_j x^j is
-Σ_j c_j p^j).  `matmul` takes one of two routes, chosen by the shape of the
-left operand alone:
+Σ_j c_j p^j).  `matmul` of an r × n matrix A by an n × c matrix B over
+F_{p^k} takes one of two routes, chosen by the shapes of both operands:
 
-- the table loop, for an inner dimension below PLANE_MIN_INNER: one
-  vectorised lookup in the field's MUL and ADD tables per inner index;
-- coefficient planes, from PLANE_MIN_INNER on: digit d of a·b is
-  Σ_j a_j · digit_d(b·x^j), so A @ B is one float64 (BLAS) product of the
-  r × n·k digit matrix of A with the n·k × c·k matrix of the digits of
-  B·x^j, followed by one reduction mod p (of the sums, cast to int64) and the
-  recombination Σ_d plane_d·p^d (delayed reduction, as in FFLAS-FFPACK:
-  Dumas–Giorgi–Pernet, ACM TOMS 35(3), 2008).  Every partial sum is an
-  integer at most n·k·(p−1)² < 2^53, so the product is exact whatever order
-  or thread count BLAS sums in; a larger inner dimension is a ValueError.
+- coefficient planes, when n ≥ PLANE_MIN_INNER and r ≥ k², that is when the
+  k²·n·c entries of B's digit matrix are no more than the r·n·c table
+  lookups they replace: digit d of a·b is Σ_j a_j · digit_d(b·x^j), so
+  A @ B is a float64 (BLAS) product of the r × n·k digit matrix of A with
+  the n·k × c·k matrix of the digits of B·x^j, followed by one reduction
+  mod p (of the sums, cast to int64) and the recombination Σ_d plane_d·p^d
+  (delayed reduction, as in FFLAS-FFPACK: Dumas–Giorgi–Pernet, ACM TOMS
+  35(3), 2008).  B's digits are built a slice of c / k² columns at a time,
+  so no slice has more entries than B itself, and a prime field (k = 1)
+  takes one slice.  Every partial sum is an integer at most n·k·(p−1)² <
+  2^53, so the product is exact whatever order or thread count BLAS sums
+  in; a larger inner dimension is a ValueError;
+- the table loop otherwise: one vectorised lookup in the field's MUL and ADD
+  tables per inner index.
 
 `rref` is Gauss–Jordan elimination through the tables on one C-order working
 copy, in proportion to the nonzeros (the first step of structured Gaussian
@@ -26,10 +30,10 @@ updates the whole slice from the pivot on.
 
 import numpy as np
 
-# Inner dimension from which matmul multiplies coefficient planes.  Below it
-# the table loop wins: the plane route converts all of B to a float64 matrix
-# k² times its size, which on the few-row, very sparse translation products
-# (inner dimension ≤ 100) costs more time and memory than the lookups it saves.
+# Inner dimension from which matmul may multiply coefficient planes.  Below it
+# the table loop wins: converting B to float64 digits costs more than the few
+# lookups of the narrow, very sparse translation products (inner dimension
+# ≤ 100).
 PLANE_MIN_INNER = 256
 
 # Largest integer up to which float64 arithmetic is exact.
@@ -41,7 +45,9 @@ def matmul(A: np.ndarray, B: np.ndarray, field) -> np.ndarray:
         raise ValueError(f"shape mismatch {A.shape} @ {B.shape}")
     A = np.ascontiguousarray(A, dtype=np.int32)
     B = np.ascontiguousarray(B, dtype=np.int32)
-    if A.shape[1] >= PLANE_MIN_INNER:
+    r, n = A.shape
+    # B's digit matrix has k²·n·c entries, the table loop makes up to r·n·c lookups
+    if n >= PLANE_MIN_INNER and r >= field.deg**2:
         return _matmul_planes(A, B, field)
     ADD, MUL = field.ADD, field.MUL
     C = np.zeros((A.shape[0], B.shape[1]), dtype=np.int32)
@@ -56,7 +62,7 @@ def matmul(A: np.ndarray, B: np.ndarray, field) -> np.ndarray:
 
 
 def _matmul_planes(A: np.ndarray, B: np.ndarray, field) -> np.ndarray:
-    """A @ B as one float64 product of coefficient planes, reduced mod p once."""
+    """A @ B as float64 products of coefficient planes, reduced mod p once per slice of B's columns."""
     p, k = field.p, field.deg
     (r, n), c = A.shape, B.shape[1]
     if n * k * (p - 1) ** 2 >= _EXACT_FLOAT:
@@ -66,9 +72,16 @@ def _matmul_planes(A: np.ndarray, B: np.ndarray, field) -> np.ndarray:
         return (C.astype(np.int64) % p).astype(np.int32)
     digits = field.AXJ_DIGITS
     left = digits[A, 0, :].reshape(r, n * k)  # digit j of A[i, l] at column l·k + j
-    right = digits[B].transpose(0, 2, 1, 3).reshape(n * k, c * k)  # digit d of B[l, m]·x^j
-    planes = (left @ right).astype(np.int64).reshape(r, c, k) % p
-    return (planes @ p ** np.arange(k, dtype=np.int64)).astype(np.int32)
+    weights = p ** np.arange(k, dtype=np.int64)
+    width = max(1, c // (k * k))  # a slice's digit matrix has no more entries than B
+    C = np.empty((r, c), dtype=np.int32)
+    for lo in range(0, c, width):
+        cols = B[:, lo : lo + width]
+        w = cols.shape[1]
+        right = digits[cols].transpose(0, 2, 1, 3).reshape(n * k, w * k)  # digit d of B[l, m]·x^j
+        planes = (left @ right).astype(np.int64).reshape(r, w, k) % p
+        C[:, lo : lo + w] = planes @ weights
+    return C
 
 
 def rref(M: np.ndarray, field):

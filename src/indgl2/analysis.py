@@ -9,10 +9,15 @@ Central objects, all over one InductionCtx:
   W          = V ∩ T₊R₁
   L_N        = I^e_{[0,2N]} / T(I^o_{[1,2N-1]})
 
-V and W are built blockwise, never on all of Q: T₊R₁ = B₀ ⊕ .. ⊕ B₀ over the
-q first digits of R₂, and the translations by ϖO act by one matrix on every
-first-digit block, so V lies in V′ = V₀ ⊕ .. ⊕ V₀ with V₀ ⊂ K^{qD} a single
-kernel, and V is a kernel over the q·dim V₀ coordinates of V′.
+V and W are built in block coordinates, never on all of Q: T₊R₁ = B₀ ⊕ .. ⊕ B₀
+over the q first digits of R₂, and the translations by ϖO act by one matrix
+on every first-digit block, so V lies in V′ = V₀ ⊕ .. ⊕ V₀ with V₀ ⊂ K^{qD}
+a single kernel.  T₊R₁ and V′ are kept as (block, multiplicity) pairs
+(linalg.BlockSum), never as q²D-wide dense arrays: T₊R₁′ is built in
+coordinates over T₊R₁, membership in T₊R₁ is tested block by block, and V is
+a kernel over the q·dim V₀ coordinates of V′ whose constraints come from one
+translation of dim V₀ rows per generator, since each translation moves every
+first-digit block onto a single block.
 
 Every Hecke matrix comes from induction.hecke_matrix, filled from the two
 local q x D matrices.  T₊|R_n is qⁿ copies of one local block, so its kernel
@@ -40,6 +45,7 @@ from .induction import (
     LevelRange,
     flatten,
     hecke_matrix,
+    move_keys,
     range_dim,
     singleton,
     to_records,
@@ -152,16 +158,21 @@ def tplus_block_rank(ctx: InductionCtx) -> int:
 
 @_per_ctx
 def _tplus_r1(ctx: InductionCtx):
-    """(T₊|R₁ as a matrix, T₊R₁, B₀) with T₊R₁ = B₀ ⊕ .. ⊕ B₀ over the first digits.
+    """(block, T₊R₁) with T₊|R₁ = I_q ⊗ block and T₊R₁ = B₀ ⊕ .. ⊕ B₀ over the first digits.
 
     T₊ sends key (1, μ₀) only to the children (2, (μ₀, λ)), by the same
-    D x qD block whatever μ₀ is; B₀ ⊂ K^{qD} is the image of that block.
+    D x qD block whatever μ₀ is; this is asserted on the matrix, and
+    B₀ ⊂ K^{qD} is the image of the block.
     """
     kk = ctx.weight.field.kk
-    qD = ctx.q * ctx.D
-    M = hecke_matrix(ctx, LevelRange("all", 1, 1), LevelRange("all", 2, 2))
-    B0 = linalg.echelon(M.matrix[: ctx.D, :qD], kk, ambient=qD)
-    return M, linalg.direct_sum(B0, ctx.q), B0
+    q, D = ctx.q, ctx.D
+    M = hecke_matrix(ctx, LevelRange("all", 1, 1), LevelRange("all", 2, 2)).matrix
+    block = np.ascontiguousarray(M[:D, : q * D])
+    diagonal = M.reshape(q, D, q, q * D)[np.arange(q), :, np.arange(q)]
+    assert np.array_equal(diagonal, np.broadcast_to(block, diagonal.shape)) and (
+        np.count_nonzero(M) == q * np.count_nonzero(block)
+    ), "T₊|R₁ must act by one block on every first digit"
+    return block, linalg.BlockSum(linalg.echelon(block, kk, ambient=q * D), q)
 
 
 def tplus_kernel_dim(ctx: InductionCtx, n: int) -> int:
@@ -234,7 +245,7 @@ class CandidateSpaces:
     W: linalg.Subspace
     r1p: linalg.Subspace
     tplus_r1p: linalg.Subspace
-    tplus_r1: linalg.Subspace
+    tplus_r1: linalg.BlockSum
     q_dim: int
     qu_dim: int
 
@@ -249,13 +260,12 @@ def _first_digit_block(ctx: InductionCtx, deep, B0: linalg.Subspace) -> linalg.S
     """V₀ = {x ∈ K^{qD} : (u-1)x ∈ B₀ for every u in deep}, on one first-digit block of R₂.
 
     Each u in deep is ≡ 0 mod ϖ, so it keeps the first digit and acts by one
-    qD x qD matrix on every block; that matrix is read off block 0.
+    qD x qD matrix on every block (asserted); that matrix is read off block 0.
     """
     kk = ctx.weight.field.kk
     q, D = ctx.q, ctx.D
     heads = np.arange(q)[:, None] * q
-    block0 = np.zeros((q * D, q * q * D), dtype=np.int32)
-    eye = block0[:, : q * D]
+    eye = np.zeros((q * D, q * D), dtype=np.int32)
     eye[np.arange(q * D), np.arange(q * D)] = 1
     deltas = []
     for c in deep:
@@ -263,53 +273,85 @@ def _first_digit_block(ctx: InductionCtx, deep, B0: linalg.Subspace) -> linalg.S
         assert np.array_equal(perm, heads + perm[0]) and np.array_equal(twist, np.broadcast_to(twist[0], (q, q))), (
             "a translation by ϖO must act by one matrix on every first digit"
         )
-        moved = translate_vectors(ctx, c, 2, block0)[:, : q * D]
-        deltas.append(B0.reduce(_minus_identity(ctx, moved, eye)))
+        deltas.append(B0.reduce(_minus_identity(ctx, move_keys(ctx, perm[0], twist[0], eye), eye)))
     return linalg.kernel(linalg.LinMap(kk, np.hstack(deltas)))
+
+
+def _minus_identity_on_blocks(ctx: InductionCtx, c: RingElem, V0: linalg.Subspace) -> np.ndarray:
+    """The matrix of u - 1 on V′ = V₀ ⊕ .. ⊕ V₀ in coordinates over V′'s rows, u the translation by c.
+
+    Coordinate k·dim V₀ + i is row i of V₀ on first-digit block k.  u sends
+    block k onto a single block dest[k], and V₀ there into V₀ (both
+    asserted): u commutes with the translations by ϖO that define V₀ and
+    maps block k of T₊R₁ onto its block dest[k].  So one translation of
+    dim V₀ rows, each holding V₀'s row on every block, gives every block's
+    image, and the coordinates of an image over V₀ are its entries on V₀'s
+    pivots.
+    """
+    kk = ctx.weight.field.kk
+    q, qD, d0 = ctx.q, ctx.q * ctx.D, V0.dim
+    perm = translation_table(c, 2)[0].reshape(q, q)
+    dest = perm[:, 0] // q
+    assert np.array_equal(perm // q, np.broadcast_to(dest[:, None], (q, q))), "u must move each first-digit block as a whole"
+    moved = translate_vectors(ctx, c, 2, np.tile(V0.rows, q)).reshape(d0, q, qD)  # block dest[k] is block k's image
+    assert not np.any(V0.reduce(moved.reshape(d0 * q, qD))), "u must map V₀ on every block into V₀"
+    blocks = np.arange(q)
+    M = np.zeros((q, d0, q, d0), dtype=np.int32)
+    M[blocks, :, dest] = moved[:, dest][..., V0.pivots].transpose(1, 0, 2)
+    M[blocks, :, blocks] = kk.ADD[M[blocks, :, blocks], kk.NEG[np.eye(d0, dtype=np.int32)]]
+    return M.reshape(q * d0, q * d0)
 
 
 @_per_ctx
 def _candidate_spaces(ctx: InductionCtx) -> CandidateSpaces:
     """R₁′, T₊R₁, T₊R₁′, Q^U, V and W; the only place these spaces are built.
 
-    T₊R₁′ ⊆ T₊R₁ = ⊕ B₀ and the translations by ϖO act blockwise, so every g
-    in V has each first-digit block in V₀ (see _first_digit_block).  V is
-    then one kernel over the coordinates of V′ = ⊕ V₀, and W = V ∩ T₊R₁ is an
-    intersection inside V′.  Every basis row of V is re-verified against
-    every generator before it is returned.
+    T₊R₁ = ⊕ B₀ and V′ = ⊕ V₀ stay (block, copies) pairs.  T₊R₁′ ⊆ T₊R₁ is
+    built in coordinates over T₊R₁'s rows, so a row lies in T₊R₁′ iff it
+    reduces to 0 mod B₀ on every block and its coordinates lie in those of
+    T₊R₁′.  The translations by ϖO act blockwise, so every g in V has each
+    first-digit block in V₀ (see _first_digit_block).  Every generator maps
+    V′ into V′ block by block (_minus_identity_on_blocks), so V is one kernel
+    over the q·dim V₀ coordinates of V′, and W = V ∩ T₊R₁ is read off in
+    those coordinates.  Every basis row of V is re-verified against every
+    generator on its q²D entries, and T₊R₁′ is checked to lie in V, which
+    with that makes T₊R₁′ U-stable.
     """
     kk = ctx.weight.field.kk
     q, D = ctx.q, ctx.D
     r1p = r1_prime(ctx)
-    Mplus, tplus_r1, B0 = _tplus_r1(ctx)
-    if r1p.dim:
-        img_rows = _kernels.matmul(r1p.rows, Mplus.matrix, kk)
-    else:
-        img_rows = np.zeros((0, Mplus.codomain), dtype=np.int32)
-    tplus_r1p = linalg.echelon(img_rows, kk, ambient=Mplus.codomain)
+    block, tplus_r1 = _tplus_r1(ctx)
+    B0 = tplus_r1.block
+    # T₊|R₁ = I_q ⊗ block and block = block[:, pivots of B₀]·B₀, so the coordinates of
+    # T₊R₁′ over T₊R₁'s rows map each first-digit piece of R₁′ through block[:, pivots]
+    coords = _kernels.matmul(r1p.rows.reshape(-1, D), block[:, B0.pivots], kk).reshape(r1p.dim, tplus_r1.dim)
+    tplus_r1p_coords = linalg.echelon(coords, kk, ambient=tplus_r1.dim)
+    tplus_r1p = tplus_r1.embed(tplus_r1p_coords)
 
     gens = u_generators(ctx, 2)
-
-    def delta_mod_tplus_r1p(c, X):
-        return tplus_r1p.reduce(_minus_identity(ctx, translate_vectors(ctx, c, 2, X), X))
-
-    # U-stability of T₊R₁′ (V contains T₊R₁′ and Q^U = V / T₊R₁′ rest on it)
-    for c in gens:
-        assert not np.any(delta_mod_tplus_r1p(c, tplus_r1p.rows)), "T₊R₁′ must be U-stable"
-
     pi = ctx.ring.uniformizer()
     V0 = _first_digit_block(ctx, [c * pi for c in u_generators(ctx, 1)], B0)  # generators of ϖO/ϖ³
     assert not np.any(V0.reduce(B0.rows)), "B₀ must lie in V₀"
-    Vp = linalg.direct_sum(V0, q)
-    # V in coordinates over the rows of V′; constraint columns that are zero on all of V′ are dropped
-    delta = np.hstack([delta_mod_tplus_r1p(c, Vp.rows) for c in gens])
+    Vp = linalg.BlockSum(V0, q)
+    # T₊R₁′ ⊆ T₊R₁ ⊆ V′, so over V′'s rows its coordinates are its entries on V′'s pivots
+    tplus_r1p_in_vp = linalg.echelon(tplus_r1p.rows[:, Vp.pivots], kk, ambient=Vp.dim)
+    # u - 1 maps V′ into V′, so V is a kernel over V′'s coordinates: (u - 1)x ∈ T₊R₁′ for every u;
+    # constraint columns that are zero on all of V′ are dropped
+    delta = np.hstack([tplus_r1p_in_vp.reduce(_minus_identity_on_blocks(ctx, c, V0)) for c in gens])
     V_coords = linalg.kernel(linalg.LinMap(kk, delta[:, np.any(delta, axis=0)]))
-    V = linalg.embed(V_coords, Vp)
-    # T₊R₁ ⊆ V′ as B₀ ⊆ V₀, so its coordinates are its entries on the pivots of V′
-    tplus_r1_coords = linalg.echelon(tplus_r1.rows[:, Vp.pivots], kk, ambient=Vp.dim)
-    W = linalg.embed(linalg.intersect(V_coords, tplus_r1_coords), Vp)
-    for c in gens:  # every basis row of V is U-fixed modulo T₊R₁′
-        assert not np.any(delta_mod_tplus_r1p(c, V.rows)), "V must be U-fixed modulo T₊R₁′"
+    V = Vp.embed(V_coords)
+    # every basis row v of V is U-fixed modulo T₊R₁′: uv and v have the same remainder
+    # mod T₊R₁ and, over T₊R₁'s rows, the same coordinates mod T₊R₁′
+    rest, rest_coords = tplus_r1.reduce(V.rows), tplus_r1p_coords.reduce(V.rows[:, tplus_r1.pivots])
+    for c in gens:
+        moved = translate_vectors(ctx, c, 2, V.rows)
+        assert np.array_equal(tplus_r1.reduce(moved), rest), "V must be U-fixed modulo T₊R₁′"
+        assert np.array_equal(tplus_r1p_coords.reduce(moved[:, tplus_r1.pivots]), rest_coords), "V must be U-fixed modulo T₊R₁′"
+    assert not np.any(V_coords.reduce(tplus_r1p_in_vp.rows)), "T₊R₁′ must lie in V"
+    # in V′'s coordinates T₊R₁ is q copies of B₀'s coordinates over V₀
+    tplus_r1_coords = linalg.BlockSum(linalg.echelon(B0.rows[:, V0.pivots], kk, ambient=V0.dim), q)
+    in_tplus_r1 = linalg.kernel(linalg.LinMap(kk, tplus_r1_coords.reduce(V_coords.rows)))
+    W = Vp.embed(linalg.echelon(_kernels.matmul(in_tplus_r1.rows, V_coords.rows, kk), kk, ambient=Vp.dim))
     q_dim = q * q * D - tplus_r1p.dim
     return CandidateSpaces(V, W, r1p, tplus_r1p, tplus_r1, q_dim, V.dim - tplus_r1p.dim)
 

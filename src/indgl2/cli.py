@@ -425,7 +425,7 @@ def _suite_truncation(ctx, cfg, rng):
     recs = []
     case = analysis.select_case(ctx)
     prev = None
-    seq = []
+    seq, bounded = [], []  # dim L_N^U per N reached, and the N where it is a lower bound
     for N in range(1, cfg.N_max + 1):
         try:
             rep = analysis.truncated_L(ctx, N, prev=prev)
@@ -454,19 +454,31 @@ def _suite_truncation(ctx, cfg, rng):
             )
         )
         seq.append(rep.dim_ln_u)
+        if rep.ln_u_method == "certified-lower-bound":
+            bounded.append(N)
         prev = rep
     if len(seq) >= 2:
         mono = all(a <= b for a, b in zip(seq, seq[1:]))
-        recs.append(CheckRecord("truncation:monotone-fixed-dims", "pass" if mono else "fail", {"sequence": seq}))
+        recs.append(
+            CheckRecord(
+                "truncation:monotone-fixed-dims", "pass" if mono else "fail", {"sequence": seq}, detail=_lower_bounds(bounded)
+            )
+        )
     if case != analysis.CASE_SEARCH_ONLY and seq:
         recs.append(
             CheckRecord(
                 "truncation:fixed-dim-at-least-2",
                 "pass" if seq[-1] >= 2 else "fail",
                 {"dim_LN_U": seq[-1]},
+                detail=_lower_bounds([prev.N] if prev.N in bounded else []),
             )
         )
     return recs
+
+
+def _lower_bounds(ns) -> str | None:
+    """Detail naming the N whose dim_LN_U is a certified lower bound, not an exact value."""
+    return f"certified lower bound at N={', '.join(map(str, ns))}" if ns else None
 
 
 _SUITE_FNS = {

@@ -431,18 +431,24 @@ def translation_product(ctx: InductionCtx, c: RingElem, lr: LevelRange, rows, P:
 
 
 def translate_vectors(ctx: InductionCtx, c: RingElem, n: int, X: np.ndarray) -> np.ndarray:
-    """u_act(c, ·) applied to each row of X, a stack of flat vectors on level n.
-
-    Keys move by the permutation of translation_table; each key's weight block
-    is multiplied by its twist, one product per distinct twist value.
-    """
+    """u_act(c, ·) applied to each row of X, a stack of flat vectors on level n."""
     perm, twist = translation_table(c, n)
+    return move_keys(ctx, perm, twist, X)
+
+
+def move_keys(ctx: InductionCtx, perm: np.ndarray, twist: np.ndarray, X: np.ndarray) -> np.ndarray:
+    """Each row of X, flat over the keys 0 .. len(perm) - 1, with the weight block
+    of key j multiplied by the twist [[1, twist[j]], [0, 1]] and moved to key perm[j].
+
+    With (perm, twist) from translation_table this is the translation of a
+    level; one product is made per distinct twist value.
+    """
     kk = ctx.weight.field.kk
     D = ctx.D
     blocks = np.asarray(X, dtype=np.int32).reshape(len(X), len(perm), D)
     out = np.empty_like(blocks)
-    for t in np.unique(twist):
-        keys = np.nonzero(twist == t)[0]
+    for t in np.flatnonzero(np.bincount(twist)):  # the twist values that occur
+        keys = np.flatnonzero(twist == t)
         moved = _kernels.matmul(blocks[:, keys].reshape(-1, D), _unipotent(ctx, t), kk)
         out[:, perm[keys]] = moved.reshape(len(X), len(keys), D)
     return out.reshape(len(X), -1)

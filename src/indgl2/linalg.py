@@ -3,8 +3,9 @@
 Vectors are rows of field codes; a LinMap with matrix M sends the row vector
 v to v @ M (row i of M is the image of the i-th domain basis vector).  A
 Subspace is stored in reduced row echelon form, which is unique, so equality
-of subspaces is equality of row arrays.  Everything here is dense and exact;
-ambients beyond a couple thousand dimensions are out of scope.
+of subspaces is equality of row arrays.  Everything here is exact, and a
+Subspace is dense; a BlockSum, q copies of one subspace on disjoint
+coordinates, is kept as that pair, so its ambient can be q times wider.
 """
 
 import numpy as np
@@ -93,30 +94,59 @@ def full_space(field: PrimeExtField, ambient: int) -> Subspace:
     return Subspace(field, ambient, eye, np.arange(ambient, dtype=np.int64), _canonical=True)
 
 
-def direct_sum(S: Subspace, copies: int) -> Subspace:
-    """S ⊕ .. ⊕ S in K^(copies·ambient), copy k on coordinates k·ambient .. (k+1)·ambient - 1.
+class BlockSum:
+    """S ⊕ .. ⊕ S in K^(copies·S.ambient), copy k on coordinates k·S.ambient .. (k+1)·S.ambient - 1.
 
-    The copies have disjoint supports, so S's reduced rows placed block by
-    block are already the reduced echelon form of the sum.
+    Held as the pair (S, copies); the (copies·dim S) x (copies·S.ambient)
+    array is never formed.  The copies have disjoint supports, so S's reduced
+    rows placed copy by copy are the reduced echelon form of the sum: its
+    pivots are S's pivots shifted to each copy, and the coordinates of a
+    member v over those rows are v[pivots], as for a Subspace.
     """
-    n, d = S.ambient, S.dim
-    rows = np.zeros((copies * d, copies * n), dtype=np.int32)
-    for k in range(copies):
-        rows[k * d : (k + 1) * d, k * n : (k + 1) * n] = S.rows
-    pivots = (S.pivots[None, :] + n * np.arange(copies)[:, None]).reshape(-1)
-    return Subspace(S.field, copies * n, rows, pivots.astype(np.int64), _canonical=True)
 
+    __slots__ = ("block", "copies")
 
-def embed(S: Subspace, Z: Subspace) -> Subspace:
-    """S, given in coordinates over the rows of Z, as a subspace of Z's ambient.
+    def __init__(self, block: Subspace, copies: int):
+        self.block = block
+        self.copies = copies
 
-    Both are in reduced echelon form, so S.rows @ Z.rows is too, with pivots
-    Z.pivots[S.pivots]; the coordinates of a member v of Z are v[Z.pivots].
-    """
-    if S.ambient != Z.dim or S.field is not Z.field:
-        raise DimensionMismatch(f"coordinates of length {S.ambient} vs a basis of {Z.dim} rows")
-    rows = _kernels.matmul(S.rows, Z.rows, Z.field) if S.dim else np.zeros((0, Z.ambient), dtype=np.int32)
-    return Subspace(Z.field, Z.ambient, rows, Z.pivots[S.pivots], _canonical=True)
+    @property
+    def dim(self) -> int:
+        return self.copies * self.block.dim
+
+    @property
+    def ambient(self) -> int:
+        return self.copies * self.block.ambient
+
+    @property
+    def pivots(self) -> np.ndarray:
+        S = self.block
+        return (S.pivots[None, :] + S.ambient * np.arange(self.copies)[:, None]).reshape(-1)
+
+    def reduce(self, v: np.ndarray) -> np.ndarray:
+        """Remainder of v (one vector or a stack of rows): each copy's coordinates reduced mod S."""
+        out = np.asarray(v, dtype=np.int32)
+        if out.ndim not in (1, 2) or out.shape[-1] != self.ambient:
+            raise DimensionMismatch(f"vector length {out.shape} vs ambient {self.ambient}")
+        return self.block.reduce(out.reshape(-1, self.block.ambient)).reshape(out.shape)
+
+    def embed(self, S: Subspace) -> Subspace:
+        """S, given in coordinates over the rows of this sum, as a subspace of its ambient.
+
+        Piece k of a coordinate row, its k-th run of block.dim entries, times
+        the block's rows is copy k of the vector, so one product of the pieces
+        with the block gives every copy.  The result is in reduced echelon
+        form, with pivots self.pivots[S.pivots], as S.rows and the block's
+        rows are.
+        """
+        B = self.block
+        if S.ambient != self.dim or S.field is not B.field:
+            raise DimensionMismatch(f"coordinates of length {S.ambient} vs a basis of {self.dim} rows")
+        if S.dim:
+            rows = _kernels.matmul(S.rows.reshape(-1, B.dim), B.rows, B.field).reshape(S.dim, self.ambient)
+        else:
+            rows = np.zeros((0, self.ambient), dtype=np.int32)
+        return Subspace(B.field, self.ambient, rows, self.pivots[S.pivots], _canonical=True)
 
 
 def non_pivots(pivots: np.ndarray, ambient: int) -> np.ndarray:
@@ -126,7 +156,7 @@ def non_pivots(pivots: np.ndarray, ambient: int) -> np.ndarray:
     return np.flatnonzero(free)
 
 
-def member(v, S: Subspace) -> bool:
+def member(v, S: Subspace | BlockSum) -> bool:
     return not np.any(S.reduce(v))
 
 

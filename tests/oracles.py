@@ -1,5 +1,10 @@
 """Helpers shared by the dense oracles of the test suite."""
 
+import numpy as np
+
+from indgl2 import _kernels
+from indgl2.errors import DimensionMismatch
+from indgl2.linalg import Subspace
 from indgl2.localring import teichmuller
 
 
@@ -13,3 +18,31 @@ def all_translations(ctx, n):
     ring = ctx.ring
     pi = ring.uniformizer()
     return [teichmuller(ring.field.fq.elem(ring.p**s), ring) * pi**i for i in range(n + 1) for s in range(ring.f)]
+
+
+def direct_sum(S, copies):
+    """S ⊕ .. ⊕ S in K^(copies·ambient) as one dense Subspace, copy k on
+    coordinates k·ambient .. (k+1)·ambient - 1: the oracle of linalg.BlockSum.
+
+    The copies have disjoint supports, so S's reduced rows placed block by
+    block are already the reduced echelon form of the sum.
+    """
+    n, d = S.ambient, S.dim
+    rows = np.zeros((copies * d, copies * n), dtype=np.int32)
+    for k in range(copies):
+        rows[k * d : (k + 1) * d, k * n : (k + 1) * n] = S.rows
+    pivots = (S.pivots[None, :] + n * np.arange(copies)[:, None]).reshape(-1)
+    return Subspace(S.field, copies * n, rows, pivots.astype(np.int64), _canonical=True)
+
+
+def embed(S, Z):
+    """S, given in coordinates over the rows of the dense Z, as a subspace of
+    Z's ambient: the oracle of linalg.BlockSum.embed.
+
+    Both are in reduced echelon form, so S.rows @ Z.rows is too, with pivots
+    Z.pivots[S.pivots]; the coordinates of a member v of Z are v[Z.pivots].
+    """
+    if S.ambient != Z.dim or S.field is not Z.field:
+        raise DimensionMismatch(f"coordinates of length {S.ambient} vs a basis of {Z.dim} rows")
+    rows = _kernels.matmul(S.rows, Z.rows, Z.field) if S.dim else np.zeros((0, Z.ambient), dtype=np.int32)
+    return Subspace(Z.field, Z.ambient, rows, Z.pivots[S.pivots], _canonical=True)

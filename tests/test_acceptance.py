@@ -199,12 +199,15 @@ def test_criterion_7_negative_control():
 # purpose since the translation tables replaced the per-basis-vector u_act
 # assembly: hecke:tplus-kernel-R1 reads "method=blockwise" (was "dense"), and
 # mainlemma:tplus-injectivity-beyond-R3 is a checked "pass" with detail
-# "method=blockwise" (was "assumed").  A change that alters any report byte
-# must update these on purpose
+# "method=blockwise" (was "assumed").  unramified-generic (N_max = 2) reaches
+# dim L_2^U only as a certified lower bound, and its truncation sequence
+# records now say so: truncation:monotone-fixed-dims and
+# truncation:fixed-dim-at-least-2 carry "certified lower bound at N=2" (was
+# null).  A change that alters any report byte must update these on purpose
 PRESET_REPORT_SHA256 = {
     "ramified-r0": "5a182c41459aef5e22731b86b723f25ba622e93cb9d7a6a916456d0eb8052855",
     "ramified-r1": "7a569b2790984fde934d77c4218dd329dac0b450c6de3a79bf0419428295544b",
-    "unramified-generic": "42740593855ac7b02c5321be933f8f1481da09b57cd67d7f9e526bd1e239699d",
+    "unramified-generic": "cdc63fc7e7b5abd5c98940e24093340d7a7050f42371e915b548309b1630339e",
     "unramified-maximal": "64f1f625532a2e3a29d032e0b85ac25006126585c95df023a8b7adb0aafafa61",
     "unramified-stretch": "e9888812572590ff7d8d038a90ec694026ea84e07c6173232b33d7dcbc0884d0",
 }

@@ -27,7 +27,7 @@ from indgl2.induction import (
     u_act,
     unflatten,
 )
-from oracles import all_translations
+from oracles import all_translations, direct_sum, embed
 
 
 @pytest.fixture(scope="module")
@@ -187,7 +187,7 @@ class TestHeckeMatrixAgainstOracle:
         first = np.arange(q)
         assert np.array_equal(blocks[first, :, first], np.broadcast_to(blocks[0, :, 0], (q, D, q * D)))
         assert np.count_nonzero(blocks) == q * np.count_nonzero(blocks[0, :, 0])
-        B0 = analysis._tplus_r1(ctx)[2]
+        B0 = analysis._tplus_r1(ctx)[1].block
         assert B0 == linalg.echelon(blocks[0, :, 0], ctx.weight.field.kk, ambient=q * D)
 
     @staticmethod
@@ -244,46 +244,84 @@ class TestBlockRouteAgainstDense:
     induced maps on all of Q = R₂/T₊R₁′, their fixed space, its preimage in R₂
     and the intersection with T₊R₁, each space rebuilt here by row reduction."""
 
+    CONFIGS = [
+        (3, 1, 2, (0,)),
+        (3, 1, 2, (1,)),
+        (2, 1, 3, (0,)),
+        (5, 1, 2, (3,)),
+        (3, 2, 1, (0, 0)),
+        (3, 2, 1, (1, 0)),
+        (2, 2, 1, (1, 1)),
+        (3, 2, 1, (2, 2)),
+        (2, 2, 2, (1, 1)),
+        (3, 2, 2, (1, 0)),
+        (3, 1, 1, (1,)),
+        (5, 1, 1, (2,)),
+    ]
+
     @staticmethod
-    def _dense(ctx):
+    def _tplus(ctx):
+        """(R₁′, the dense T₊|R₁ matrix, T₊R₁, T₊R₁′), each from the per-basis-vector walk."""
         kk = ctx.weight.field.kk
         r1, r2 = LevelRange("all", 1, 1), LevelRange("all", 2, 2)
         r1p = linalg.kernel(operator_matrix(ctx, hecke_T_minus, r1, LevelRange("all", 0, 0)))
         Mplus = operator_matrix(ctx, hecke_T_plus, r1, r2)
-        tplus_r1 = linalg.image(Mplus)
         tplus_r1p = linalg.echelon(_kernels.matmul(r1p.rows, Mplus.matrix, kk), kk, ambient=Mplus.codomain)
+        return r1p, Mplus, linalg.image(Mplus), tplus_r1p
+
+    @classmethod
+    def _dense(cls, ctx):
+        kk = ctx.weight.field.kk
+        _, _, tplus_r1, tplus_r1p = cls._tplus(ctx)
         P = analysis.quotient_projection(tplus_r1p)
         gens = all_translations(ctx, 2)
-        maps = analysis.induced_quotient_maps(ctx, gens, r2, tplus_r1p, P)
+        maps = analysis.induced_quotient_maps(ctx, gens, LevelRange("all", 2, 2), tplus_r1p, P)
         fixed = linalg.fixed_space(maps, field=kk, ambient=P.shape[1])
         V = linalg.preimage(linalg.LinMap(kk, P), fixed)
         return V, linalg.intersect(V, tplus_r1), tplus_r1, P.shape[1], fixed.dim
 
-    @pytest.mark.parametrize(
-        "args",
-        [
-            (3, 1, 2, (0,)),
-            (3, 1, 2, (1,)),
-            (2, 1, 3, (0,)),
-            (5, 1, 2, (3,)),
-            (3, 2, 1, (0, 0)),
-            (3, 2, 1, (1, 0)),
-            (2, 2, 1, (1, 1)),
-            (3, 2, 1, (2, 2)),
-            (2, 2, 2, (1, 1)),
-            (3, 2, 2, (1, 0)),
-            (3, 1, 1, (1,)),
-            (5, 1, 1, (2,)),
-        ],
-    )
+    @pytest.mark.parametrize("args", CONFIGS)
     def test_v_and_w_equal(self, args):
         ctx = analysis.build_ctx(*args, N=5)
         spaces = analysis._candidate_spaces(ctx)
         V, W, tplus_r1, q_dim, qu_dim = self._dense(ctx)
         assert np.array_equal(spaces.V.rows, V.rows)
         assert np.array_equal(spaces.W.rows, W.rows)
-        assert np.array_equal(spaces.tplus_r1.rows, tplus_r1.rows)
+        assert np.array_equal(direct_sum(spaces.tplus_r1.block, spaces.tplus_r1.copies).rows, tplus_r1.rows)
         assert (spaces.q_dim, spaces.qu_dim) == (q_dim, qu_dim)
+
+    @pytest.mark.parametrize("args", CONFIGS)
+    def test_block_helpers_match_dense(self, args):
+        ctx = analysis.build_ctx(*args, N=5)
+        kk = ctx.weight.field.kk
+        q, D = ctx.q, ctx.D
+        rng = np.random.default_rng(sum(args[:3]) + len(args[3]))
+        spaces = analysis._candidate_spaces(ctx)
+        r1p, Mplus, tplus_r1, tplus_r1p = self._tplus(ctx)
+        # the T₊R₁′ of the block image, built in coordinates over T₊R₁, against r1p.rows @ T₊|R₁
+        assert np.array_equal(spaces.r1p.rows, r1p.rows)
+        assert np.array_equal(spaces.tplus_r1p.rows, tplus_r1p.rows)
+        assert np.array_equal(spaces.tplus_r1p.pivots, tplus_r1p.pivots)
+        # blockwise T₊R₁ membership against the dense image of T₊|R₁
+        block_sum = spaces.tplus_r1
+        dense = direct_sum(block_sum.block, block_sum.copies)
+        assert dense == tplus_r1 and np.array_equal(block_sum.pivots, tplus_r1.pivots)
+        members = _kernels.matmul(rng.integers(0, kk.order, size=(4, q * D)).astype(np.int32), Mplus.matrix, kk)
+        others = members.copy()
+        others[:, rng.integers(0, q * q * D, size=4)] = rng.integers(1, kk.order, size=4)
+        noise = rng.integers(0, kk.order, size=(4, q * q * D)).astype(np.int32)
+        for v in np.vstack([members, others, noise]):
+            assert np.array_equal(block_sum.reduce(v), dense.reduce(v))
+            assert linalg.member(v, block_sum) == linalg.member(v, tplus_r1)
+        assert all(linalg.member(v, block_sum) for v in members)
+        # the block-coordinate embed of V₀ ⊕ .. ⊕ V₀ against the dense product through the sum
+        V0 = analysis._first_digit_block(ctx, [c * ctx.ring.uniformizer() for c in analysis.u_generators(ctx, 1)], block_sum.block)
+        Vp = linalg.BlockSum(V0, q)
+        coords = linalg.echelon(rng.integers(0, kk.order, size=(5, Vp.dim)).astype(np.int32), kk, ambient=Vp.dim)
+        for S in (coords, linalg.echelon(spaces.V.rows[:, Vp.pivots], kk, ambient=Vp.dim)):
+            got, want = Vp.embed(S), embed(S, direct_sum(V0, q))
+            assert np.array_equal(got.rows, want.rows) and np.array_equal(got.pivots, want.pivots)
+        assert Vp.embed(linalg.echelon(spaces.V.rows[:, Vp.pivots], kk, ambient=Vp.dim)) == spaces.V
 
 
 class TestNegativeControl:

@@ -314,6 +314,34 @@ class TestMain:
         assert done.returncode == 2
         assert "table cap" in done.stderr
 
+    def test_truncation_lower_bounds_are_marked(self, capsys):
+        # beyond the dense cap dim L_N^U is a certified lower bound; the sequence records say where
+        assert cli.main(["verify", "--preset", "ramified-r1", "--suites", "truncation", "--trunc", "4", "--format", "json"]) == 0
+        records = {r["name"]: r for r in json.loads(capsys.readouterr().out)["records"]}
+        assert records["truncation:N=4"]["detail"] == "ln_u method=certified-lower-bound"
+        mono, last = records["truncation:monotone-fixed-dims"], records["truncation:fixed-dim-at-least-2"]
+        assert mono["dims"] == {"sequence": [3, 5, 7, 7]} and mono["detail"] == "certified lower bound at N=4"
+        assert last["dims"] == {"dim_LN_U": 7} and last["detail"] == "certified lower bound at N=4"
+        # every entry exact: no detail
+        assert cli.main(["verify", "--preset", "ramified-r1", "--suites", "truncation", "--trunc", "3", "--format", "json"]) == 0
+        records = {r["name"]: r for r in json.loads(capsys.readouterr().out)["records"]}
+        assert records["truncation:monotone-fixed-dims"]["detail"] is None
+        assert records["truncation:fixed-dim-at-least-2"]["detail"] is None
+
+    def test_mainlemma_run_does_not_import_numpy_ma(self):
+        # the first np.unique of a process imports numpy.ma, 14-15 ms of a short run
+        src = Path(cli.__file__).resolve().parent.parent
+        code = (
+            "import sys; from indgl2 import cli; "
+            "code = cli.main(['verify', '--preset', 'unramified-generic', '--suites', 'mainlemma']); "
+            "print('numpy.ma' in sys.modules); sys.exit(code)"
+        )
+        done = subprocess.run(
+            [sys.executable, "-c", code], env={**os.environ, "PYTHONPATH": str(src)}, capture_output=True, text=True, timeout=120
+        )
+        assert done.returncode == 0
+        assert done.stdout.splitlines()[-1] == "False"
+
     def test_exit_2_when_no_source(self, capsys):
         assert cli.main(["verify"]) == 2
 

@@ -10,12 +10,11 @@ from indgl2.errors import DimensionMismatch
 from indgl2.gf import FieldCtx
 from indgl2.induction import LevelRange, hecke_matrix
 from indgl2.linalg import (
+    BlockSum,
     LinMap,
     Subspace,
     coinvariant_complement,
-    direct_sum,
     echelon,
-    embed,
     fixed_space,
     full_space,
     image,
@@ -25,6 +24,7 @@ from indgl2.linalg import (
     preimage,
     subspace_sum,
 )
+from oracles import direct_sum, embed
 
 
 @pytest.fixture(scope="module")
@@ -120,6 +120,34 @@ def test_embed_matches_echelon(F9):
     assert embed(echelon(np.zeros((0, Z.dim), dtype=np.int32), F9, ambient=Z.dim), Z).dim == 0
     with pytest.raises(DimensionMismatch):
         embed(S, echelon(rand_mat(rng, F9, 2, 9), F9))
+
+
+def test_block_sum_matches_dense_direct_sum(F9):
+    rng = np.random.default_rng(25)
+    S = echelon(rand_mat(rng, F9, 3, 5), F9)
+    T, dense = BlockSum(S, 4), direct_sum(S, 4)
+    assert (T.dim, T.ambient) == (dense.dim, dense.ambient)
+    assert np.array_equal(T.pivots, dense.pivots)
+    members = _kernels.matmul(rand_mat(rng, F9, 3, dense.dim), dense.rows, F9)
+    V = np.vstack([members, rand_mat(rng, F9, 6, 20)])
+    assert np.array_equal(T.reduce(V), dense.reduce(V))
+    assert all(np.array_equal(T.reduce(v), dense.reduce(v)) for v in V)
+    assert [member(v, T) for v in V] == [True] * 3 + [member(v, dense) for v in V[3:]]
+    with pytest.raises(DimensionMismatch):
+        T.reduce(np.zeros(19, dtype=np.int32))
+
+
+def test_block_sum_embed_matches_dense_embed(F9):
+    rng = np.random.default_rng(26)
+    Z = BlockSum(echelon(rand_mat(rng, F9, 3, 7), F9), 5)
+    for rows in (rand_mat(rng, F9, 6, Z.dim), rand_mat(rng, F9, Z.dim, Z.dim), np.zeros((0, Z.dim), dtype=np.int32)):
+        S = echelon(rows, F9, ambient=Z.dim)
+        got, want = Z.embed(S), embed(S, direct_sum(Z.block, Z.copies))
+        assert got == want and np.array_equal(got.pivots, want.pivots)
+        assert got == echelon(got.rows, F9, ambient=Z.ambient)  # already reduced echelon
+        assert np.array_equal(got.rows[:, Z.pivots], S.rows)
+    with pytest.raises(DimensionMismatch):
+        Z.embed(echelon(rand_mat(rng, F9, 2, Z.dim + 1), F9))
 
 
 def test_kernel_zero_map(F3):
@@ -356,6 +384,18 @@ MATMUL_FIELDS = [(2, 1), (3, 1), (2, 3), (3, 2), (5, 2), (7, 2), (4093, 1)]
 EDGE = _kernels.PLANE_MIN_INNER
 
 
+class _Recording:
+    """A digit table that records how many entries each read of B's digits (an array index) takes."""
+
+    def __init__(self, array, sizes):
+        self.array, self.sizes = array, sizes
+
+    def __getitem__(self, index):
+        if not isinstance(index, tuple):  # A's digits are read as digits[A, 0, :]
+            self.sizes.append(np.asarray(index).size)
+        return self.array[index]
+
+
 class TestBackends:
     # the vectorised kernels against the scalar loops above
     def test_rref_agrees(self, F9):
@@ -433,6 +473,40 @@ class TestBackends:
         r, n, c = shape
         C = _kernels.matmul(np.zeros((r, n), dtype=np.int32), np.ones((n, c), dtype=np.int32), F)
         assert C.dtype == np.int32 and C.shape == (r, c) and not C.any()
+
+    @pytest.mark.parametrize("p,k", [(3, 1), (3, 2), (2, 3), (2, 6)])
+    def test_matmul_route_rule(self, p, k, monkeypatch):
+        # planes exactly when the inner dimension reaches EDGE and r ≥ k², i.e. when B's
+        # k²·n·c digits are no more than the r·n·c lookups; B's digits go a slice of
+        # c // k² columns at a time, so no slice has more entries than B
+        F = FieldCtx(p, k).fq
+        rng = np.random.default_rng(p * 10 + k)
+        gathered = []
+        traced = SimpleNamespace(p=F.p, deg=F.deg, ADD=F.ADD, MUL=F.MUL, AXJ_DIGITS=_Recording(F.AXJ_DIGITS, gathered))
+        planes = []
+        real = _kernels._matmul_planes
+        monkeypatch.setattr(_kernels, "_matmul_planes", lambda A, B, field: planes.append(A.shape) or real(A, B, field))
+        c = 2 * k * k + 3  # slices of c // k² columns, the last one ragged
+        for inner in (EDGE - 1, EDGE, EDGE + 9):
+            for r in sorted({1, k * k - 1, k * k, k * k + 1} - {0}):
+                A, B = rand_mat(rng, F, r, inner), rand_mat(rng, F, inner, c)
+                A[rng.random(A.shape) < 0.75] = 0  # sparse, so the scalar oracle stays quick
+                planes.clear()
+                gathered.clear()
+                assert np.array_equal(_kernels.matmul(A, B, traced), _matmul_loops(A, B, F))
+                assert planes == ([(r, inner)] if inner >= EDGE and r >= k * k else [])
+                assert all(size <= B.size for size in gathered)
+                if planes and k > 1:
+                    assert sum(gathered) == B.size and len(gathered) == -(-c // (c // (k * k)))
+
+    def test_matmul_one_row_over_f64_takes_the_table_loop(self, monkeypatch):
+        # a single row against a wide B over F_64 would convert all of B to 36 times its size
+        F = FieldCtx(2, 6).fq
+        rng = np.random.default_rng(64)
+        monkeypatch.setattr(_kernels, "_matmul_planes", None)
+        for inner in (EDGE, 2 * EDGE):
+            A, B = rand_mat(rng, F, 1, inner), rand_mat(rng, F, inner, 40)
+            assert np.array_equal(_kernels.matmul(A, B, F), _matmul_loops(A, B, F))
 
     def test_matmul_exactness_bound(self):
         # an inner dimension whose partial sums could pass 2^53 is refused, not rounded
