@@ -1,13 +1,16 @@
-"""Timings for the finite-field kernels.
+"""Timings for the finite-field kernels and the translation tables.
 
 Times matmul, rref and linalg.kernel at one square size, rref of a sparse
-matrix and an end-to-end truncated_L(N=2) computation.  The kernel's matrix
-repeats its first size/30 columns at the end, so its rank falls short of the
-size and the kernel is not zero.  The sparse matrix is T(I^o) -> I^e of
-ramified-r1 at N = 3 over F_3 (546 x 1640, 1820 nonzeros, 729 zero
-columns), the echelon the truncation suite builds.  Each end-to-end repeat
-builds a fresh context (inside the timed call), so results memoised on a
-context never shortcut a repeat.
+matrix, an end-to-end truncated_L(N=2) computation, and the level-2
+translation tables of every u_generators(ctx, 2) at q = 25 and q = 243.
+The kernel's matrix repeats its first size/30 columns at the end, so its
+rank falls short of the size and the kernel is not zero.  The sparse matrix
+is T(I^o) -> I^e of ramified-r1 at N = 3 over F_3 (546 x 1640, 1820
+nonzeros, 729 zero columns), the echelon the truncation suite builds.  Each
+end-to-end repeat builds a fresh context (inside the timed call), so results
+memoised on a context never shortcut a repeat.  Each repeat of the tables
+also starts from a fresh context, built with its generators (and so with the
+Teichmüller lifts) outside the timed part.
 Run from the repository root:
 
     python3 benchmarks/bench_linalg.py --size 400 --repeat 3
@@ -24,6 +27,21 @@ def best_of(fn, repeat: int) -> float:
     for _ in range(repeat):
         t0 = time.perf_counter()
         fn()
+        best = min(best, time.perf_counter() - t0)
+    return best
+
+
+def best_tables(args, repeat: int) -> float:
+    """Best time of translation_table(c, 2) for every u_generators(ctx, 2), each repeat on a fresh ctx."""
+    from indgl2 import analysis
+    from indgl2.localring import translation_table
+
+    best = float("inf")
+    for _ in range(repeat):
+        gens = analysis.u_generators(analysis.build_ctx(*args, N=analysis.MAIN_LEMMA_PRECISION), 2)
+        t0 = time.perf_counter()
+        for c in gens:
+            translation_table(c, 2)
         best = min(best, time.perf_counter() - t0)
     return best
 
@@ -54,11 +72,14 @@ def main():
     T = hecke_matrix(analysis.build_ctx(3, 1, 2, (1,), N=7), LevelRange("odd", 1, 5), LevelRange("even", 0, 6))
     t_sp = best_of(lambda: _kernels.rref(T.matrix, T.field), args.repeat)
     t_e2e = best_of(lambda: analysis.truncated_L(analysis.build_ctx(3, 1, 2, (0,), N=8), 2), args.repeat)
+    t_q25 = best_tables((5, 2, 1, (1, 1)), args.repeat)
+    t_q243 = best_tables((3, 5, 1, (0,) * 5), args.repeat)
     print(
         f"matmul {n}x{n}: {t_mm * 1e3:8.1f} ms   "
         f"rref {n}x{n}: {t_rr * 1e3:8.1f} ms   kernel {n}x{n}: {t_ker * 1e3:8.1f} ms   "
         f"sparse rref {T.domain}x{T.codomain}: {t_sp * 1e3:8.1f} ms   "
-        f"truncated_L(N=2): {t_e2e * 1e3:8.1f} ms"
+        f"truncated_L(N=2): {t_e2e * 1e3:8.1f} ms   "
+        f"tables q=25: {t_q25 * 1e3:8.1f} ms   tables q=243: {t_q243 * 1e3:8.1f} ms"
     )
 
 

@@ -64,6 +64,9 @@ DENSE_FIXED_CAP = 2048
 # generators of U act on it modulo ϖ³
 MAIN_LEMMA_PRECISION = 3
 
+# R₂ with its frozen basis, where every witness lives
+LR2 = LevelRange("all", 2, 2)
+
 
 def build_ctx(p: int, f: int, e: int, rvec, chi_c: int = 0, nu_code: int | None = None,
               E=None, N: int | None = None, m: int = 1) -> InductionCtx:
@@ -166,7 +169,7 @@ def _tplus_r1(ctx: InductionCtx):
     """
     kk = ctx.weight.field.kk
     q, D = ctx.q, ctx.D
-    M = hecke_matrix(ctx, LevelRange("all", 1, 1), LevelRange("all", 2, 2)).matrix
+    M = hecke_matrix(ctx, LevelRange("all", 1, 1), LR2).matrix
     block = np.ascontiguousarray(M[:D, : q * D])
     diagonal = M.reshape(q, D, q, q * D)[np.arange(q), :, np.arange(q)]
     assert np.array_equal(diagonal, np.broadcast_to(block, diagonal.shape)) and (
@@ -383,15 +386,12 @@ def select_case(ctx: InductionCtx) -> str:
     return CASE_UNRAMIFIED_GENERIC
 
 
-def _sum_over_keys(ctx: InductionCtx, weight_of) -> InducedElem:
-    """Σ_{μ,λ} [(ϖ², (μ,λ)), weight_of(λ)]."""
-    terms = {}
-    for mu in range(ctx.q):
-        for lam in range(ctx.q):
-            v = weight_of(lam)
-            if np.any(v):
-                terms[(2, (mu, lam))] = v.copy()
-    return InducedElem(ctx, terms)
+def _sum_over_keys(ctx: InductionCtx, weights: np.ndarray) -> np.ndarray:
+    """Coordinates of Σ_{μ,λ} [(ϖ², (μ,λ)), weights[λ]] in R₂, weights a q x D array.
+
+    Key (μ, λ) has rank μ·q + λ, so the coefficient blocks repeat with period q.
+    """
+    return np.tile(weights.reshape(-1), ctx.q)
 
 
 def paper_candidate(ctx: InductionCtx, case: str | None = None):
@@ -400,6 +400,12 @@ def paper_candidate(ctx: InductionCtx, case: str | None = None):
     Returns (g, case, j0) where j0 is the factor index used by the
     unramified cases (None otherwise).
     """
+    coords, case, j0 = _paper_coords(ctx, case)
+    return unflatten(ctx, LR2, coords), case, j0
+
+
+def _paper_coords(ctx: InductionCtx, case: str | None):
+    """(coordinates of g in R₂, case, j0) for paper_candidate."""
     actual = select_case(ctx)
     if case is None:
         case = actual
@@ -407,30 +413,22 @@ def paper_candidate(ctx: InductionCtx, case: str | None = None):
         raise CaseMismatch(f"configuration matches case {actual!r}, not {case!r}")
     w = ctx.weight
     field = w.field
-    kk = field.kk
     if case == CASE_SEARCH_ONLY:
         raise CaseMismatch("no construction case applies when e = f = 1")
+    weights = np.zeros((ctx.q, w.D), dtype=np.int32)
 
     if case == CASE_RAMIFIED_BIG:
         j0 = next(j for j, r in enumerate(w.rvec) if r >= 1)
-        iprime = tuple(1 if j == j0 else 0 for j in range(field.f))
-        vec = np.zeros(w.D, dtype=np.int32)
-        vec[w.index[iprime]] = 1
-        return _sum_over_keys(ctx, lambda lam: vec), case, j0
+        weights[:, w.index[tuple(1 if j == j0 else 0 for j in range(field.f))]] = 1
+        return _sum_over_keys(ctx, weights), case, j0
 
     if case == CASE_RAMIFIED_DIM1:
-        def weight_of(lam):
-            v = np.zeros(w.D, dtype=np.int32)
-            v[0] = field.embed_code(lam)
-            return v
-
-        return _sum_over_keys(ctx, weight_of), case, None
+        weights[:, 0] = [field.embed_code(lam) for lam in range(ctx.q)]
+        return _sum_over_keys(ctx, weights), case, None
 
     if case == CASE_UNRAMIFIED_MAXIMAL:
-        iprime = (1,) + (0,) * (field.f - 1)
-        vec = np.zeros(w.D, dtype=np.int32)
-        vec[w.index[iprime]] = 1
-        return _sum_over_keys(ctx, lambda lam: vec), case, None
+        weights[:, w.index[(1,) + (0,) * (field.f - 1)]] = 1
+        return _sum_over_keys(ctx, weights), case, None
 
     # unramified generic: coefficient λ^{p^{j0}(r_{j0}+1)}·x^{r⃗}; j0 is found by
     # trying every factor with r_{j0} ≤ p-2 and keeping the first that passes
@@ -442,20 +440,13 @@ def paper_candidate(ctx: InductionCtx, case: str | None = None):
     if not candidates_j0:
         raise CaseMismatch("generic unramified case needs some r_j ≤ p-2")
     spaces = _candidate_spaces(ctx)
-    lr2 = LevelRange("all", 2, 2)
     last_error = None
     for j0 in candidates_j0:
         k = (p**j0) * (w.rvec[j0] + 1)
-
-        def weight_of(lam, k=k):
-            v = np.zeros(w.D, dtype=np.int32)
-            v[0] = field.embed_code(fq.pow_code(lam, k))
-            return v
-
-        g = _sum_over_keys(ctx, weight_of)
-        coords = flatten(g, lr2)
+        weights[:, 0] = [field.embed_code(fq.pow_code(lam, k)) for lam in range(ctx.q)]
+        coords = _sum_over_keys(ctx, weights)
         if linalg.member(coords, spaces.V) and not linalg.member(coords, spaces.W):
-            return g, case, j0
+            return coords, case, j0
         last_error = f"factor j0={j0} produced a degenerate candidate"
     raise CheckFailed(last_error or "no usable factor index")
 
@@ -464,20 +455,28 @@ def paper_candidate(ctx: InductionCtx, case: str | None = None):
 
 
 def candidate_checks(ctx: InductionCtx, g: InducedElem) -> dict:
-    """The two defining checks, run on induced-element arithmetic directly.
+    """The two defining checks of a witness g ∈ R₂: g ∉ T₊R₁ and (u-1)g ∈ T₊R₁′.
 
-    (u-1)g is computed by u_act on g itself, independently of the quotient
-    maps that produced V; only the spaces it is tested against are shared.
+    (u-1)g is computed on g's flat coordinates, one translate_vectors per
+    generator.  That reads the same translation tables as the construction
+    of V, and every table is verified forward on every key before use
+    (localring.translation_table), so the check does not rest on the carry
+    recursion that built them; tests/oracles.py keeps the per-key u_act form.
     """
     if g.levels() != [2]:
         raise CheckFailed("candidate must be supported on level 2")
+    return _checks_on_coords(ctx, flatten(g, LR2))
+
+
+def _checks_on_coords(ctx: InductionCtx, coords: np.ndarray) -> dict:
+    """candidate_checks on the coordinates of g in R₂."""
     spaces = _candidate_spaces(ctx)
-    lr2 = LevelRange("all", 2, 2)
-    not_in_t_r1 = not linalg.member(flatten(g, lr2), spaces.tplus_r1)
-    invariant = all(
-        linalg.member(flatten(u_act(c, g) - g, lr2), spaces.tplus_r1p) for c in u_generators(ctx, 2)
-    )
-    return {"g_not_in_TplusR1": not_in_t_r1, "u_invariance_mod_TplusR1prime": invariant}
+    flat = coords[None]
+    deltas = np.vstack([_minus_identity(ctx, translate_vectors(ctx, c, 2, flat), flat) for c in u_generators(ctx, 2)])
+    return {
+        "g_not_in_TplusR1": not linalg.member(coords, spaces.tplus_r1),
+        "u_invariance_mod_TplusR1prime": not np.any(spaces.tplus_r1p.reduce(deltas)),
+    }
 
 
 def independence_certificate(ctx: InductionCtx, g: InducedElem, raise_on_fail: bool = False):
@@ -490,9 +489,8 @@ def independence_certificate(ctx: InductionCtx, g: InducedElem, raise_on_fail: b
     subchecks["g-nonzero"] = not g.is_zero()
     subchecks["g-level-2-support"] = g.levels() == [2]
     if subchecks["g-nonzero"] and subchecks["g-level-2-support"]:
-        lr2 = LevelRange("all", 2, 2)
         tplus_r1 = _candidate_spaces(ctx).tplus_r1
-        subchecks["g-not-in-TplusR1"] = not linalg.member(flatten(g, lr2), tplus_r1)
+        subchecks["g-not-in-TplusR1"] = not linalg.member(flatten(g, LR2), tplus_r1)
     else:
         subchecks["g-not-in-TplusR1"] = False
     subchecks["tplus-kernel-R1-zero"] = tplus_kernel_dim(ctx, 1) == 0
@@ -553,10 +551,11 @@ def main_lemma_report(ctx: InductionCtx) -> MainLemmaReport:
     cert_ok, cert_detail = False, {}
     if found:
         if case == CASE_SEARCH_ONLY:
-            g = _witness_from_spaces(ctx, spaces)
+            coords = _witness_from_spaces(spaces)
         else:
-            g, _, j0 = paper_candidate(ctx, case)
-        checks = candidate_checks(ctx, g)
+            coords, _, j0 = _paper_coords(ctx, case)
+        g = unflatten(ctx, LR2, coords)
+        checks = _checks_on_coords(ctx, coords)
         assert all(checks.values()), "found witness must pass both defining checks"
         cert_ok, cert_detail = independence_certificate(ctx, g)
     return MainLemmaReport(
@@ -572,11 +571,11 @@ def main_lemma_report(ctx: InductionCtx) -> MainLemmaReport:
     )
 
 
-def _witness_from_spaces(ctx: InductionCtx, spaces: CandidateSpaces) -> InducedElem:
-    lr2 = LevelRange("all", 2, 2)
+def _witness_from_spaces(spaces: CandidateSpaces) -> np.ndarray:
+    """The first basis row of V outside W, as coordinates in R₂."""
     for row in spaces.V.rows:
         if not linalg.member(row, spaces.W):
-            return unflatten(ctx, lr2, row)
+            return row
     raise CheckFailed("V is not larger than W; no witness exists")
 
 

@@ -42,6 +42,7 @@ from .localring import (
 )
 
 SUITES = ("arith", "hecke", "mainlemma", "negative", "truncation")
+RANDOM_SUITES = ("arith", "hecke")  # the suites that draw random elements
 
 PRESETS = {
     "ramified-r1": {"p": 3, "f": 1, "e": 2, "r": [1]},
@@ -503,7 +504,8 @@ def run(cfg: Config, suites=None, timings: bool = False) -> Report:
 
     records = []
     for name in selected:
-        rng = np.random.default_rng(cfg.seed + SUITES.index(name))
+        # numpy.random is imported on first use, so suites that draw nothing do not pay for it
+        rng = np.random.default_rng(cfg.seed + SUITES.index(name)) if name in RANDOM_SUITES else None
         t0 = perf_counter()
         try:
             recs = _SUITE_FNS[name](ctx, cfg, rng)

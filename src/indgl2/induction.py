@@ -341,14 +341,15 @@ def flatten(x: InducedElem, lr: LevelRange) -> np.ndarray:
 
 
 def unflatten(ctx: InductionCtx, lr: LevelRange, coords: np.ndarray) -> InducedElem:
+    """The InducedElem with coordinates coords in the frozen basis of the level range."""
+    q, D = ctx.q, ctx.D
+    coords = np.asarray(coords, dtype=np.int32)
     terms = {}
-    pos = 0
-    for n in lr.levels():
-        for mu in itertools.product(range(ctx.q), repeat=n):
-            v = coords[pos : pos + ctx.D]
-            if np.any(v):
-                terms[(n, mu)] = np.asarray(v, dtype=np.int32)
-            pos += ctx.D
+    for n, base in _offsets(ctx, lr).items():
+        blocks = coords[base : base + q**n * D].reshape(q**n, D)
+        keys = np.flatnonzero(blocks.any(axis=1))
+        digits = keys[:, None] // q ** np.arange(n - 1, -1, -1) % q  # big-endian, as flatten ranks them
+        terms.update(((n, mu), v) for mu, v in zip(map(tuple, digits.tolist()), blocks[keys]))
     return InducedElem(ctx, terms)
 
 

@@ -11,6 +11,16 @@ The coefficient precision M = ⌈N/e⌉ + 1 guarantees that no carry into the
 top tracked ϖ-digit is lost (e·M ≥ N + 1).  Coefficients are int64 and every
 product is reduced mod p^M before the next one, so arithmetic is exact while
 f·(p^M - 1)² < 2^63; a larger precision is rejected when the ctx is built.
+The batched products below sum at most f terms before they reduce, so the
+same bound covers them.
+
+Translations [μ] + c = [μ″] + ϖⁿ[t] are computed two ways.  translate_digits
+carries one digit string at a time in RingElem arithmetic; it serves sparse
+elements at any level and is the oracle of the tests.  translation_table
+carries all qⁿ strings of a level at once, as int64 stacks of shape (K, e, f),
+with the Teichmüller lifts, the division by ϖ and the multiplication by ϖ
+precomputed as small arrays per ctx.  Every whole-level table is verified
+forward on every key before it is memoised.
 """
 
 import math
@@ -19,6 +29,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import (
+    CheckFailed,
     MixedFieldContexts,
     NonConvergence,
     NotDivisible,
@@ -56,9 +67,10 @@ class LocalRingCtx:
         # y^(f+k) mod h for k = 0..f-2, used to fold products
         self._ypow_hi = self._build_ypow()
         self._u0_inv = None  # lazy: inverse of E[0]/p in GR
-        self._teich_cache: dict = {}  # residue code -> Teichmüller lift coordinates
+        self._teich = None  # lazy: (q, f) Teichmüller lifts of every residue code
         self._carries: dict = {}  # (prec, c mod ϖ^prec, λ) -> _carry_step result
         self._translations: dict = {}  # (n, c mod ϖ^{n+1}) -> translation_table result
+        self._level_arrays = None  # lazy: (teich, W matrix, ϖ matrix) of the batched tables
 
     def _normalize_eisenstein(self, E):
         e, f = self.e, self.f
@@ -117,6 +129,17 @@ class LocalRingCtx:
             out = (out + conv[k] * self._ypow_hi[k - f]) % pM
         return out
 
+    def _gr_mul_rows(self, A: np.ndarray, B: np.ndarray) -> np.ndarray:
+        """gr_mul row by row on two stacks (K, f) of coefficient vectors."""
+        f, pM = self.f, self.pM
+        conv = np.zeros((len(A), 2 * f - 1), dtype=np.int64)
+        for i in range(f):
+            conv[:, i : i + f] = (conv[:, i : i + f] + A[:, i : i + 1] * B) % pM
+        out = conv[:, :f]
+        for k in range(f, 2 * f - 1):
+            out = (out + conv[:, k : k + 1] * self._ypow_hi[k - f]) % pM
+        return out
+
     def gr_pow(self, a: np.ndarray, n: int) -> np.ndarray:
         out = np.zeros(self.f, dtype=np.int64)
         out[0] = 1
@@ -171,11 +194,14 @@ class LocalRingCtx:
     # -- canonical form and equality --
 
     def canon(self, vec: np.ndarray, prec: int) -> np.ndarray:
-        """Reduce coefficient of ϖ^i mod p^⌈max(prec-i,0)/e⌉; bijective onto O/ϖ^prec."""
+        """Reduce coefficient of ϖ^i mod p^⌈max(prec-i,0)/e⌉; bijective onto O/ϖ^prec.
+
+        vec is one (e, f) coefficient array or a stack (..., e, f) of them.
+        """
         out = vec.copy()
         for i in range(self.e):
             mi = -(-max(prec - i, 0) // self.e)
-            out[i] %= self.p**mi if mi > 0 else 1
+            out[..., i, :] %= self.p**mi if mi > 0 else 1
         return out
 
     # -- core polynomial arithmetic in the ϖ-generator --
@@ -216,6 +242,36 @@ class LocalRingCtx:
             for i in range(e):
                 vec[i] = self.gr_mul((-self._u0_inv) % self.pM, vec[i])
         return RingElem(self, vec, self.N)
+
+    # -- batched arithmetic on stacks (K, e, f) of coefficient arrays --
+
+    def _matmul_mod(self, A: np.ndarray, B: np.ndarray) -> np.ndarray:
+        """A @ B mod p^M for entries in [0, p^M), summed f products at a time.
+
+        Each partial sum stays below f·(p^M - 1)² < 2^63, the bound checked
+        when the ctx is built, whatever the inner dimension is.
+        """
+        f, pM = self.f, self.pM
+        out = np.zeros((A.shape[0], B.shape[1]), dtype=np.int64)
+        for k in range(0, A.shape[1], f):
+            out = (out + (A[:, k : k + f] @ B[k : k + f]) % pM) % pM
+        return out
+
+    def _arrays(self) -> tuple:
+        """(teich, W, Π), built once: teich[λ] is [λ] as an (e, f) array for every
+        residue code λ, W is the f x ef matrix of a ↦ a·W on constants a (p = ϖ·W),
+        and Π the ef x ef matrix of multiplication by ϖ, rows and columns over
+        the flattened (e, f) coefficients."""
+        if self._level_arrays is None:
+            e, f = self.e, self.f
+            teich = np.zeros((self.q, e, f), dtype=np.int64)
+            teich[:, 0] = _teich_lifts(self)
+            units = np.eye(e * f, dtype=np.int64).reshape(e * f, e, f)
+            w, pi = self._pi_w().vec, self.uniformizer().vec
+            W = np.stack([self._mul_vec(u, w).reshape(-1) for u in units[:f]])
+            Pi = np.stack([self._mul_vec(u, pi).reshape(-1) for u in units])
+            self._level_arrays = teich, W, Pi
+        return self._level_arrays
 
     def __repr__(self):
         return f"LocalRingCtx(p={self.p}, f={self.f}, e={self.e}, N={self.N})"
@@ -314,27 +370,38 @@ def make_digits(ctx: LocalRingCtx, values) -> DigitString:
 # -- Teichmüller lifts --
 
 
-def _teich_vec(ctx: LocalRingCtx, code: int) -> np.ndarray:
-    coords = ctx.field.fq.coords_of(code)
-    x = np.array(coords, dtype=np.int64)
-    prev = None
-    for _ in range(ctx.M + 8):
-        if prev is not None and np.array_equal(x, prev):
-            return x
-        prev = x
-        x = ctx.gr_pow(x, ctx.q)
-    raise NonConvergence("Teichmüller iteration did not stabilize")
+def _teich_lifts(ctx: LocalRingCtx) -> np.ndarray:
+    """The Teichmüller lift of every residue code, as rows of a (q, f) array.
+
+    x ← x^q from the residue coordinates, on all codes at once, until every
+    row is stable; memoised on the ctx.
+    """
+    if ctx._teich is None:
+        p, f, q = ctx.p, ctx.f, ctx.q
+        x = np.arange(q)[:, None] // p ** np.arange(f) % p
+        for _ in range(ctx.M + 8):
+            power, base, n = np.zeros_like(x), x, q
+            power[:, 0] = 1
+            while n:
+                if n & 1:
+                    power = ctx._gr_mul_rows(power, base)
+                base = ctx._gr_mul_rows(base, base)
+                n >>= 1
+            if np.array_equal(power, x):
+                ctx._teich = x
+                break
+            x = power
+        else:
+            raise NonConvergence("Teichmüller iteration did not stabilize")
+    return ctx._teich
 
 
 def teichmuller(lam: FqElem, ctx: LocalRingCtx) -> RingElem:
     """The unique lift of λ with x^q = x; computed by q-power stabilization."""
     if lam.field is not ctx.field.fq:
         raise MixedFieldContexts("element not in the residue field of this context")
-    flat = ctx._teich_cache.get(lam.code)
-    if flat is None:
-        flat = ctx._teich_cache[lam.code] = _teich_vec(ctx, lam.code)
     vec = np.zeros((ctx.e, ctx.f), dtype=np.int64)
-    vec[0] = flat
+    vec[0] = _teich_lifts(ctx)[lam.code]
     return RingElem(ctx, vec, ctx.N)
 
 
@@ -398,9 +465,9 @@ def from_digits(s: DigitString, prec: int | None = None) -> RingElem:
 def _carry_step(c: RingElem, lam: int) -> tuple:
     """(s, c′) with [λ] + c = [s] + ϖ·c′; c′ carries one unit less precision.
 
-    Memoised on the ctx by (precision, c mod ϖ^precision, λ).  For c ≡ 0 mod
-    ϖ the result is (λ, c/ϖ) whatever λ is, so the translations by [λ]ϖ^i
-    share every later step with the translation by [λ]ϖ^{i-1}.
+    Memoised on the ctx by (precision, c mod ϖ^precision, λ): translate_digits
+    moves digit strings one at a time, and the strings that u_act moves by one
+    c share their prefixes, so they share their first steps.
     """
     ctx = c.ctx
     key = (c.prec, ctx.canon(c.vec, c.prec).tobytes(), lam)
@@ -428,28 +495,83 @@ def translate_digits(c: RingElem, mu: tuple) -> tuple:
     return tuple(out), residue(c).code
 
 
+def _residue_codes(ctx: LocalRingCtx, R: np.ndarray) -> np.ndarray:
+    """residue(x).code for each x of the stack R (K, e, f)."""
+    return (R[:, 0] % ctx.p) @ ctx.p ** np.arange(ctx.f, dtype=np.int64)
+
+
+def _carry_steps(ctx: LocalRingCtx, R: np.ndarray) -> tuple:
+    """_carry_step on a stack: (s, C) with R = [s] + ϖ·C row by row, R = [λ] + c.
+
+    R - [s] has its ϖ⁰ coefficient a₀ divisible by p, so dividing by ϖ gives
+    (a₀/p)·W plus the higher coefficients moved down one place.
+    """
+    teich, W, _ = ctx._arrays()
+    p, e, f, pM = ctx.p, ctx.e, ctx.f, ctx.pM
+    s = _residue_codes(ctx, R)
+    R = (R - teich[s]) % pM
+    out = ctx._matmul_mod(R[:, 0] // p, W).reshape(-1, e, f)
+    out[:, : e - 1] += R[:, 1:]
+    return s, out % pM
+
+
+def _horner(ctx: LocalRingCtx, digit_columns) -> np.ndarray:
+    """Σ ϖ^i [d_i] for each row, with d_i = digit_columns[i], as a stack (K, e, f)."""
+    teich, _, Pi = ctx._arrays()
+    e, f = ctx.e, ctx.f
+    acc = teich[digit_columns[-1]]
+    for d in reversed(digit_columns[:-1]):
+        acc = (ctx._matmul_mod(acc.reshape(-1, e * f), Pi).reshape(-1, e, f) + teich[d]) % ctx.pM
+    return acc
+
+
+def _check_translation_table(c: RingElem, n: int, perm: np.ndarray, twist: np.ndarray) -> None:
+    """Raise CheckFailed unless (perm, twist) is the translation table of c on level n.
+
+    perm must permute range(qⁿ), and Σ ϖ^i [μ_i] + c ≡ Σ ϖ^i [μ″_i] + ϖⁿ[t]
+    mod ϖ^{n+1} must hold on every key.  Both sides are evaluated forward, by
+    Horner over the digit columns of the ranks, not by the carry recursion
+    that built the table.
+    """
+    ctx = c.ctx
+    q, K = ctx.q, ctx.q**n
+    if perm.shape != (K,) or twist.shape != (K,) or not np.array_equal(np.sort(perm), np.arange(K)):
+        raise CheckFailed(f"translation table on level {n} does not permute the {K} digit strings")
+    if np.any((twist < 0) | (twist >= q)):
+        raise CheckFailed(f"translation table on level {n} has a twist outside the residue field")
+    places = q ** np.arange(n - 1, -1, -1, dtype=np.int64)
+    ranks = np.arange(K, dtype=np.int64)
+    # a zero digit at place n on the left, so that n = 0 needs no case of its own
+    lhs = _horner(ctx, [ranks // b % q for b in places] + [np.zeros(K, dtype=np.int64)]) + c.vec
+    rhs = _horner(ctx, [perm // b % q for b in places] + [twist])
+    if not np.array_equal(ctx.canon(lhs % ctx.pM, n + 1), ctx.canon(rhs, n + 1)):
+        raise CheckFailed(f"translation table on level {n} breaks [μ] + c = [μ″] + ϖⁿ[t]")
+
+
 def translation_table(c: RingElem, n: int) -> tuple:
     """translate_digits over all qⁿ digit strings of length n, as arrays.
 
     Strings are ranked lexicographically, first digit most significant:
-    perm[rank μ] = rank μ″ and twist[rank μ] = t.  Built digit by digit
-    through _carry_step and memoised on the ctx by (n, c mod ϖ^{n+1}).
+    perm[rank μ] = rank μ″ and twist[rank μ] = t.  All strings are carried
+    at once: after i digits the carries of the qⁱ prefixes form one stack,
+    and each step adds every [λ] to every carry and divides by ϖ in a few
+    array operations.  Every table is checked forward on every key by
+    _check_translation_table before it is memoised on the ctx by
+    (n, c mod ϖ^{n+1}).
     """
     ctx = c.ctx
     c = _translation_precision(c, n)
     key = (n, ctx.canon(c.vec, n + 1).tobytes())
     hit = ctx._translations.get(key)
     if hit is None:
-        if n == 0:
-            hit = (np.zeros(1, dtype=np.int64), np.array([residue(c).code], dtype=np.int64))
-        else:
-            perms, twists = [], []
-            for lam in range(ctx.q):
-                s, tail = _carry_step(c, lam)
-                perm, twist = translation_table(tail, n - 1)
-                perms.append(s * ctx.q ** (n - 1) + perm)
-                twists.append(twist)
-            hit = (np.concatenate(perms), np.concatenate(twists))
+        teich = ctx._arrays()[0]
+        q, e, f = ctx.q, ctx.e, ctx.f
+        perm, carry = np.zeros(1, dtype=np.int64), c.vec[None]
+        for _ in range(n):
+            s, carry = _carry_steps(ctx, (carry[:, None] + teich).reshape(-1, e, f))
+            perm = np.repeat(perm * q, q) + s
+        hit = (perm, _residue_codes(ctx, carry))
+        _check_translation_table(c, n, *hit)
         ctx._translations[key] = hit
     return hit
 

@@ -2,8 +2,9 @@
 
 import numpy as np
 
-from indgl2 import _kernels
+from indgl2 import _kernels, analysis, linalg
 from indgl2.errors import DimensionMismatch
+from indgl2.induction import LevelRange, flatten, u_act
 from indgl2.linalg import Subspace
 from indgl2.localring import teichmuller
 
@@ -46,3 +47,17 @@ def embed(S, Z):
         raise DimensionMismatch(f"coordinates of length {S.ambient} vs a basis of {Z.dim} rows")
     rows = _kernels.matmul(S.rows, Z.rows, Z.field) if S.dim else np.zeros((0, Z.ambient), dtype=np.int32)
     return Subspace(Z.field, Z.ambient, rows, Z.pivots[S.pivots], _canonical=True)
+
+
+def candidate_checks_by_u_act(ctx, g):
+    """analysis.candidate_checks with (u-1)g computed by u_act on g itself,
+    key by key through localring.translate_digits and the scalar carry, with
+    no translation table: the oracle of the flat-coordinate route."""
+    spaces = analysis._candidate_spaces(ctx)
+    lr2 = LevelRange("all", 2, 2)
+    return {
+        "g_not_in_TplusR1": not linalg.member(flatten(g, lr2), spaces.tplus_r1),
+        "u_invariance_mod_TplusR1prime": all(
+            linalg.member(flatten(u_act(c, g) - g, lr2), spaces.tplus_r1p) for c in analysis.u_generators(ctx, 2)
+        ),
+    }

@@ -10,7 +10,7 @@ import itertools
 import numpy as np
 import pytest
 
-from indgl2 import _kernels, analysis, linalg
+from indgl2 import _kernels, analysis, cli, linalg
 from indgl2.errors import CaseMismatch, CheckFailed, PrecisionExhausted
 from indgl2.induction import (
     InducedElem,
@@ -27,7 +27,7 @@ from indgl2.induction import (
     u_act,
     unflatten,
 )
-from oracles import all_translations, direct_sum, embed
+from oracles import all_translations, candidate_checks_by_u_act, direct_sum, embed
 
 
 @pytest.fixture(scope="module")
@@ -435,6 +435,20 @@ class TestCandidateChecks:
     def test_requires_level_2(self, ram_r1):
         with pytest.raises(CheckFailed):
             analysis.candidate_checks(ram_r1, singleton(ram_r1, 1, (0,), 0))
+
+    @pytest.mark.parametrize("preset", sorted(cli.PRESETS))
+    def test_flat_route_matches_u_act_oracle(self, preset):
+        ctx = cli.config_from_preset(preset).build()
+        g = analysis.main_lemma_report(ctx).g
+        passing = {"g_not_in_TplusR1": True, "u_invariance_mod_TplusR1prime": True}
+        assert analysis.candidate_checks(ctx, g) == candidate_checks_by_u_act(ctx, g) == passing
+        # g plus a level-2 vector outside V is no longer U-fixed modulo T₊R₁′, on either route
+        V = analysis.invariant_candidates(ctx)[0]
+        lr2 = LevelRange("all", 2, 2)
+        outside = next(x for x in np.eye(V.ambient, dtype=np.int32) if not linalg.member(x, V))
+        bad = g + unflatten(ctx, lr2, outside)
+        assert not analysis.candidate_checks(ctx, bad)["u_invariance_mod_TplusR1prime"]
+        assert not candidate_checks_by_u_act(ctx, bad)["u_invariance_mod_TplusR1prime"]
 
 
 class TestIndependenceCertificate:

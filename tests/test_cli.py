@@ -342,6 +342,28 @@ class TestMain:
         assert done.returncode == 0
         assert done.stdout.splitlines()[-1] == "False"
 
+    def test_run_without_random_suites_does_not_import_numpy_random(self):
+        # only arith and hecke draw random elements; importing numpy.random costs 10-16 ms and 6 MB
+        src = Path(cli.__file__).resolve().parent.parent
+        code = (
+            "import sys; from indgl2 import cli; "
+            "rep = cli.run(cli.config_from_preset('ramified-r1'), suites=['mainlemma', 'truncation']); "
+            "print(rep.verdict, 'numpy.random' in sys.modules)"
+        )
+        done = subprocess.run(
+            [sys.executable, "-c", code], env={**os.environ, "PYTHONPATH": str(src)}, capture_output=True, text=True, timeout=120
+        )
+        assert done.returncode == 0, done.stderr
+        assert done.stdout.splitlines()[-1] == "pass False"
+
+    def test_random_suites_draw_from_their_seeded_generator(self):
+        # the generator of a suite is seeded by seed + its index in SUITES, whichever suites run with it
+        for name in cli.RANDOM_SUITES:
+            alone = cli.emit(cli.run(make_cfg(), suites=[name]), "json")
+            together = cli.emit(cli.run(make_cfg(), suites=["mainlemma", name]), "json")
+            records = [r for r in json.loads(together)["records"] if r["name"].startswith(name + ":")]
+            assert json.loads(alone)["records"] == records
+
     def test_exit_2_when_no_source(self, capsys):
         assert cli.main(["verify"]) == 2
 

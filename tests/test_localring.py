@@ -1,16 +1,16 @@
 import gc
-import itertools
 import weakref
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from indgl2.errors import NotDivisible, PrecisionExhausted
+from indgl2.errors import CheckFailed, NotDivisible, PrecisionExhausted
 from indgl2.localring import (
     DigitString,
     LocalRingCtx,
     RingElem,
+    _check_translation_table,
     digits,
     divide_by_uniformizer,
     from_digits,
@@ -185,23 +185,80 @@ class TestDigits:
             digits(a, 3)
 
 
+def _sampled_ranks(q, n):
+    """Every rank of a level with at most 729 keys, else 40 spread over the level."""
+    return range(q**n) if q**n <= 729 else np.linspace(0, q**n - 1, 40).astype(int)
+
+
+def _check_against_digit_expansion(ctx, c, n):
+    perm, twist = translation_table(c, n)
+    q = ctx.q
+    for rank in _sampled_ranks(q, n):
+        mu = tuple(int(rank) // q ** (n - 1 - i) % q for i in range(n))
+        want = digits(from_digits(make_digits(ctx, mu)) + c, n + 1).codes
+        assert translate_digits(c, mu) == (want[:n], want[n])
+        assert perm[rank] == sum(d * q ** (n - 1 - i) for i, d in enumerate(want[:n]))
+        assert twist[rank] == want[n]
+
+
 class TestTranslation:
     """[μ] + c = [μ″] + ϖⁿ[t] mod ϖ^{n+1}, against the greedy digit expansion."""
 
-    @pytest.mark.parametrize("p,f,e", [(3, 1, 2), (3, 2, 1)])
+    @pytest.mark.parametrize(
+        "p,f,e",
+        [(3, 1, 2), (3, 2, 1), (2, 1, 1), (2, 1, 3), (2, 2, 2), (2, 2, 3), (2, 3, 1), (2, 3, 2), (2, 3, 3)],
+    )
     def test_table_matches_digit_expansion(self, p, f, e):
         ctx = LocalRingCtx(p, f, e, N=5)
         pi = ctx.uniformizer()
         lam = teichmuller(ctx.field.fq.elem(ctx.q - 1), ctx)
         unit = ctx.from_int(1 + p) + pi  # a unit that is no Teichmüller lift
         for c in (lam, lam * pi, lam * pi * pi, unit):  # valuations 0, 1, 2, 0
+            for n in range(5):
+                _check_against_digit_expansion(ctx, c, n)
+
+    def test_non_default_eisenstein(self):
+        ctx = LocalRingCtx(3, 1, 2, E=[-3, 3, 1], N=5)  # ϖ² + 3ϖ - 3 = 0
+        pi = ctx.uniformizer()
+        lam = teichmuller(ctx.field.fq.elem(2), ctx)
+        for c in (lam, lam * pi, lam * pi * pi, ctx.from_int(4) + pi):
+            for n in range(5):
+                _check_against_digit_expansion(ctx, c, n)
+
+    def test_at_int64_bound(self):
+        # f·(p^M - 1)² < 2^63 holds at M = 11 for p = 7, f = 2, while a product summing
+        # all e·f terms of a row at once would overflow.  p is odd, so an overflow
+        # (a wrap mod 2^64) shows mod p^M.  The Eisenstein coefficients are near
+        # p^M, and so are the entries of the matrix of ϖ.
+        E = [[7**11 - 7, 7**11 - 14], [7**11 - 7, 7**11 - 21], 1]
+        ctx = LocalRingCtx(7, 2, 2, E=E, N=20)
+        assert ctx.M == 11 and ctx.e * ctx.f * (ctx.pM - 1) ** 2 >= 2**63
+        with pytest.raises(ValueError):
+            LocalRingCtx(7, 2, 2, E=E, N=21)
+        rng = np.random.default_rng(5)
+        for _ in range(3):
+            c = RingElem(ctx, rng.integers(0, ctx.pM, size=(2, 2)), ctx.N)
             for n in range(4):
-                perm, twist = translation_table(c, n)
-                for rank, mu in enumerate(itertools.product(range(ctx.q), repeat=n)):
-                    want = digits(from_digits(make_digits(ctx, mu)) + c, n + 1).codes
-                    assert translate_digits(c, mu) == (want[:n], want[n])
-                    assert perm[rank] == sum(d * ctx.q ** (n - 1 - i) for i, d in enumerate(want[:n]))
-                    assert twist[rank] == want[n]
+                _check_against_digit_expansion(ctx, c, n)
+        # the matrix of ϖ has at most f + 1 nonzeros per column, so the exact products
+        # above do not need the f-term sums; a dense e·f x e·f matrix does
+        A, B = rng.integers(ctx.pM - 1000, ctx.pM, size=(50, 4)), rng.integers(ctx.pM - 1000, ctx.pM, size=(4, 4))
+        want = (A.astype(object) @ B.astype(object)) % ctx.pM
+        assert np.array_equal(ctx._matmul_mod(A, B), want.astype(np.int64))
+
+    @pytest.mark.parametrize("where", ["perm", "twist", "repeat"])
+    def test_forward_check_rejects_a_corrupted_table(self, unram9, where):
+        c = teichmuller(unram9.field.fq.elem(5), unram9) + unram9.uniformizer()
+        perm, twist = (a.copy() for a in translation_table(c, 2))
+        _check_translation_table(c, 2, perm, twist)  # the true table passes
+        if where == "perm":
+            perm[[3, 7]] = perm[[7, 3]]  # still a permutation
+        elif where == "twist":
+            twist[4] = (twist[4] + 1) % unram9.q
+        else:
+            perm[0] = perm[1]
+        with pytest.raises(CheckFailed):
+            _check_translation_table(c, 2, perm, twist)
 
     def test_precision_guard(self, ram3):
         c = ram3.one().at_precision(2)
