@@ -19,10 +19,13 @@ a kernel over the q·dim V₀ coordinates of V′ whose constraints come from on
 translation of dim V₀ rows per generator, since each translation moves every
 first-digit block onto a single block.
 
-Every Hecke matrix comes from induction.hecke_matrix, filled from the two
-local q x D matrices.  T₊|R_n is qⁿ copies of one local block, so its kernel
-is read off the block rank, and the maps T induces on U-coinvariants are two
-scalars read off the local matrices, the same at every level.
+The Hecke matrices of R₁′ and T(I^o) come from induction.hecke_matrix, filled
+from the two local q x D matrices.  T₊|R_n is qⁿ copies of one local block,
+so T₊|R₁ is never built (its block is the local T₊ matrix on the e₀ columns),
+its kernel is read off the block rank, and the maps T induces on
+U-coinvariants are two scalars read off the local matrices, the same at every
+level.  The translation maps on L_N are read off T(I^o)'s reduced echelon
+rows (induction.quotient_translation), with no ambient-wide projection.
 
 A witness g of the main existence statement is any element of V outside W;
 its classes together with x^{r⃗} at level 0 span a 2-dimensional piece of
@@ -38,7 +41,7 @@ import numpy as np
 
 from . import _kernels, linalg
 from .errors import CaseMismatch, CheckFailed, PrecisionExhausted
-from .gf import FieldCtx, FqElem
+from .gf import FieldCtx
 from .induction import (
     InducedElem,
     InductionCtx,
@@ -46,11 +49,10 @@ from .induction import (
     flatten,
     hecke_matrix,
     move_keys,
+    quotient_translation,
     range_dim,
     singleton,
-    to_records,
     translate_vectors,
-    translation_product,
     u_act,
     unflatten,
 )
@@ -78,21 +80,6 @@ def build_ctx(p: int, f: int, e: int, rvec, chi_c: int = 0, nu_code: int | None 
     nu = field.kk.elem(nu_code) if nu_code is not None else field.kk.one
     w = WeightCtx(field, rvec, chi_c=chi_c, nu=nu)
     return InductionCtx(w, ring)
-
-
-def config_echo(ctx: InductionCtx) -> dict:
-    ring, w = ctx.ring, ctx.weight
-    return {
-        "p": ring.p,
-        "f": ring.f,
-        "e": ring.e,
-        "m": w.field.m,
-        "rvec": list(w.rvec),
-        "chi_c": w.chi_c,
-        "nu": list(w.field.kk.coords_of(w.nu.code)),
-        "E": [vec.tolist() for vec in ring.E],
-        "N": ring.N,
-    }
 
 
 # -- building blocks --
@@ -163,18 +150,15 @@ def tplus_block_rank(ctx: InductionCtx) -> int:
 def _tplus_r1(ctx: InductionCtx):
     """(block, T₊R₁) with T₊|R₁ = I_q ⊗ block and T₊R₁ = B₀ ⊕ .. ⊕ B₀ over the first digits.
 
-    T₊ sends key (1, μ₀) only to the children (2, (μ₀, λ)), by the same
-    D x qD block whatever μ₀ is; this is asserted on the matrix, and
-    B₀ ⊂ K^{qD} is the image of the block.
+    T₊ sends (1, μ₀, i) to (2, (μ₀, λ), 0) with entry tplus_local[λ, i], and
+    T₋ from level 1 lands outside R₂; so T₊|R₁ acts on every first digit by
+    the D x qD block holding tplus_local.T on its e₀ columns, and B₀ ⊂ K^{qD}
+    is the image of that block.
     """
     kk = ctx.weight.field.kk
     q, D = ctx.q, ctx.D
-    M = hecke_matrix(ctx, LevelRange("all", 1, 1), LR2).matrix
-    block = np.ascontiguousarray(M[:D, : q * D])
-    diagonal = M.reshape(q, D, q, q * D)[np.arange(q), :, np.arange(q)]
-    assert np.array_equal(diagonal, np.broadcast_to(block, diagonal.shape)) and (
-        np.count_nonzero(M) == q * np.count_nonzero(block)
-    ), "T₊|R₁ must act by one block on every first digit"
+    block = np.zeros((D, q * D), dtype=np.int32)
+    block[:, ::D] = ctx.tplus_local().T
     return block, linalg.BlockSum(linalg.echelon(block, kk, ambient=q * D), q)
 
 
@@ -214,29 +198,11 @@ def weight_coinvariant_functional(ctx: InductionCtx):
 # -- quotient machinery --
 
 
-def quotient_projection(S: linalg.Subspace) -> np.ndarray:
-    """ambient x L matrix P with row j = coordinates of e_j in ambient/S.
-
-    The complement coordinates are the non-pivot columns of S's reduced
-    echelon form: row j of P is the unit vector of j for each non-pivot j,
-    and row pivots[k] is −(row k of S) read on the non-pivot columns.
-    """
-    nonpiv = linalg.non_pivots(S.pivots, S.ambient)
-    P = np.zeros((S.ambient, nonpiv.size), dtype=np.int32)
-    P[nonpiv, np.arange(nonpiv.size)] = 1
-    P[S.pivots] = S.field.NEG[S.rows[:, nonpiv]]
-    return P
-
-
-def induced_quotient_maps(ctx: InductionCtx, ops, lr: LevelRange, S: linalg.Subspace, P: np.ndarray):
-    """Matrices of translation maps on ambient/S: the complement rows of each
-    translation matrix, projected by P = quotient_projection(S), whose
-    non-pivot rows are unit vectors."""
+def induced_quotient_maps(ctx: InductionCtx, ops, lr: LevelRange, S: linalg.Subspace):
+    """Matrices of the translations by ops on ambient/S, in the coordinates of
+    S's non-pivot columns (induction.quotient_translation)."""
     kk = ctx.weight.field.kk
-    nonpiv = linalg.non_pivots(S.pivots, S.ambient)
-    unit_col = np.full(S.ambient, -1, dtype=np.int64)
-    unit_col[nonpiv] = np.arange(nonpiv.size)
-    return [linalg.LinMap(kk, translation_product(ctx, c, lr, nonpiv, P, unit_col)) for c in ops]
+    return [linalg.LinMap(kk, quotient_translation(ctx, c, lr, S)) for c in ops]
 
 
 # -- the main existence computation --
@@ -507,7 +473,6 @@ def independence_certificate(ctx: InductionCtx, g: InducedElem, raise_on_fail: b
 
 @dataclass
 class MainLemmaReport:
-    config: dict
     case: str
     found: bool
     g: InducedElem | None
@@ -516,19 +481,6 @@ class MainLemmaReport:
     certificate: bool
     certificate_detail: dict
     j0: int | None = None
-
-    def to_dict(self) -> dict:
-        return {
-            "config": self.config,
-            "case": self.case,
-            "found": self.found,
-            "g": to_records(self.g) if self.g is not None else None,
-            "checks": self.checks,
-            "dims": self.dims,
-            "certificate": self.certificate,
-            "certificate_detail": {k: v for k, v in self.certificate_detail.items()},
-            "j0": self.j0,
-        }
 
 
 @_per_ctx
@@ -559,7 +511,6 @@ def main_lemma_report(ctx: InductionCtx) -> MainLemmaReport:
         assert all(checks.values()), "found witness must pass both defining checks"
         cert_ok, cert_detail = independence_certificate(ctx, g)
     return MainLemmaReport(
-        config=config_echo(ctx),
         case=case,
         found=found,
         g=g,
@@ -581,7 +532,6 @@ def _witness_from_spaces(spaces: CandidateSpaces) -> np.ndarray:
 
 @dataclass
 class TruncationReport:
-    config: dict
     N: int
     dim_ie: int
     dim_t_io: int
@@ -636,7 +586,7 @@ def truncated_L(ctx: InductionCtx, N: int, prev: TruncationReport | None = None)
     if dim_ie <= DENSE_FIXED_CAP:
         S_W = linalg.image(hecke_matrix(ctx, lr_odd, lr_even))
         assert S_W.dim == dim_t_io, "T must be injective on odd levels when the block rank is full"
-        qmaps = induced_quotient_maps(ctx, u_generators(ctx, 2 * N), lr_even, S_W, quotient_projection(S_W))
+        qmaps = induced_quotient_maps(ctx, u_generators(ctx, 2 * N), lr_even, S_W)
         dim_ln_u = linalg.fixed_space(qmaps).dim
         ln_u_method = "dense"
     else:
@@ -653,7 +603,6 @@ def truncated_L(ctx: InductionCtx, N: int, prev: TruncationReport | None = None)
     dim_coinv = 1 if a or b else N + 1
 
     return TruncationReport(
-        config=config_echo(ctx),
         N=N,
         dim_ie=dim_ie,
         dim_t_io=dim_t_io,

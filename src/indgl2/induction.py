@@ -6,6 +6,11 @@ An InducedElem is a finite sum Σ [(ϖⁿ, μ), w] keyed by (level, digit string
 Everything below realizes the [g, w] calculus: left translation permutes keys
 and pushes a K-correction into the weight.
 
+Level ranges export their operators as matrices over frozen bases:
+hecke_matrix fills T by index arithmetic from the two local q x D matrices,
+and quotient_translation gives a translation's matrix on a quotient ambient/S
+straight from S's reduced echelon rows.
+
 Only positive levels exist here.  The lower coset direction that T would need
 on level 0 is not representable, so T and T₋ reject level-0 support and T₊
 does likewise for uniformity of the level bookkeeping.
@@ -397,37 +402,45 @@ def hecke_matrix(ctx: InductionCtx, domain: LevelRange, codomain: LevelRange) ->
     return linalg.LinMap(kk, M)
 
 
-def translation_product(ctx: InductionCtx, c: RingElem, lr: LevelRange, rows, P: np.ndarray, unit_col: np.ndarray) -> np.ndarray:
-    """Rows `rows` of T_c @ P, with T_c the matrix of u_act(c, ·) over the frozen basis of lr.
+def quotient_translation(ctx: InductionCtx, c: RingElem, lr: LevelRange, S: linalg.Subspace) -> np.ndarray:
+    """Matrix of u_act(c, ·) on ambient/S over the frozen basis of lr, in the
+    coordinates of S's non-pivot columns.
 
-    Row (n, μ, i) of T_c is row i of the twist [[1, t], [0, 1]] in the block
-    of key (n, μ″), with (μ″, t) read from translation_table; so its product
-    with P combines the D rows of P's block μ″ and T_c itself is never built.
-    Row j of P is the unit vector at column unit_col[j] wherever that is
-    ≥ 0: a coefficient landing there is scattered straight into its column,
-    and only the other targets gather a row of P.
+    Row (n, μ, i) of the translation matrix T_c is row i of the twist
+    [[1, t], [0, 1]] in the block of key (n, μ″), with (μ″, t) read from
+    translation_table, so T_c itself is never built.  S is in reduced echelon
+    form, so the class of e_j is the unit vector of j for a non-pivot j and
+    −(row k of S), read on the non-pivot columns, for the k-th pivot j: a
+    coefficient landing on a non-pivot column is scattered into it, and one
+    landing on a pivot adds its multiple of that row.
     """
     kk = ctx.weight.field.kk
     D = ctx.D
+    nonpiv = linalg.non_pivots(S.pivots, S.ambient)
+    on_pivot = np.zeros(S.ambient, dtype=bool)
+    on_pivot[S.pivots] = True
+    slot = np.empty(S.ambient, dtype=np.int64)  # quotient coordinate of a non-pivot, rank of a pivot
+    slot[nonpiv] = np.arange(nonpiv.size)
+    slot[S.pivots] = np.arange(S.dim)
+    pivot_rows = S.rows[:, nonpiv]
     targets, twists = [], []
     for n, base in _offsets(ctx, lr).items():
         perm, twist = translation_table(c, n)
         targets.append(base + D * perm)
         twists.append(twist)
-    key, i = np.divmod(np.asarray(rows, dtype=np.int64), D)  # every level's offset is a multiple of D
+    key, i = np.divmod(nonpiv, D)  # every level's offset is a multiple of D
     target = np.concatenate(targets)[key]
     twist = np.concatenate(twists)[key]
     coef = np.stack([_unipotent(ctx, t) for t in range(ctx.q)])[twist, i]
-    out = np.zeros((len(key), P.shape[1]), dtype=np.int32)
+    out = np.zeros((nonpiv.size, nonpiv.size), dtype=np.int32)
     for d in range(D):
         nz = np.flatnonzero(coef[:, d])  # each output row at most once, so no index repeats below
         src = target[nz] + d
-        at = unit_col[src]
-        unit = at >= 0
-        hit, at = nz[unit], at[unit]
+        pivot = on_pivot[src]
+        hit, at = nz[~pivot], slot[src[~pivot]]
         out[hit, at] = kk.ADD[out[hit, at], coef[hit, d]]
-        gather = nz[~unit]
-        out[gather] = kk.ADD[out[gather], kk.MUL[coef[gather, d][:, None], P[src[~unit]]]]
+        hit = nz[pivot]
+        out[hit] = kk.ADD[out[hit], kk.MUL[kk.NEG[coef[hit, d]][:, None], pivot_rows[slot[src[pivot]]]]]
     return out
 
 

@@ -218,11 +218,6 @@ def image(M: LinMap) -> Subspace:
     return echelon(M.matrix, M.field, ambient=M.codomain)
 
 
-def subspace_sum(S: Subspace, T: Subspace) -> Subspace:
-    _same_ambient(S, T)
-    return echelon(np.vstack([S.rows, T.rows]) if S.dim or T.dim else S.rows, S.field, ambient=S.ambient)
-
-
 def intersect(S: Subspace, T: Subspace) -> Subspace:
     """Zassenhaus: reduce [[S|S],[T|0]]; rows with zero left half span S ∩ T on the right."""
     _same_ambient(S, T)

@@ -89,10 +89,10 @@ class LocalRingCtx:
                 if vec.shape != (f,):
                     raise ValueError("Eisenstein coefficient has wrong length")
             out.append(vec)
-        lead = E[e]
-        if isinstance(lead, (int, np.integer)):
-            if int(lead) != 1:
-                raise ValueError("Eisenstein polynomial must be monic")
+        # the lead is 1 as an integer or as the coordinates (1, 0, .., 0)
+        lead = [E[e]] + [0] * (f - 1) if isinstance(E[e], (int, np.integer)) else list(E[e])
+        if lead != [1] + [0] * (f - 1):
+            raise ValueError("Eisenstein polynomial must be monic")
         return out
 
     def _check_eisenstein(self):
@@ -138,17 +138,6 @@ class LocalRingCtx:
         out = conv[:, :f]
         for k in range(f, 2 * f - 1):
             out = (out + conv[:, k : k + 1] * self._ypow_hi[k - f]) % pM
-        return out
-
-    def gr_pow(self, a: np.ndarray, n: int) -> np.ndarray:
-        out = np.zeros(self.f, dtype=np.int64)
-        out[0] = 1
-        base = a % self.pM
-        while n:
-            if n & 1:
-                out = self.gr_mul(out, base)
-            base = self.gr_mul(base, base)
-            n >>= 1
         return out
 
     def gr_inv(self, a: np.ndarray) -> np.ndarray:
@@ -360,11 +349,6 @@ class DigitString:
     @property
     def digits(self):
         return tuple(self)
-
-
-def make_digits(ctx: LocalRingCtx, values) -> DigitString:
-    codes = tuple(v.code if isinstance(v, FqElem) else int(v) % ctx.q for v in values)
-    return DigitString(ctx, codes)
 
 
 # -- Teichmüller lifts --

@@ -12,7 +12,7 @@ import math
 
 import numpy as np
 
-from . import _kernels, linalg
+from . import _kernels
 from .errors import DimensionMismatch, NotInK, SingularMatrix
 from .gf import FieldCtx, FqElem
 from .localring import RingElem, residue
@@ -48,9 +48,6 @@ class WeightCtx:
         for n, c in enumerate(coeffs):
             codes[n] = c.code if isinstance(c, FqElem) else int(c)
         return WeightVector(self, codes)
-
-    def zero_vector(self) -> "WeightVector":
-        return WeightVector(self, np.zeros(self.D, dtype=np.int32))
 
     def __repr__(self):
         return f"WeightCtx(r={self.rvec}, chi_c={self.chi_c}, nu={self.nu.code}, D={self.D})"
@@ -197,14 +194,3 @@ def act_KZ(g, z: int, v: WeightVector) -> WeightVector:
         return out
     kk = v.ctx.field.kk
     return out.scale(kk.elem(kk.pow_code(v.ctx.nu.code, z)))
-
-
-def u_invariants(ctx: WeightCtx) -> linalg.Subspace:
-    """Fixed space of all upper unipotent matrices over F_q."""
-    kk = ctx.field.kk
-    ops = []
-    for lam in ctx.field.enumerate_field("Fq"):
-        if not lam:
-            continue
-        ops.append(linalg.LinMap(kk, action_matrix(ctx, [[1, lam], [0, 1]])))
-    return linalg.fixed_space(ops, field=kk, ambient=ctx.D)

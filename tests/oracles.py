@@ -4,9 +4,11 @@ import numpy as np
 
 from indgl2 import _kernels, analysis, linalg
 from indgl2.errors import DimensionMismatch
+from indgl2.gf import FqElem
 from indgl2.induction import LevelRange, flatten, u_act
 from indgl2.linalg import Subspace
-from indgl2.localring import teichmuller
+from indgl2.localring import DigitString, teichmuller
+from indgl2.weight import action_matrix
 
 
 def all_translations(ctx, n):
@@ -61,3 +63,37 @@ def candidate_checks_by_u_act(ctx, g):
             linalg.member(flatten(u_act(c, g) - g, lr2), spaces.tplus_r1p) for c in analysis.u_generators(ctx, 2)
         ),
     }
+
+
+def quotient_projection(S):
+    """ambient x L matrix P with row j = coordinates of e_j in ambient/S: the
+    dense projection that induction.quotient_translation never builds.
+
+    The complement coordinates are the non-pivot columns of S's reduced
+    echelon form: row j of P is the unit vector of j for each non-pivot j,
+    and row pivots[k] is −(row k of S) read on the non-pivot columns.
+    """
+    nonpiv = linalg.non_pivots(S.pivots, S.ambient)
+    P = np.zeros((S.ambient, nonpiv.size), dtype=np.int32)
+    P[nonpiv, np.arange(nonpiv.size)] = 1
+    P[S.pivots] = S.field.NEG[S.rows[:, nonpiv]]
+    return P
+
+
+def subspace_sum(S, T):
+    """S + T, the echelon form of the stacked rows of both."""
+    if S.field is not T.field or S.ambient != T.ambient:
+        raise DimensionMismatch("subspaces live in different ambients")
+    return linalg.echelon(np.vstack([S.rows, T.rows]), S.field, ambient=S.ambient)
+
+
+def make_digits(ctx, values):
+    """The DigitString of residue codes, or of FqElem values, in ctx."""
+    return DigitString(ctx, tuple(v.code if isinstance(v, FqElem) else int(v) % ctx.q for v in values))
+
+
+def u_invariants(w):
+    """Fixed space in the weight w of every upper unipotent [[1, λ], [0, 1]] over F_q."""
+    kk = w.field.kk
+    ops = [linalg.LinMap(kk, action_matrix(w, [[1, lam], [0, 1]])) for lam in w.field.enumerate_field("Fq") if lam]
+    return linalg.fixed_space(ops, field=kk, ambient=w.D)

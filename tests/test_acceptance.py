@@ -12,7 +12,8 @@ from indgl2 import analysis, cli, linalg
 from indgl2.gf import FieldCtx, sum_over_field
 from indgl2.induction import InducedElem, hecke_T, hecke_T_minus, hecke_T_plus, singleton, u_act
 from indgl2.localring import LocalRingCtx, RingElem, teichmuller, witt_carry, witt_carry_closed_form
-from indgl2.weight import WeightCtx, u_invariants
+from indgl2.weight import WeightCtx
+from oracles import u_invariants
 
 
 def announce(n: int, ok: bool, detail: str, elapsed: float):

@@ -180,7 +180,8 @@ class TestRun:
         assert list(builds.values()) == [1]
 
     def test_tplus_r1_matrix_built_once(self, monkeypatch):
-        # the witness spaces build T₊|R₁ once; the hecke kernel check reads the block rank
+        # the witness spaces read T₊|R₁'s block off the local matrix and never build
+        # the matrix itself; the hecke kernel check reads the block rank
         real = analysis.hecke_matrix
         builds = []
 
@@ -191,7 +192,7 @@ class TestRun:
         monkeypatch.setattr(analysis, "hecke_matrix", counting)
         rep = cli.run(cli.config_from_preset("ramified-r1"), suites=["hecke", "mainlemma", "truncation"])
         assert rep.verdict == "pass"
-        assert builds.count((LevelRange("all", 1, 1), LevelRange("all", 2, 2))) == 1
+        assert builds.count((LevelRange("all", 1, 1), LevelRange("all", 2, 2))) == 0
 
     def test_timings_give_each_record_its_suite_time(self, monkeypatch):
         clock = iter([10.0, 11.0])  # one suite, timed at 1.0 s
@@ -274,6 +275,17 @@ class TestMain:
         assert cli.main(["verify", "--config", str(cfg), *argv]) == 2
         assert "config error" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "lines",
+        ["f = 1\nr = [1]\nE = [-3, 0, [2]]", "f = 2\nr = [1, 0]\nE = [[-3, 0], [0, 0], [1, 1]]"],
+        ids=["f1", "f2"],
+    )
+    def test_exit_2_on_non_monic_eisenstein_coordinates(self, tmp_path, capsys, lines):
+        cfg = tmp_path / "c.txt"
+        cfg.write_text(f'p = 3\ne = 2\n{lines}\nsuites = ["mainlemma"]\n')
+        assert cli.main(["verify", "--config", str(cfg)]) == 2
+        assert "must be monic" in capsys.readouterr().err
+
     def test_report_path_with_hash(self, tmp_path, monkeypatch, capsys):
         # the whole quoted value is the path; a "#" inside it does not start a comment
         monkeypatch.chdir(tmp_path)
@@ -355,6 +367,16 @@ class TestMain:
         )
         assert done.returncode == 0, done.stderr
         assert done.stdout.splitlines()[-1] == "pass False"
+
+    def test_benchmark_tracer_finds_every_traced_name(self):
+        # perfbench's Tracer names src functions; install raises if a src change drops one
+        root = Path(cli.__file__).resolve().parents[2]
+        code = (
+            'import sys; sys.path[:0] = ["src", "perfbench"]; '
+            "from indgl2 import cli; from tracing import Tracer; Tracer().install()"
+        )
+        done = subprocess.run([sys.executable, "-c", code], cwd=root, capture_output=True, text=True, timeout=120)
+        assert done.returncode == 0, done.stderr
 
     def test_random_suites_draw_from_their_seeded_generator(self):
         # the generator of a suite is seeded by seed + its index in SUITES, whichever suites run with it

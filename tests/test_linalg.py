@@ -22,9 +22,8 @@ from indgl2.linalg import (
     kernel,
     member,
     preimage,
-    subspace_sum,
 )
-from oracles import direct_sum, embed
+from oracles import direct_sum, embed, subspace_sum
 
 
 @pytest.fixture(scope="module")

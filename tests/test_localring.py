@@ -14,7 +14,6 @@ from indgl2.localring import (
     digits,
     divide_by_uniformizer,
     from_digits,
-    make_digits,
     residue,
     teichmuller,
     translate_digits,
@@ -22,6 +21,7 @@ from indgl2.localring import (
     witt_carry,
     witt_carry_closed_form,
 )
+from oracles import make_digits
 
 
 @pytest.fixture(scope="module")
@@ -83,6 +83,23 @@ def test_eisenstein_validation():
     with pytest.raises(ValueError):
         LocalRingCtx(3, 1, 2, E=[-3, 1, 1])  # middle coeff not divisible by p
     LocalRingCtx(3, 1, 2, E=[-3, 3, 1])  # valid: x^2 + 3x - 3
+
+
+@pytest.mark.parametrize(
+    "f, E",
+    [(1, [-3, 0, 2]), (1, [-3, 0, [2]]), (2, [[-3, 0], [0, 0], [1, 1]]), (2, [[-3, 0], [0, 0], [1]])],
+    ids=["int", "coords-f1", "coords-f2", "coords-short"],
+)
+def test_eisenstein_lead_must_be_one(f, E):
+    # the lead is 1 whether it is written as an integer or as f coordinates
+    with pytest.raises(ValueError, match="monic"):
+        LocalRingCtx(3, f, 2, E=E)
+
+
+@pytest.mark.parametrize("f, E", [(1, [-3, 0, [1]]), (2, [[-3, 0], [0, 0], [1, 0]])], ids=["f1", "f2"])
+def test_eisenstein_lead_one_as_coordinates(f, E):
+    as_int = LocalRingCtx(3, f, 2, E=E[:-1] + [1])
+    assert [c.tolist() for c in LocalRingCtx(3, f, 2, E=E).E] == [c.tolist() for c in as_int.E]
 
 
 def test_defining_relation(ram3):

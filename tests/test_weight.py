@@ -8,7 +8,8 @@ from indgl2.errors import NotInK, SingularMatrix
 from indgl2.gf import FieldCtx, FqElem, monomial_exp
 from indgl2.linalg import member
 from indgl2.localring import LocalRingCtx
-from indgl2.weight import WeightCtx, act_KZ, act_gl2, action_matrix, u_invariants
+from indgl2.weight import WeightCtx, act_KZ, act_gl2, action_matrix
+from oracles import u_invariants
 
 
 def brute_force_row(ctx, g_codes, ivec):
