@@ -13,11 +13,12 @@ V and W are built in block coordinates, never on all of Q: T₊R₁ = B₀ ⊕ .
 over the q first digits of R₂, and the translations by ϖO act by one matrix
 on every first-digit block, so V lies in V′ = V₀ ⊕ .. ⊕ V₀ with V₀ ⊂ K^{qD}
 a single kernel.  T₊R₁ and V′ are kept as (block, multiplicity) pairs
-(linalg.BlockSum), never as q²D-wide dense arrays: T₊R₁′ is built in
-coordinates over T₊R₁, membership in T₊R₁ is tested block by block, and V is
-a kernel over the q·dim V₀ coordinates of V′ whose constraints come from one
-translation of dim V₀ rows per generator, since each translation moves every
-first-digit block onto a single block.
+(linalg.BlockSum) and T₊R₁′, V and W as coordinates over their rows, never
+as q²D-wide dense arrays: T₊R₁′ over T₊R₁'s, V and W over V′'s, and an R₂ row
+is tested against each in its frame (linalg.member_over).  V is a kernel over
+the q·dim V₀ coordinates of V′ whose constraints come from one translation of
+dim V₀ rows per generator, since each translation moves every first-digit
+block onto a single block.
 
 The Hecke matrices of R₁′ and T(I^o) come from induction.hecke_matrix, filled
 from the two local q x D matrices.  T₊|R_n is qⁿ copies of one local block,
@@ -210,11 +211,13 @@ def induced_quotient_maps(ctx: InductionCtx, ops, lr: LevelRange, S: linalg.Subs
 
 @dataclass
 class CandidateSpaces:
-    V: linalg.Subspace
-    W: linalg.Subspace
-    r1p: linalg.Subspace
-    tplus_r1p: linalg.Subspace
-    tplus_r1: linalg.BlockSum
+    """The witness spaces, each in the frame it is built in (none is q²D wide); BlockSum.embed puts one in R₂."""
+    r1p: linalg.Subspace  # in R₁
+    tplus_r1: linalg.BlockSum  # T₊R₁ = B₀ ⊕ .. ⊕ B₀ in R₂
+    tplus_r1p: linalg.Subspace  # T₊R₁′ in coordinates over tplus_r1's rows
+    vp: linalg.BlockSum  # V′ = V₀ ⊕ .. ⊕ V₀ in R₂
+    V: linalg.Subspace  # in coordinates over vp's rows
+    W: linalg.Subspace  # V ∩ T₊R₁ in coordinates over vp's rows
     q_dim: int
     qu_dim: int
 
@@ -276,15 +279,14 @@ def _candidate_spaces(ctx: InductionCtx) -> CandidateSpaces:
     """R₁′, T₊R₁, T₊R₁′, Q^U, V and W; the only place these spaces are built.
 
     T₊R₁ = ⊕ B₀ and V′ = ⊕ V₀ stay (block, copies) pairs.  T₊R₁′ ⊆ T₊R₁ is
-    built in coordinates over T₊R₁'s rows, so a row lies in T₊R₁′ iff it
-    reduces to 0 mod B₀ on every block and its coordinates lie in those of
-    T₊R₁′.  The translations by ϖO act blockwise, so every g in V has each
-    first-digit block in V₀ (see _first_digit_block).  Every generator maps
-    V′ into V′ block by block (_minus_identity_on_blocks), so V is one kernel
-    over the q·dim V₀ coordinates of V′, and W = V ∩ T₊R₁ is read off in
-    those coordinates.  Every basis row of V is re-verified against every
-    generator on its q²D entries, and T₊R₁′ is checked to lie in V, which
-    with that makes T₊R₁′ U-stable.
+    built in coordinates over T₊R₁'s rows.  The translations by ϖO act
+    blockwise, so every g in V has each first-digit block in V₀ (see
+    _first_digit_block).  Every generator maps V′ into V′ block by block
+    (_minus_identity_on_blocks), so V is one kernel over the q·dim V₀
+    coordinates of V′, and W = V ∩ T₊R₁ is read off in those coordinates;
+    neither is embedded in R₂.  Every basis row of V is embedded and
+    re-verified against every generator on its q²D entries, and T₊R₁′ is
+    checked to lie in V, which with that makes T₊R₁′ U-stable.
     """
     kk = ctx.weight.field.kk
     q, D = ctx.q, ctx.D
@@ -294,41 +296,34 @@ def _candidate_spaces(ctx: InductionCtx) -> CandidateSpaces:
     # T₊|R₁ = I_q ⊗ block and block = block[:, pivots of B₀]·B₀, so the coordinates of
     # T₊R₁′ over T₊R₁'s rows map each first-digit piece of R₁′ through block[:, pivots]
     coords = _kernels.matmul(r1p.rows.reshape(-1, D), block[:, B0.pivots], kk).reshape(r1p.dim, tplus_r1.dim)
-    tplus_r1p_coords = linalg.echelon(coords, kk, ambient=tplus_r1.dim)
-    tplus_r1p = tplus_r1.embed(tplus_r1p_coords)
+    tplus_r1p = linalg.echelon(coords, kk, ambient=tplus_r1.dim)
 
     gens = u_generators(ctx, 2)
     pi = ctx.ring.uniformizer()
     V0 = _first_digit_block(ctx, [c * pi for c in u_generators(ctx, 1)], B0)  # generators of ϖO/ϖ³
     assert not np.any(V0.reduce(B0.rows)), "B₀ must lie in V₀"
     Vp = linalg.BlockSum(V0, q)
-    # T₊R₁′ ⊆ T₊R₁ ⊆ V′, so over V′'s rows its coordinates are its entries on V′'s pivots
-    tplus_r1p_in_vp = linalg.echelon(tplus_r1p.rows[:, Vp.pivots], kk, ambient=Vp.dim)
+    # over V′'s rows T₊R₁ is q copies of B₀'s entries on V₀'s pivots, reduced rows since B₀'s
+    # pivots are among V₀'s, and T₊R₁′ is its coordinates over T₊R₁'s rows embedded through them
+    tplus_r1_coords = linalg.BlockSum(linalg.echelon(B0.rows[:, V0.pivots], kk, ambient=V0.dim), q)
+    assert np.array_equal(tplus_r1_coords.block.rows, B0.rows[:, V0.pivots]), "B₀ over V₀ must be reduced"
+    tplus_r1p_in_vp = tplus_r1_coords.embed(tplus_r1p)
     # u - 1 maps V′ into V′, so V is a kernel over V′'s coordinates: (u - 1)x ∈ T₊R₁′ for every u;
     # constraint columns that are zero on all of V′ are dropped
     delta = np.hstack([tplus_r1p_in_vp.reduce(_minus_identity_on_blocks(ctx, c, V0)) for c in gens])
-    V_coords = linalg.kernel(linalg.LinMap(kk, delta[:, np.any(delta, axis=0)]))
-    V = Vp.embed(V_coords)
+    V = linalg.kernel(linalg.LinMap(kk, delta[:, np.any(delta, axis=0)]))
     # every basis row v of V is U-fixed modulo T₊R₁′: uv and v have the same remainder
     # mod T₊R₁ and, over T₊R₁'s rows, the same coordinates mod T₊R₁′
-    rest, rest_coords = tplus_r1.reduce(V.rows), tplus_r1p_coords.reduce(V.rows[:, tplus_r1.pivots])
+    rows = Vp.embed(V).rows
+    rest, rest_coords = tplus_r1.reduce(rows), tplus_r1p.reduce(rows[:, tplus_r1.pivots])
     for c in gens:
-        moved = translate_vectors(ctx, c, 2, V.rows)
+        moved = translate_vectors(ctx, c, 2, rows)
         assert np.array_equal(tplus_r1.reduce(moved), rest), "V must be U-fixed modulo T₊R₁′"
-        assert np.array_equal(tplus_r1p_coords.reduce(moved[:, tplus_r1.pivots]), rest_coords), "V must be U-fixed modulo T₊R₁′"
-    assert not np.any(V_coords.reduce(tplus_r1p_in_vp.rows)), "T₊R₁′ must lie in V"
-    # in V′'s coordinates T₊R₁ is q copies of B₀'s coordinates over V₀
-    tplus_r1_coords = linalg.BlockSum(linalg.echelon(B0.rows[:, V0.pivots], kk, ambient=V0.dim), q)
-    in_tplus_r1 = linalg.kernel(linalg.LinMap(kk, tplus_r1_coords.reduce(V_coords.rows)))
-    W = Vp.embed(linalg.echelon(_kernels.matmul(in_tplus_r1.rows, V_coords.rows, kk), kk, ambient=Vp.dim))
-    q_dim = q * q * D - tplus_r1p.dim
-    return CandidateSpaces(V, W, r1p, tplus_r1p, tplus_r1, q_dim, V.dim - tplus_r1p.dim)
-
-
-def invariant_candidates(ctx: InductionCtx):
-    """(V, W): witnesses of the main existence statement live in V ∖ W."""
-    spaces = _candidate_spaces(ctx)
-    return spaces.V, spaces.W
+        assert np.array_equal(tplus_r1p.reduce(moved[:, tplus_r1.pivots]), rest_coords), "V must be U-fixed modulo T₊R₁′"
+    assert not np.any(V.reduce(tplus_r1p_in_vp.rows)), "T₊R₁′ must lie in V"
+    in_tplus_r1 = linalg.kernel(linalg.LinMap(kk, tplus_r1_coords.reduce(V.rows)))
+    W = linalg.echelon(_kernels.matmul(in_tplus_r1.rows, V.rows, kk), kk, ambient=Vp.dim)
+    return CandidateSpaces(r1p, tplus_r1, tplus_r1p, Vp, V, W, q * q * D - tplus_r1p.dim, V.dim - tplus_r1p.dim)
 
 
 # -- explicit candidates from the four construction cases --
@@ -411,7 +406,7 @@ def _paper_coords(ctx: InductionCtx, case: str | None):
         k = (p**j0) * (w.rvec[j0] + 1)
         weights[:, 0] = [field.embed_code(fq.pow_code(lam, k)) for lam in range(ctx.q)]
         coords = _sum_over_keys(ctx, weights)
-        if linalg.member(coords, spaces.V) and not linalg.member(coords, spaces.W):
+        if linalg.member_over(coords, spaces.vp, spaces.V) and not linalg.member_over(coords, spaces.vp, spaces.W):
             return coords, case, j0
         last_error = f"factor j0={j0} produced a degenerate candidate"
     raise CheckFailed(last_error or "no usable factor index")
@@ -441,7 +436,7 @@ def _checks_on_coords(ctx: InductionCtx, coords: np.ndarray) -> dict:
     deltas = np.vstack([_minus_identity(ctx, translate_vectors(ctx, c, 2, flat), flat) for c in u_generators(ctx, 2)])
     return {
         "g_not_in_TplusR1": not linalg.member(coords, spaces.tplus_r1),
-        "u_invariance_mod_TplusR1prime": not np.any(spaces.tplus_r1p.reduce(deltas)),
+        "u_invariance_mod_TplusR1prime": linalg.member_over(deltas, spaces.tplus_r1, spaces.tplus_r1p),
     }
 
 
@@ -524,9 +519,9 @@ def main_lemma_report(ctx: InductionCtx) -> MainLemmaReport:
 
 def _witness_from_spaces(spaces: CandidateSpaces) -> np.ndarray:
     """The first basis row of V outside W, as coordinates in R₂."""
-    for row in spaces.V.rows:
+    for row in spaces.V.rows:  # V and W share V′'s frame; a reduced row is its own echelon form
         if not linalg.member(row, spaces.W):
-            return row
+            return spaces.vp.embed(linalg.echelon(row, spaces.V.field, ambient=spaces.V.ambient)).rows[0]
     raise CheckFailed("V is not larger than W; no witness exists")
 
 
@@ -650,6 +645,6 @@ def negative_control(p: int, N: int = 6):
     out = []
     for r in range(p):
         ctx = build_ctx(p, 1, 1, (r,), N=N)
-        V, W = invariant_candidates(ctx)
-        out.append({"p": p, "r": r, "dim_V": V.dim, "dim_W": W.dim, "found": V.dim > W.dim})
+        spaces = _candidate_spaces(ctx)
+        out.append({"p": p, "r": r, "dim_V": spaces.V.dim, "dim_W": spaces.W.dim, "found": spaces.V.dim > spaces.W.dim})
     return out

@@ -160,6 +160,11 @@ def member(v, S: Subspace | BlockSum) -> bool:
     return not np.any(S.reduce(v))
 
 
+def member_over(v, frame: Subspace | BlockSum, S: Subspace) -> bool:
+    """v ∈ S (each row, for a stack), S in coordinates over frame's rows: v ∈ frame and v[frame.pivots] ∈ S."""
+    return member(v, frame) and member(np.asarray(v)[..., frame.pivots], S)
+
+
 class LinMap:
     """K-linear map as a matrix; row i is the image of domain basis vector i."""
 

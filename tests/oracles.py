@@ -5,7 +5,7 @@ import numpy as np
 from indgl2 import _kernels, analysis, linalg
 from indgl2.errors import DimensionMismatch
 from indgl2.gf import FqElem
-from indgl2.induction import LevelRange, flatten, u_act
+from indgl2.induction import LevelRange, flatten, hecke_T_minus, hecke_T_plus, operator_matrix, u_act
 from indgl2.linalg import Subspace
 from indgl2.localring import DigitString, teichmuller
 from indgl2.weight import action_matrix
@@ -51,16 +51,33 @@ def embed(S, Z):
     return Subspace(Z.field, Z.ambient, rows, Z.pivots[S.pivots], _canonical=True)
 
 
+def tplus_by_walk(ctx):
+    """(R₁′, the dense T₊|R₁ matrix, T₊R₁, T₊R₁′), each from the per-basis-vector walk."""
+    kk = ctx.weight.field.kk
+    r1, r2 = LevelRange("all", 1, 1), LevelRange("all", 2, 2)
+    r1p = linalg.kernel(operator_matrix(ctx, hecke_T_minus, r1, LevelRange("all", 0, 0)))
+    Mplus = operator_matrix(ctx, hecke_T_plus, r1, r2)
+    tplus_r1p = linalg.echelon(_kernels.matmul(r1p.rows, Mplus.matrix, kk), kk, ambient=Mplus.codomain)
+    return r1p, Mplus, linalg.image(Mplus), tplus_r1p
+
+
+def dense_candidates(ctx):
+    """(T₊R₁′, V, W) of analysis._candidate_spaces embedded in R₂ as dense subspaces."""
+    spaces = analysis._candidate_spaces(ctx)
+    return spaces.tplus_r1.embed(spaces.tplus_r1p), spaces.vp.embed(spaces.V), spaces.vp.embed(spaces.W)
+
+
 def candidate_checks_by_u_act(ctx, g):
     """analysis.candidate_checks with (u-1)g computed by u_act on g itself,
     key by key through localring.translate_digits and the scalar carry, with
-    no translation table: the oracle of the flat-coordinate route."""
-    spaces = analysis._candidate_spaces(ctx)
+    no translation table, and T₊R₁ and T₊R₁′ taken from the per-basis-vector
+    walk: the oracle of the flat-coordinate route."""
+    _, _, tplus_r1, tplus_r1p = tplus_by_walk(ctx)
     lr2 = LevelRange("all", 2, 2)
     return {
-        "g_not_in_TplusR1": not linalg.member(flatten(g, lr2), spaces.tplus_r1),
+        "g_not_in_TplusR1": not linalg.member(flatten(g, lr2), tplus_r1),
         "u_invariance_mod_TplusR1prime": all(
-            linalg.member(flatten(u_act(c, g) - g, lr2), spaces.tplus_r1p) for c in analysis.u_generators(ctx, 2)
+            linalg.member(flatten(u_act(c, g) - g, lr2), tplus_r1p) for c in analysis.u_generators(ctx, 2)
         ),
     }
 

@@ -27,7 +27,16 @@ from indgl2.induction import (
     u_act,
     unflatten,
 )
-from oracles import all_translations, candidate_checks_by_u_act, direct_sum, embed, quotient_projection, subspace_sum
+from oracles import (
+    all_translations,
+    candidate_checks_by_u_act,
+    dense_candidates,
+    direct_sum,
+    embed,
+    quotient_projection,
+    subspace_sum,
+    tplus_by_walk,
+)
 
 
 @pytest.fixture(scope="module")
@@ -220,23 +229,31 @@ class TestHeckeMatrixAgainstOracle:
 
 class TestInvariantCandidates:
     def test_ramified_r0_witness_exists(self, ram_r0):
-        V, W = analysis.invariant_candidates(ram_r0)
+        _, V, W = dense_candidates(ram_r0)
         assert (V.dim, W.dim) == (4, 3)
 
     def test_ramified_r1_witness_exists(self, ram_r1):
-        V, W = analysis.invariant_candidates(ram_r1)
+        _, V, W = dense_candidates(ram_r1)
         assert V.dim > W.dim
 
     @pytest.mark.parametrize("r", [0, 1, 2])
     def test_base_field_no_witness(self, r):
         ctx = analysis.build_ctx(3, 1, 1, (r,), N=6)
-        V, W = analysis.invariant_candidates(ctx)
+        _, V, W = dense_candidates(ctx)
         assert V.dim == W.dim == 2 * r + 3
 
     def test_v_contains_tplus_r1_prime(self, ram_r1):
-        spaces = analysis._candidate_spaces(ram_r1)
-        for row in spaces.tplus_r1p.rows:
-            assert linalg.member(row, spaces.V)
+        tplus_r1p, V, _ = dense_candidates(ram_r1)
+        for row in tplus_r1p.rows:
+            assert linalg.member(row, V)
+
+    def test_witness_search_matches_dense_search(self, ram_r1, q3_r1):
+        # the search over V's coordinate rows returns the first dense row of V outside W
+        _, V, W = dense_candidates(ram_r1)
+        want = next(row for row in V.rows if not linalg.member(row, W))
+        assert np.array_equal(analysis._witness_from_spaces(analysis._candidate_spaces(ram_r1)), want)
+        with pytest.raises(CheckFailed):
+            analysis._witness_from_spaces(analysis._candidate_spaces(q3_r1))
 
 
 class TestBlockRouteAgainstDense:
@@ -260,19 +277,9 @@ class TestBlockRouteAgainstDense:
     ]
 
     @staticmethod
-    def _tplus(ctx):
-        """(R₁′, the dense T₊|R₁ matrix, T₊R₁, T₊R₁′), each from the per-basis-vector walk."""
+    def _dense(ctx):
         kk = ctx.weight.field.kk
-        r1, r2 = LevelRange("all", 1, 1), LevelRange("all", 2, 2)
-        r1p = linalg.kernel(operator_matrix(ctx, hecke_T_minus, r1, LevelRange("all", 0, 0)))
-        Mplus = operator_matrix(ctx, hecke_T_plus, r1, r2)
-        tplus_r1p = linalg.echelon(_kernels.matmul(r1p.rows, Mplus.matrix, kk), kk, ambient=Mplus.codomain)
-        return r1p, Mplus, linalg.image(Mplus), tplus_r1p
-
-    @classmethod
-    def _dense(cls, ctx):
-        kk = ctx.weight.field.kk
-        _, _, tplus_r1, tplus_r1p = cls._tplus(ctx)
+        _, _, tplus_r1, tplus_r1p = tplus_by_walk(ctx)
         P = quotient_projection(tplus_r1p)
         gens = all_translations(ctx, 2)
         maps = analysis.induced_quotient_maps(ctx, gens, LevelRange("all", 2, 2), tplus_r1p)
@@ -285,8 +292,9 @@ class TestBlockRouteAgainstDense:
         ctx = analysis.build_ctx(*args, N=5)
         spaces = analysis._candidate_spaces(ctx)
         V, W, tplus_r1, q_dim, qu_dim = self._dense(ctx)
-        assert np.array_equal(spaces.V.rows, V.rows)
-        assert np.array_equal(spaces.W.rows, W.rows)
+        _, got_V, got_W = dense_candidates(ctx)
+        for got, want in ((got_V, V), (got_W, W)):
+            assert np.array_equal(got.rows, want.rows) and np.array_equal(got.pivots, want.pivots)
         assert np.array_equal(direct_sum(spaces.tplus_r1.block, spaces.tplus_r1.copies).rows, tplus_r1.rows)
         assert (spaces.q_dim, spaces.qu_dim) == (q_dim, qu_dim)
 
@@ -297,13 +305,14 @@ class TestBlockRouteAgainstDense:
         q, D = ctx.q, ctx.D
         rng = np.random.default_rng(sum(args[:3]) + len(args[3]))
         spaces = analysis._candidate_spaces(ctx)
-        r1p, Mplus, tplus_r1, tplus_r1p = self._tplus(ctx)
+        r1p, Mplus, tplus_r1, tplus_r1p = tplus_by_walk(ctx)
+        dense_tplus_r1p, dense_V, dense_W = dense_candidates(ctx)
         # the walk's T₊|R₁ is I_q ⊗ the block that _tplus_r1 reads off the local matrix
         assert np.array_equal(Mplus.matrix, np.kron(np.eye(q, dtype=np.int32), analysis._tplus_r1(ctx)[0]))
         # the T₊R₁′ of the block image, built in coordinates over T₊R₁, against r1p.rows @ T₊|R₁
         assert np.array_equal(spaces.r1p.rows, r1p.rows)
-        assert np.array_equal(spaces.tplus_r1p.rows, tplus_r1p.rows)
-        assert np.array_equal(spaces.tplus_r1p.pivots, tplus_r1p.pivots)
+        assert np.array_equal(dense_tplus_r1p.rows, tplus_r1p.rows)
+        assert np.array_equal(dense_tplus_r1p.pivots, tplus_r1p.pivots)
         # blockwise T₊R₁ membership against the dense image of T₊|R₁
         block_sum = spaces.tplus_r1
         dense = direct_sum(block_sum.block, block_sum.copies)
@@ -319,11 +328,58 @@ class TestBlockRouteAgainstDense:
         # the block-coordinate embed of V₀ ⊕ .. ⊕ V₀ against the dense product through the sum
         V0 = analysis._first_digit_block(ctx, [c * ctx.ring.uniformizer() for c in analysis.u_generators(ctx, 1)], block_sum.block)
         Vp = linalg.BlockSum(V0, q)
+        assert spaces.vp.block == V0 and spaces.vp.copies == q
         coords = linalg.echelon(rng.integers(0, kk.order, size=(5, Vp.dim)).astype(np.int32), kk, ambient=Vp.dim)
-        for S in (coords, linalg.echelon(spaces.V.rows[:, Vp.pivots], kk, ambient=Vp.dim)):
+        for S in (coords, spaces.V, spaces.W):
             got, want = Vp.embed(S), embed(S, direct_sum(V0, q))
             assert np.array_equal(got.rows, want.rows) and np.array_equal(got.pivots, want.pivots)
-        assert Vp.embed(linalg.echelon(spaces.V.rows[:, Vp.pivots], kk, ambient=Vp.dim)) == spaces.V
+        # the coordinates of V and W over V′'s rows are the entries of their dense rows on V′'s pivots
+        for S, dense in ((spaces.V, dense_V), (spaces.W, dense_W)):
+            assert np.array_equal(dense.rows[:, Vp.pivots], S.rows)
+        # membership in a frame's coordinates against membership in the embedded dense space
+        for frame, S, dense in (
+            (block_sum, spaces.tplus_r1p, dense_tplus_r1p),
+            (spaces.vp, spaces.V, dense_V),
+            (spaces.vp, spaces.W, dense_W),
+        ):
+            n = dense.ambient
+            members = _kernels.matmul(rng.integers(0, kk.order, size=(4, dense.dim)).astype(np.int32), dense.rows, kk)
+            changed = members.copy()
+            cols = rng.integers(0, n, size=4)
+            changed[np.arange(4), cols] = kk.ADD[changed[np.arange(4), cols], rng.integers(1, kk.order, size=4)]
+            noise = rng.integers(0, kk.order, size=(4, n)).astype(np.int32)
+            rows = np.vstack([members, changed, noise])
+            verdicts = [linalg.member_over(v, frame, S) for v in rows]
+            assert verdicts == [linalg.member(v, dense) for v in rows]
+            assert all(verdicts[:4]) and not all(verdicts)
+            assert linalg.member_over(members, frame, S) and not linalg.member_over(rows, frame, S)
+
+    @staticmethod
+    def _arrays(obj):
+        """Every array stored in the witness spaces, through Subspaces, their caches and BlockSum blocks."""
+        if isinstance(obj, np.ndarray):
+            yield obj
+        elif isinstance(obj, linalg.Subspace):
+            for item in (obj.rows, obj.pivots, obj._support):
+                yield from TestBlockRouteAgainstDense._arrays(item)
+        elif isinstance(obj, linalg.BlockSum):
+            yield from TestBlockRouteAgainstDense._arrays(obj.block)
+        elif isinstance(obj, tuple):
+            for item in obj:
+                yield from TestBlockRouteAgainstDense._arrays(item)
+        elif isinstance(obj, analysis.CandidateSpaces):
+            for item in vars(obj).values():
+                yield from TestBlockRouteAgainstDense._arrays(item)
+
+    @pytest.mark.parametrize("args", [(5, 2, 1, (1, 1)), (3, 2, 2, (1, 0))])
+    def test_candidate_spaces_hold_no_r2_wide_array(self, args):
+        # frontier-q25's configuration and an e = 2 one; the main lemma runs first, so the
+        # reduce caches its membership tests fill are filled
+        ctx = analysis.build_ctx(*args, N=3)
+        assert analysis.main_lemma_report(ctx).found
+        arrays = list(self._arrays(analysis._candidate_spaces(ctx)))
+        assert len(arrays) >= 12
+        assert all(a.shape[-1] != ctx.q * ctx.q * ctx.D for a in arrays)
 
 
 class TestNegativeControl:
@@ -412,7 +468,7 @@ class TestPaperCandidate:
     def test_candidate_always_in_v_outside_w(self, args):
         ctx = analysis.build_ctx(*args, N=6)
         g, _, _ = analysis.paper_candidate(ctx)
-        V, W = analysis.invariant_candidates(ctx)
+        _, V, W = dense_candidates(ctx)
         lr2 = LevelRange("all", 2, 2)
         coords = flatten(g, lr2)
         assert linalg.member(coords, V)
@@ -445,7 +501,7 @@ class TestCandidateChecks:
         passing = {"g_not_in_TplusR1": True, "u_invariance_mod_TplusR1prime": True}
         assert analysis.candidate_checks(ctx, g) == candidate_checks_by_u_act(ctx, g) == passing
         # g plus a level-2 vector outside V is no longer U-fixed modulo T₊R₁′, on either route
-        V = analysis.invariant_candidates(ctx)[0]
+        V = dense_candidates(ctx)[1]
         lr2 = LevelRange("all", 2, 2)
         outside = next(x for x in np.eye(V.ambient, dtype=np.int32) if not linalg.member(x, V))
         bad = g + unflatten(ctx, lr2, outside)
@@ -530,7 +586,7 @@ class TestTranslationMatrices:
 
     def _subspace(self, ctx, lr):
         if lr == LevelRange("all", 2, 2):
-            return analysis._candidate_spaces(ctx).tplus_r1p
+            return dense_candidates(ctx)[0]
         return linalg.image(operator_matrix(ctx, hecke_T, LevelRange("odd", 1, lr.hi - 1), lr))
 
     @pytest.mark.parametrize(

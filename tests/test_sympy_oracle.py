@@ -12,7 +12,7 @@ from sympy.polys.matrices import DomainMatrix  # noqa: E402
 from indgl2 import _kernels, analysis, linalg  # noqa: E402
 from indgl2.gf import FieldCtx  # noqa: E402
 from indgl2.induction import LevelRange, hecke_T_minus, hecke_T_plus, operator_matrix, u_act  # noqa: E402
-from oracles import all_translations  # noqa: E402
+from oracles import all_translations, dense_candidates  # noqa: E402
 
 
 def to_dm(A, p):
@@ -82,6 +82,8 @@ def test_witness_spaces_match(args):
     ann_tplus = to_np(to_dm(Tplus, p).nullspace(), p).T
     W = rref_rows(left_null(V.astype(np.int64) @ ann_tplus % p, p).astype(np.int64) @ V % p, p)
     spaces = analysis._candidate_spaces(ctx)
-    assert np.array_equal(spaces.V.rows, V)
-    assert np.array_equal(spaces.W.rows, W)
+    _, got_V, got_W = dense_candidates(ctx)
+    for got, want in ((got_V, V), (got_W, W)):
+        assert np.array_equal(got.rows, want)
+        assert np.array_equal(got.pivots, [np.flatnonzero(row)[0] for row in want])
     assert spaces.V.dim > spaces.W.dim
