@@ -10,7 +10,10 @@ nonzeros, 729 zero columns), the echelon the truncation suite builds.  Each
 end-to-end repeat builds a fresh context (inside the timed call), so results
 memoised on a context never shortcut a repeat.  Each repeat of the tables
 also starts from a fresh context, built with its generators (and so with the
-Teichmüller lifts) outside the timed part.
+Teichmüller lifts) outside the timed part.  The sparse ranks are those of
+the matrix A of analysis.fixed_space_system for ramified-r1 at N = 3 and
+N = 4, which truncated_L eliminates for dim L_N^U; A is built outside the
+timed part.
 Run from the repository root:
 
     python3 benchmarks/bench_linalg.py --size 400 --repeat 3
@@ -72,13 +75,19 @@ def main():
     T = hecke_matrix(analysis.build_ctx(3, 1, 2, (1,), N=7), LevelRange("odd", 1, 5), LevelRange("even", 0, 6))
     t_sp = best_of(lambda: _kernels.rref(T.matrix, T.field), args.repeat)
     t_e2e = best_of(lambda: analysis.truncated_L(analysis.build_ctx(3, 1, 2, (0,), N=8), 2), args.repeat)
+    ranks = ""
+    for N in (3, 4):
+        ctx = analysis.build_ctx(3, 1, 2, (1,), N=analysis.truncation_precision(N))
+        rows, cols, vals, (r, c) = analysis.fixed_space_system(ctx, N)
+        t = best_of(lambda: _kernels.sparse_rank(rows, cols, vals, (r, c), ctx.weight.field.kk), args.repeat)
+        ranks += f"sparse_rank A {r}x{c} (N={N}): {t * 1e3:8.1f} ms   "
     t_q25 = best_tables((5, 2, 1, (1, 1)), args.repeat)
     t_q243 = best_tables((3, 5, 1, (0,) * 5), args.repeat)
     print(
         f"matmul {n}x{n}: {t_mm * 1e3:8.1f} ms   "
         f"rref {n}x{n}: {t_rr * 1e3:8.1f} ms   kernel {n}x{n}: {t_ker * 1e3:8.1f} ms   "
         f"sparse rref {T.domain}x{T.codomain}: {t_sp * 1e3:8.1f} ms   "
-        f"truncated_L(N=2): {t_e2e * 1e3:8.1f} ms   "
+        f"truncated_L(N=2): {t_e2e * 1e3:8.1f} ms   {ranks}"
         f"tables q=25: {t_q25 * 1e3:8.1f} ms   tables q=243: {t_q243 * 1e3:8.1f} ms"
     )
 

@@ -26,6 +26,11 @@ zero column nonzero, so pivots are searched for only in the column support,
 found once.  A pivot row is zero left of the pivot, and a mostly-zero one
 updates only the columns where it is nonzero; a mostly-nonzero pivot row
 updates the whole slice from the pivot on.
+
+`sparse_rank` is the rank of a matrix given by its entry lists, by
+elimination on one dict per row through the field's tables: columns are
+taken from the highest down, each with the shortest live row holding it as
+pivot, and the pivot row then leaves, so nothing dense is ever formed.
 """
 
 import numpy as np
@@ -127,3 +132,85 @@ def rref(M: np.ndarray, field):
 
 def vec_mat(v: np.ndarray, M: np.ndarray, field) -> np.ndarray:
     return matmul(v.reshape(1, -1), M, field)[0]
+
+
+class _TableRows(dict):
+    """Rows of a field table as Python lists, each converted on first use."""
+
+    def __init__(self, table: np.ndarray):
+        super().__init__()
+        self.table = table
+
+    def __missing__(self, a: int) -> list:
+        row = self[a] = self.table[a].tolist()
+        return row
+
+
+def _groups(keys: np.ndarray, values: np.ndarray) -> dict:
+    """{key: list of its values}, for keys sorted ascending."""
+    starts = np.flatnonzero(np.diff(keys, prepend=-1))
+    bounds = starts.tolist() + [keys.size]
+    vlist = values.tolist()
+    return {k: vlist[a:b] for k, a, b in zip(keys[starts].tolist(), bounds, bounds[1:])}
+
+
+def sparse_rank(rows, cols, vals, shape, field) -> int:
+    """Rank of the shape[0] x shape[1] matrix with entry vals[k] at (rows[k], cols[k]).
+
+    Positions must be distinct; zero entries are dropped.  Each row is a dict
+    column -> code, and a column holds the list of rows that gained it.
+    Columns are taken in descending order, and the pivot of a column is the
+    shortest live row holding it (structured Gaussian elimination:
+    LaMacchia–Odlyzko, CRYPTO '90).  The pivot row then leaves: the columns
+    above c are gone from every live row, so the rows it updates gain only
+    columns below c, and the rank is the number of pivots.
+    """
+    n, m = shape
+    rows, cols, vals = (np.asarray(a, dtype=np.int64).ravel() for a in (rows, cols, vals))
+    if rows.size and (rows.min() < 0 or rows.max() >= n or cols.min() < 0 or cols.max() >= m):
+        raise ValueError(f"entry position outside the {n} x {m} matrix")
+    nz = vals != 0
+    rows, cols, vals = rows[nz], cols[nz], vals[nz]
+    order = np.lexsort((cols, rows))
+    rows, cols, vals = rows[order], cols[order], vals[order]
+    if np.any((rows[1:] == rows[:-1]) & (cols[1:] == cols[:-1])):
+        raise ValueError("repeated entry position")
+    R = [{} for _ in range(n)]
+    for r, entries in _groups(rows, np.stack([cols, vals], axis=1)).items():
+        R[r] = dict(entries)
+    by_col = np.argsort(cols, kind="stable")
+    holders = _groups(cols[by_col], rows[by_col])
+    del rows, cols, vals, by_col  # only R and holders are read from here on
+    ADD, MUL = _TableRows(field.ADD), _TableRows(field.MUL)
+    NEG, INV = field.NEG.tolist(), field.INV.tolist()
+    rank = 0
+    for c in sorted(holders, reverse=True):
+        live = [r for r in holders.pop(c) if c in R[r]]
+        if not live:
+            continue
+        rank += 1
+        if len(live) == 1:
+            R[live[0]] = {}
+            continue
+        live = set(live)  # a row that lost c and gained it again is listed twice
+        pivot = min(live, key=lambda r: len(R[r]))
+        live.discard(pivot)
+        P, R[pivot] = R[pivot], {}
+        inv = INV[P.pop(c)]
+        items = list(P.items())
+        for r in live:
+            row = R[r]
+            mul = MUL[MUL[NEG[row.pop(c)]][inv]]
+            for k, v in items:
+                w = mul[v]
+                old = row.get(k)
+                if old is None:
+                    row[k] = w
+                    holders[k].append(r)
+                else:
+                    s = ADD[old][w]
+                    if s:
+                        row[k] = s
+                    else:
+                        del row[k]
+    return rank

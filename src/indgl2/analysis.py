@@ -20,13 +20,16 @@ the q·dim V₀ coordinates of V′ whose constraints come from one translation 
 dim V₀ rows per generator, since each translation moves every first-digit
 block onto a single block.
 
-The Hecke matrices of R₁′ and T(I^o) come from induction.hecke_matrix, filled
-from the two local q x D matrices.  T₊|R_n is qⁿ copies of one local block,
+The Hecke matrix of R₁′ and the entries of T on I^o come from
+induction.hecke_matrix and induction.hecke_entries, filled from the two local
+q x D matrices.  T₊|R_n is qⁿ copies of one local block,
 so T₊|R₁ is never built (its block is the local T₊ matrix on the e₀ columns),
 its kernel is read off the block rank, and the maps T induces on
 U-coinvariants are two scalars read off the local matrices, the same at every
-level.  The translation maps on L_N are read off T(I^o)'s reduced echelon
-rows (induction.quotient_translation), with no ambient-wide projection.
+level.  dim L_N^U is exact by sparse elimination (_kernels.sparse_rank) on
+the entry lists of T and of the translations u - 1 (induction.hecke_entries,
+induction.translation_entries): no quotient matrix, dense rref or fixed
+space is formed, and beyond SPARSE_FIXED_CAP it is a certified lower bound.
 
 A witness g of the main existence statement is any element of V outside W;
 its classes together with x^{r⃗} at level 0 span a 2-dimensional piece of
@@ -48,20 +51,25 @@ from .induction import (
     InductionCtx,
     LevelRange,
     flatten,
+    hecke_entries,
     hecke_matrix,
     move_keys,
     quotient_translation,
     range_dim,
     singleton,
     translate_vectors,
+    translation_entries,
     u_act,
     unflatten,
 )
 from .localring import LocalRingCtx, RingElem, teichmuller, translation_table
 from .weight import WeightCtx, action_matrix
 
-# largest dim I^e whose L_N^U is computed densely; beyond it a certified lower bound
-DENSE_FIXED_CAP = 2048
+# largest dim I^e whose L_N^U is computed exactly, by sparse elimination; beyond it
+# a certified lower bound.  Every configuration measured under it took at most 18 s
+# and 0.94 GB (q = 49, D = 49 at N = 1; ramified-r1 at N = 5 takes 5-6 s), and
+# unramified-generic at N = 3 (dim I^e = 538084), beyond it, 36 s and 1.2 GB
+SPARSE_FIXED_CAP = 262144
 
 # ring precision the main lemma needs: R₂ sits at level N - 1 = 2, and the
 # generators of U act on it modulo ϖ³
@@ -201,7 +209,8 @@ def weight_coinvariant_functional(ctx: InductionCtx):
 
 def induced_quotient_maps(ctx: InductionCtx, ops, lr: LevelRange, S: linalg.Subspace):
     """Matrices of the translations by ops on ambient/S, in the coordinates of
-    S's non-pivot columns (induction.quotient_translation)."""
+    S's non-pivot columns (induction.quotient_translation).  No production
+    route calls it: it is the dense oracle of truncated_L in the tests."""
     kk = ctx.weight.field.kk
     return [linalg.LinMap(kk, quotient_translation(ctx, c, lr, S)) for c in ops]
 
@@ -535,7 +544,7 @@ class TruncationReport:
     dim_coinv: int
     tminus_surjective: tuple
     tplus_vanishing: tuple
-    ln_u_method: str  # "dense" or "certified-lower-bound"
+    ln_u_method: str  # "sparse" or "certified-lower-bound"
 
 
 @_per_ctx
@@ -578,12 +587,10 @@ def truncated_L(ctx: InductionCtx, N: int, prev: TruncationReport | None = None)
     dim_t_io = range_dim(ctx, lr_odd)
     dim_ln = dim_ie - dim_t_io
 
-    if dim_ie <= DENSE_FIXED_CAP:
-        S_W = linalg.image(hecke_matrix(ctx, lr_odd, lr_even))
-        assert S_W.dim == dim_t_io, "T must be injective on odd levels when the block rank is full"
-        qmaps = induced_quotient_maps(ctx, u_generators(ctx, 2 * N), lr_even, S_W)
-        dim_ln_u = linalg.fixed_space(qmaps).dim
-        ln_u_method = "dense"
+    if dim_ie <= SPARSE_FIXED_CAP:
+        rows, cols, vals, shape = fixed_space_system(ctx, N)
+        dim_ln_u = shape[0] - _kernels.sparse_rank(rows, cols, vals, shape, ctx.weight.field.kk) - dim_t_io
+        ln_u_method = "sparse"
     else:
         dim_ln_u = _certified_fixed_lower_bound(ctx, N)
         if prev is not None:
@@ -608,6 +615,38 @@ def truncated_L(ctx: InductionCtx, N: int, prev: TruncationReport | None = None)
         tplus_vanishing=(tplus_vanishes,) * N,
         ln_u_method=ln_u_method,
     )
+
+
+def fixed_space_system(ctx: InductionCtx, N: int) -> tuple:
+    """(rows, cols, vals, shape): the entries of the matrix A whose kernel gives L_N^U.
+
+    V_N = {x ∈ I^e : x(u − 1) ∈ T(I^o) for every generator u} contains T(I^o),
+    and L_N^U = V_N / T(I^o).  T is injective on I^o (checked here, by rank),
+    so for the unknowns (x, y_1, .., y_g) V_N is the kernel of
+    A = [[U_1−1, .., U_g−1], [−T, 0, ..], .., [0, .., −T]] in the row
+    convention, and dim L_N^U = #unknowns − rank A − dim I^o.  The entries
+    come from translation_entries and hecke_entries.  Column j of I^e in
+    generator k's block is column j·g + k, so the columns rank
+    level-ascending and an elimination that takes the highest first starts
+    on the top level, where T₊ is block-local; interleaving the g blocks
+    rather than stacking them cut time and peak memory by 10–30 % on
+    ramified-r1 at N = 4, 5.
+    """
+    kk = ctx.weight.field.kk
+    lr_even, lr_odd = LevelRange("even", 0, 2 * N), LevelRange("odd", 1, 2 * N - 1)
+    dim_ie, dim_io = range_dim(ctx, lr_even), range_dim(ctx, lr_odd)
+    t_rows, t_cols, t_vals = hecke_entries(ctx, lr_odd, lr_even)
+    assert _kernels.sparse_rank(t_rows, t_cols, t_vals, (dim_io, dim_ie), kk) == dim_io, (
+        "T must be injective on odd levels when the block rank is full"
+    )
+    gens = u_generators(ctx, 2 * N)
+    g = len(gens)
+    parts = []
+    for k, c in enumerate(gens):
+        rows, cols, vals = translation_entries(ctx, c, lr_even)
+        parts += [(rows, cols * g + k, vals), (t_rows + dim_ie + k * dim_io, t_cols * g + k, kk.NEG[t_vals])]
+    rows, cols, vals = (np.concatenate(part) for part in zip(*parts))
+    return rows, cols, vals, (dim_ie + g * dim_io, g * dim_ie)
 
 
 def _certified_fixed_lower_bound(ctx: InductionCtx, N: int) -> int:

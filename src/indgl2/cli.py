@@ -123,6 +123,8 @@ class Config:
                 bad(f"unknown suite {s!r}; valid: {', '.join(SUITES)}")
         if len(set(self.suites)) != len(self.suites):
             bad(f"suites must not repeat, got {list(self.suites)!r}")
+        if "truncation" in self.suites and self.N_max < 1:
+            bad(f"the truncation suite needs N_max >= 1, got {self.N_max}")
         if not _is_int(self.seed) or self.seed < 0:
             bad(f"seed must be a non-negative integer, got {self.seed!r}")
         if self.out is not None and not isinstance(self.out, str):
@@ -136,7 +138,10 @@ class Config:
         return self.N if self.N is not None else auto
 
     def check_precision(self, suites):
-        """Reject a ring precision N below what one of the selected suites needs."""
+        """Reject a ring precision N below what one of the selected suites needs,
+        and a truncation suite with no N to check."""
+        if "truncation" in suites and self.N_max < 1:
+            raise ConfigError(f"the truncation suite needs N_max >= 1, got {self.N_max}", location="N_max")
         main_lemma = analysis.MAIN_LEMMA_PRECISION
         search_only = self.e == 1 and self.f == 1  # analysis.select_case; no main lemma runs
         need = {

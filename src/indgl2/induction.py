@@ -6,9 +6,11 @@ An InducedElem is a finite sum Σ [(ϖⁿ, μ), w] keyed by (level, digit string
 Everything below realizes the [g, w] calculus: left translation permutes keys
 and pushes a K-correction into the weight.
 
-Level ranges export their operators as matrices over frozen bases:
-hecke_matrix fills T by index arithmetic from the two local q x D matrices,
-and quotient_translation gives a translation's matrix on a quotient ambient/S
+Level ranges export their operators over frozen bases: hecke_entries lists
+the entries of T by index arithmetic from the two local q x D matrices
+(hecke_matrix writes them into a dense matrix), translation_entries lists
+those of a translation minus the identity from the level tables, and
+quotient_translation gives a translation's matrix on a quotient ambient/S
 straight from S's reduced echelon rows.
 
 Only positive levels exist here.  The lower coset direction that T would need
@@ -373,21 +375,22 @@ def operator_matrix(ctx: InductionCtx, op, domain: LevelRange, codomain: LevelRa
     return linalg.LinMap(kk, M)
 
 
-def hecke_matrix(ctx: InductionCtx, domain: LevelRange, codomain: LevelRange) -> linalg.LinMap:
-    """LinMap of T = T₊ + T₋ over the frozen bases, keeping the parts that land in codomain.
+def hecke_entries(ctx: InductionCtx, domain: LevelRange, codomain: LevelRange) -> tuple:
+    """(rows, cols, vals): the nonzero entries of T = T₊ + T₋ over the frozen
+    bases, keeping the parts that land in codomain.
 
-    Filled by index arithmetic from the two local matrices: T₊ sends row
-    (n, μ, i) to column (n+1, μλ, 0) with entry tplus_local[λ, i], and T₋
-    sends row (n, μ, r⃗) to the block of μ[:n-1] with entries
-    ν·tminus_local[μ_{n-1}].  operator_matrix over hecke_T is its oracle.
+    Index arithmetic on the two local matrices: T₊ sends row (n, μ, i) to
+    column (n+1, μλ, 0) with entry tplus_local[λ, i], and T₋ sends row
+    (n, μ, r⃗) to the block of μ[:n-1] with entries ν·tminus_local[μ_{n-1}].
+    The two land on different levels, so no position repeats.
     """
     kk = ctx.weight.field.kk
     q, D = ctx.q, ctx.D
     cols = _offsets(ctx, codomain)
-    M = np.zeros((range_dim(ctx, domain), range_dim(ctx, codomain)), dtype=np.int32)
     tplus = ctx.tplus_local().T  # D x q
     tminus = kk.MUL[ctx.weight.nu.code, ctx.tminus_local()]
     top = ctx.weight.index[ctx.weight.rvec]
+    parts = []
     for n, base in _offsets(ctx, domain).items():
         if n == 0:
             raise LevelZeroInput("T is only defined on levels >= 1 here")
@@ -395,11 +398,57 @@ def hecke_matrix(ctx: InductionCtx, domain: LevelRange, codomain: LevelRange) ->
         rows = base + D * keys  # row of (n, μ, 0), μ ranked big-endian
         if n + 1 in codomain:
             children = cols[n + 1] + D * (q * keys[:, None] + np.arange(q))  # (n+1, μλ, 0)
-            M[rows[:, None, None] + np.arange(D)[:, None], children[:, None, :]] = tplus
+            parts.append((rows[:, None, None] + np.arange(D)[:, None], children[:, None, :], tplus))
         if n - 1 in codomain:
             parent, last = np.divmod(keys, q)
-            M[(rows + top)[:, None], (cols[n - 1] + D * parent)[:, None] + np.arange(D)] = tminus[last]
-    return linalg.LinMap(kk, M)
+            parts.append(((rows + top)[:, None], (cols[n - 1] + D * parent)[:, None] + np.arange(D), tminus[last]))
+    return _nonzero_entries(parts)
+
+
+def _nonzero_entries(parts) -> tuple:
+    """(rows, cols, vals) joined over parts, each part three broadcastable arrays; zero values dropped."""
+    parts = [np.broadcast_arrays(*part) for part in parts]
+    rows, cols, vals = (np.concatenate([np.zeros(0, np.int64)] + [part[k].ravel() for part in parts]) for k in range(3))
+    nz = vals != 0
+    return rows[nz], cols[nz], vals[nz].astype(np.int32)
+
+
+def hecke_matrix(ctx: InductionCtx, domain: LevelRange, codomain: LevelRange) -> linalg.LinMap:
+    """LinMap of T = T₊ + T₋ over the frozen bases, keeping the parts that land
+    in codomain: hecke_entries written into a dense matrix.  operator_matrix
+    over hecke_T is its oracle.
+    """
+    rows, cols, vals = hecke_entries(ctx, domain, codomain)
+    M = np.zeros((range_dim(ctx, domain), range_dim(ctx, codomain)), dtype=np.int32)
+    M[rows, cols] = vals
+    return linalg.LinMap(ctx.weight.field.kk, M)
+
+
+def translation_entries(ctx: InductionCtx, c: RingElem, lr: LevelRange) -> tuple:
+    """(rows, cols, vals): the nonzero entries of u_act(c, ·) − 1 over the frozen basis of lr.
+
+    Row (n, μ, i) of u_act(c, ·) is row i of the twist [[1, t], [0, 1]] in the
+    block of key (n, μ″), with (μ″, t) read from translation_table.  The −1
+    is added inside that block when μ″ = μ and is an entry of its own
+    otherwise, so no position repeats.
+    """
+    kk = ctx.weight.field.kk
+    D = ctx.D
+    minus_one = kk.NEG[1]
+    unipotent = np.stack([_unipotent(ctx, t) for t in range(ctx.q)])
+    i = np.arange(D)
+    parts = []
+    for n, base in _offsets(ctx, lr).items():
+        perm, twist = translation_table(c, n)
+        keys = np.arange(perm.size)
+        coef = unipotent[twist]  # row i of key μ's twist, landing on block μ″
+        fixed, moved = np.flatnonzero(perm == keys), np.flatnonzero(perm != keys)
+        coef[fixed[:, None], i, i] = kk.ADD[coef[fixed[:, None], i, i], minus_one]
+        src = base + D * keys
+        parts.append((src[:, None, None] + i[:, None], (base + D * perm)[:, None, None] + i, coef))
+        diag = src[moved, None] + i
+        parts.append((diag, diag, minus_one))
+    return _nonzero_entries(parts)
 
 
 def quotient_translation(ctx: InductionCtx, c: RingElem, lr: LevelRange, S: linalg.Subspace) -> np.ndarray:
@@ -455,13 +504,17 @@ def move_keys(ctx: InductionCtx, perm: np.ndarray, twist: np.ndarray, X: np.ndar
     of key j multiplied by the twist [[1, twist[j]], [0, 1]] and moved to key perm[j].
 
     With (perm, twist) from translation_table this is the translation of a
-    level; one product is made per distinct twist value.
+    level.  The keys whose twist is the identity (twist 0, or every key when
+    D = 1) are scattered as they are, and one product is made per other
+    twist value that occurs.
     """
     kk = ctx.weight.field.kk
     D = ctx.D
     blocks = np.asarray(X, dtype=np.int32).reshape(len(X), len(perm), D)
     out = np.empty_like(blocks)
-    for t in np.flatnonzero(np.bincount(twist)):  # the twist values that occur
+    identity = (twist == 0) | (D == 1)
+    out[:, perm[identity]] = blocks[:, identity]
+    for t in np.flatnonzero(np.bincount(twist[~identity])):  # the other twist values that occur
         keys = np.flatnonzero(twist == t)
         moved = _kernels.matmul(blocks[:, keys].reshape(-1, D), _unipotent(ctx, t), kk)
         out[:, perm[keys]] = moved.reshape(len(X), len(keys), D)

@@ -5,7 +5,16 @@ import numpy as np
 from indgl2 import _kernels, analysis, linalg
 from indgl2.errors import DimensionMismatch
 from indgl2.gf import FqElem
-from indgl2.induction import LevelRange, flatten, hecke_T_minus, hecke_T_plus, operator_matrix, u_act
+from indgl2.induction import (
+    LevelRange,
+    flatten,
+    hecke_matrix,
+    hecke_T_minus,
+    hecke_T_plus,
+    operator_matrix,
+    range_dim,
+    u_act,
+)
 from indgl2.linalg import Subspace
 from indgl2.localring import DigitString, teichmuller
 from indgl2.weight import action_matrix
@@ -80,6 +89,17 @@ def candidate_checks_by_u_act(ctx, g):
             linalg.member(flatten(u_act(c, g) - g, lr2), tplus_r1p) for c in analysis.u_generators(ctx, 2)
         ),
     }
+
+
+def dense_fixed_dim(ctx, N):
+    """dim L_N^U by the dense route that analysis.truncated_L took up to
+    dim I^e = 2048: the translations by the generators as matrices on
+    I^e/T(I^o) (analysis.induced_quotient_maps), then linalg.fixed_space."""
+    lr_even, lr_odd = LevelRange("even", 0, 2 * N), LevelRange("odd", 1, 2 * N - 1)
+    S = linalg.image(hecke_matrix(ctx, lr_odd, lr_even))
+    assert S.dim == range_dim(ctx, lr_odd), "T must be injective on odd levels"
+    maps = analysis.induced_quotient_maps(ctx, analysis.u_generators(ctx, 2 * N), lr_even, S)
+    return linalg.fixed_space(maps).dim
 
 
 def quotient_projection(S):

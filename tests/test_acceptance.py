@@ -200,17 +200,19 @@ def test_criterion_7_negative_control():
 # purpose since the translation tables replaced the per-basis-vector u_act
 # assembly: hecke:tplus-kernel-R1 reads "method=blockwise" (was "dense"), and
 # mainlemma:tplus-injectivity-beyond-R3 is a checked "pass" with detail
-# "method=blockwise" (was "assumed").  unramified-generic (N_max = 2) reaches
-# dim L_2^U only as a certified lower bound, and its truncation sequence
-# records now say so: truncation:monotone-fixed-dims and
-# truncation:fixed-dim-at-least-2 carry "certified lower bound at N=2" (was
-# null).  A change that alters any report byte must update these on purpose
+# "method=blockwise" (was "assumed").  Since L_N^U is computed by sparse
+# elimination, every truncation:N record of the presets reads "ln_u
+# method=sparse" (was "dense"), and unramified-generic (N_max = 2) reaches
+# dim L_2^U = 5 exactly (was the certified lower bound 3): its sequence is
+# [3, 5] (was [3, 3]), truncation:fixed-dim-at-least-2 reads 5, and neither
+# carries a lower-bound detail (was "certified lower bound at N=2").  A change
+# that alters any report byte must update these on purpose
 PRESET_REPORT_SHA256 = {
-    "ramified-r0": "5a182c41459aef5e22731b86b723f25ba622e93cb9d7a6a916456d0eb8052855",
-    "ramified-r1": "7a569b2790984fde934d77c4218dd329dac0b450c6de3a79bf0419428295544b",
-    "unramified-generic": "cdc63fc7e7b5abd5c98940e24093340d7a7050f42371e915b548309b1630339e",
-    "unramified-maximal": "64f1f625532a2e3a29d032e0b85ac25006126585c95df023a8b7adb0aafafa61",
-    "unramified-stretch": "e9888812572590ff7d8d038a90ec694026ea84e07c6173232b33d7dcbc0884d0",
+    "ramified-r0": "52dd08ea73a8228a01c2cd7436a324f25321765e8293a3538252cb546cfe1595",
+    "ramified-r1": "d45fd6415da2a3eabb12bd12fc5699cff9e00eeac18250e6c52d2be3cfe53d2b",
+    "unramified-generic": "3a1ac974fdc4d54ccafc68707329c8c465bc779ecb922fa9b3a9c08e3c3efdb4",
+    "unramified-maximal": "04c9d89be30e7fa10e654d2a4355d53edbaf632a1a8ca936e6b6438e9b96c1bf",
+    "unramified-stretch": "6585d1c6b45d1287ec1cb824047cc67d752e9f9c731db9e11f8a0b296c43722c",
 }
 
 

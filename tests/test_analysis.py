@@ -24,13 +24,16 @@ from indgl2.induction import (
     range_dim,
     singleton,
     translate_vectors,
+    translation_entries,
     u_act,
     unflatten,
 )
+from indgl2.localring import translation_table
 from oracles import (
     all_translations,
     candidate_checks_by_u_act,
     dense_candidates,
+    dense_fixed_dim,
     direct_sum,
     embed,
     quotient_projection,
@@ -608,6 +611,43 @@ class TestTranslationMatrices:
             T = operator_matrix(ctx, lambda x, c=c: u_act(c, x), lr, lr).matrix
             assert np.array_equal(Q.matrix, S.reduce(T[nonpiv])[:, nonpiv])
 
+    @pytest.mark.parametrize(
+        "name,lr",
+        [("ram_r1", LevelRange("even", 0, 4)), ("unram_gen", LevelRange("all", 0, 2)), ("q3_r0", LevelRange("even", 0, 4))],
+    )
+    def test_translation_entries_match_operator_matrix(self, name, lr, request):
+        # the entry lists of u - 1 of the sparse route, at distinct positions, against the walk
+        ctx = request.getfixturevalue(name)
+        kk = ctx.weight.field.kk
+        eye = np.eye(range_dim(ctx, lr), dtype=np.int32)
+        for c in all_translations(ctx, lr.hi):
+            rows, cols, vals = translation_entries(ctx, c, lr)
+            assert np.all(vals != 0) and len(set(zip(rows.tolist(), cols.tolist()))) == rows.size
+            M = np.zeros_like(eye)
+            M[rows, cols] = vals
+            T = operator_matrix(ctx, lambda x, c=c: u_act(c, x), lr, lr).matrix
+            assert np.array_equal(M, kk.ADD[T, kk.NEG[eye]])
+
+    @pytest.mark.parametrize("name", ["q3_r0", "ram_r1", "unram_gen"])
+    def test_translate_vectors_identity_twists(self, name, request, monkeypatch):
+        # keys whose twist is the identity are scattered, not multiplied: every key when
+        # D = 1 (q3_r0), the twist-0 keys beside the others when D > 1
+        ctx = request.getfixturevalue(name)
+        lr2 = LevelRange("all", 2, 2)
+        rng = np.random.default_rng(23)
+        X = rng.integers(0, ctx.weight.field.kk.order, size=(4, range_dim(ctx, lr2))).astype(np.int32)
+        products = []
+        real = _kernels.matmul
+        monkeypatch.setattr(_kernels, "matmul", lambda A, B, F: products.append(B.shape) or real(A, B, F))
+        gens = all_translations(ctx, 2)
+        twists = [translation_table(c, 2)[1] for c in gens]
+        assert any(np.any(t == 0) and np.any(t) for t in twists)
+        for c, twist in zip(gens, twists):
+            want = np.array([flatten(u_act(c, unflatten(ctx, lr2, row)), lr2) for row in X])
+            products.clear()
+            assert np.array_equal(translate_vectors(ctx, c, 2, X), want)
+            assert len(products) == (0 if ctx.D == 1 else np.count_nonzero(np.bincount(twist)[1:]))
+
     def test_translate_vectors_matches_u_act(self, unram_gen):
         lr2 = LevelRange("all", 2, 2)
         rng = np.random.default_rng(17)
@@ -630,20 +670,30 @@ class TestTruncatedL:
             prev = analysis.truncated_L(ram_r0, N, prev=prev)
             assert prev.dim_coinv == 1
             assert all(prev.tminus_surjective) and all(prev.tplus_vanishing)
-            assert prev.ln_u_method == "dense"
+            assert prev.ln_u_method == "sparse"
             dims.append(prev.dim_ln_u)
         assert dims == [2, 3, 4]
 
-    def test_certified_route_large_config(self, unram_max):
+    def test_certified_route_large_config(self):
+        # unramified-generic at N = 3: dim I^e = 538084, beyond the sparse cap
+        ctx = analysis.build_ctx(3, 2, 1, (0, 0), N=8)
         prev = None
         dims = []
         for N in (1, 2, 3):
-            prev = analysis.truncated_L(unram_max, N, prev=prev)
+            prev = analysis.truncated_L(ctx, N, prev=prev)
             dims.append(prev.dim_ln_u)
+        assert prev.dim_ie > analysis.SPARSE_FIXED_CAP
         assert prev.ln_u_method == "certified-lower-bound"
-        assert prev.dim_t_io == range_dim(unram_max, LevelRange("odd", 1, 5))
+        assert prev.dim_t_io == range_dim(ctx, LevelRange("odd", 1, 5))
         assert all(a <= b for a, b in zip(dims, dims[1:]))
         assert dims[-1] >= 2
+
+    @pytest.mark.parametrize("args,N,dim", [((3, 1, 2, (1,)), 4, 9), ((2, 2, 1, (1, 1)), 3, 7)], ids=["ramified-r1", "unramified-maximal"])
+    def test_exact_beyond_the_old_dense_cap(self, args, N, dim):
+        # dim I^e is 14762 and 17476, both above the 2048 the dense route reached
+        rep = analysis.truncated_L(analysis.build_ctx(*args, N=analysis.truncation_precision(N)), N)
+        assert rep.dim_ie > 2048
+        assert (rep.ln_u_method, rep.dim_ln_u) == ("sparse", dim)
 
     def test_precision_guard(self):
         ctx = analysis.build_ctx(3, 1, 1, (1,), N=4)
@@ -733,8 +783,23 @@ class TestTruncationAgainstDense:
         ]
         fixed = linalg.kernel(linalg.LinMap(kk, np.hstack(deltas)))
         rep = analysis.truncated_L(ctx, N)
-        assert rep.ln_u_method == "dense"
+        assert rep.ln_u_method == "sparse"
         assert (rep.dim_t_io, rep.dim_ln_u) == (S.dim, fixed.dim - S.dim)
+
+    PRESETS = [(c["p"], c["f"], c["e"], tuple(c["r"])) for c in cli.PRESETS.values()]
+    # a coefficient field K larger than F_q, and a twisted ramified q = 4
+    TWISTED = [((3, 1, 2, (1,)), {"m": 2, "nu_code": 5, "chi_c": 1}), ((2, 2, 2, (1, 1)), {"nu_code": 2})]
+
+    @pytest.mark.parametrize("args,kw", [(args, {}) for args in sorted(set(GRID) | set(PRESETS))] + TWISTED)
+    def test_sparse_route_matches_dense_route(self, args, kw):
+        # at every N whose dim I^e the dense route reached (at most 2048), N ≤ 5 here
+        ctx = analysis.build_ctx(*args, N=analysis.truncation_precision(5), **kw)
+        reached = [N for N in range(1, 6) if range_dim(ctx, LevelRange("even", 0, 2 * N)) <= 2048]
+        assert reached
+        for N in reached:
+            rep = analysis.truncated_L(ctx, N)
+            assert rep.ln_u_method == "sparse"
+            assert rep.dim_ln_u == dense_fixed_dim(ctx, N), N
 
     @pytest.mark.parametrize("args,N", [(args, N) for args in GRID for N in (1, 2)] + [((3, 2, 1, (0, 0)), 2)])
     def test_t_injective_on_odd_levels(self, args, N):

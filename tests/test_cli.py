@@ -91,6 +91,7 @@ class TestConfigParsing:
             {"r": [3]},
             {"suites": ["nope"]},
             {"N_max": -1},
+            {"N_max": 0},  # the default suites include truncation
             {"N": 1},
             {"seed": -1},
             {"chi": 1.5},
@@ -327,18 +328,40 @@ class TestMain:
         assert "table cap" in done.stderr
 
     def test_truncation_lower_bounds_are_marked(self, capsys):
-        # beyond the dense cap dim L_N^U is a certified lower bound; the sequence records say where
+        # beyond the sparse cap dim L_N^U is a certified lower bound; the sequence records say where
+        assert cli.main(["verify", "--preset", "unramified-generic", "--suites", "truncation", "--trunc", "3", "--format", "json"]) == 0
+        records = {r["name"]: r for r in json.loads(capsys.readouterr().out)["records"]}
+        assert records["truncation:N=3"]["dims"]["dim_Ie"] > analysis.SPARSE_FIXED_CAP
+        assert records["truncation:N=3"]["detail"] == "ln_u method=certified-lower-bound"
+        mono, last = records["truncation:monotone-fixed-dims"], records["truncation:fixed-dim-at-least-2"]
+        assert mono["dims"] == {"sequence": [3, 5, 5]} and mono["detail"] == "certified lower bound at N=3"
+        assert last["dims"] == {"dim_LN_U": 5} and last["detail"] == "certified lower bound at N=3"
+        # every entry exact: no detail
         assert cli.main(["verify", "--preset", "ramified-r1", "--suites", "truncation", "--trunc", "4", "--format", "json"]) == 0
         records = {r["name"]: r for r in json.loads(capsys.readouterr().out)["records"]}
-        assert records["truncation:N=4"]["detail"] == "ln_u method=certified-lower-bound"
-        mono, last = records["truncation:monotone-fixed-dims"], records["truncation:fixed-dim-at-least-2"]
-        assert mono["dims"] == {"sequence": [3, 5, 7, 7]} and mono["detail"] == "certified lower bound at N=4"
-        assert last["dims"] == {"dim_LN_U": 7} and last["detail"] == "certified lower bound at N=4"
-        # every entry exact: no detail
-        assert cli.main(["verify", "--preset", "ramified-r1", "--suites", "truncation", "--trunc", "3", "--format", "json"]) == 0
-        records = {r["name"]: r for r in json.loads(capsys.readouterr().out)["records"]}
+        assert records["truncation:N=4"]["detail"] == "ln_u method=sparse"
+        assert records["truncation:monotone-fixed-dims"]["dims"] == {"sequence": [3, 5, 7, 9]}
         assert records["truncation:monotone-fixed-dims"]["detail"] is None
         assert records["truncation:fixed-dim-at-least-2"]["detail"] is None
+
+    def test_exit_2_on_truncation_with_no_depth(self, capsys):
+        # a truncation suite with N_max = 0 checks nothing, so it must not print a pass
+        assert cli.main(["verify", "--preset", "ramified-r1", "--suites", "truncation", "--trunc", "0"]) == 2
+        captured = capsys.readouterr()
+        assert "--trunc" in captured.err and "N_max >= 1" in captured.err and "verdict" not in captured.out
+
+    def test_exit_2_on_truncation_with_no_depth_in_config(self, tmp_path, capsys):
+        cfg = tmp_path / "c.txt"
+        cfg.write_text('p = 3\nf = 1\ne = 2\nr = [1]\nN_max = 0\nsuites = ["truncation"]\n')
+        assert cli.main(["verify", "--config", str(cfg)]) == 2
+        assert "N_max >= 1" in capsys.readouterr().err
+        # the rule follows the suites that run: --suites may select the truncation suite
+        cfg.write_text('p = 3\nf = 1\ne = 2\nr = [1]\nN_max = 0\nsuites = ["arith"]\n')
+        assert cli.main(["verify", "--config", str(cfg)]) == 0
+        capsys.readouterr()
+        assert cli.main(["verify", "--config", str(cfg), "--suites", "truncation"]) == 2
+        captured = capsys.readouterr()
+        assert "N_max >= 1" in captured.err and "verdict" not in captured.out
 
     def test_mainlemma_run_does_not_import_numpy_ma(self):
         # the first np.unique of a process imports numpy.ma, 14-15 ms of a short run

@@ -428,6 +428,31 @@ class TestBackends:
             assert r1.shape == M.shape and r1.dtype == np.int32 and p1.dtype == np.int64, name
             assert np.array_equal(r1, r2) and np.array_equal(p1, p2), name
 
+    @pytest.mark.parametrize("p,k", [(3, 1), (3, 2), (5, 2)])
+    def test_sparse_rank_agrees(self, p, k):
+        # over F_3, F_9 and F_25, in descending column order and, with the columns reversed, ascending
+        F = FieldCtx(p, k).fq
+        rng = np.random.default_rng(p * 100 + k)
+        cases = sparse_cases(rng, F)
+        cases.update({f"low-rank-{i}": rand_low_rank(rng, F, 30, 24, rank) for i, rank in enumerate((0, 7, 19, 24))})
+        cases.update({f"sparse-{i}": rand_sparse_rows(rng, F, 50, 40, 1, 4) for i in range(6)})
+        for name, M in cases.items():
+            M = np.array(M)
+            rank = len(_rref_loops(M, F)[1])
+            rows, cols = np.nonzero(M)
+            assert _kernels.sparse_rank(rows, cols, M[rows, cols], M.shape, F) == rank, name
+            ascending = M.shape[1] - 1 - cols
+            assert _kernels.sparse_rank(rows, ascending, M[rows, cols], M.shape, F) == rank, name
+
+    def test_sparse_rank_entries(self, F9):
+        # zero entries are dropped; a repeated or outside position is a ValueError
+        assert _kernels.sparse_rank([0, 1, 1], [2, 0, 1], [1, 0, 0], (2, 3), F9) == 1
+        assert _kernels.sparse_rank([], [], [], (3, 4), F9) == 0
+        with pytest.raises(ValueError):
+            _kernels.sparse_rank([0, 0], [1, 1], [1, 2], (2, 2), F9)
+        with pytest.raises(ValueError):
+            _kernels.sparse_rank([0], [2], [1], (2, 2), F9)
+
     @pytest.mark.parametrize("transpose", [False, True])
     def test_rref_agrees_on_hecke_matrix(self, transpose):
         # T(I^o) -> I^e of ramified-r1 at N = 2: a few nonzeros per row, many zero columns
