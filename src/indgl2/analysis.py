@@ -54,7 +54,6 @@ from .induction import (
     hecke_entries,
     hecke_matrix,
     move_keys,
-    quotient_translation,
     range_dim,
     singleton,
     translate_vectors,
@@ -135,7 +134,7 @@ def u_generators(ctx: InductionCtx, n: int):
 
 def r1_prime(ctx: InductionCtx) -> linalg.Subspace:
     """Kernel of T₋ restricted to R₁, as a subspace of R₁."""
-    return linalg.kernel(hecke_matrix(ctx, LevelRange("all", 1, 1), LevelRange("all", 0, 0)))
+    return linalg.kernel(hecke_matrix(ctx, LevelRange("all", 1, 1), LevelRange("all", 0, 0)), ctx.weight.field.kk)
 
 
 @_per_ctx
@@ -188,15 +187,11 @@ def weight_coinvariant_functional(ctx: InductionCtx):
     """(complement Cσ = Σ(u-1)σ, functional φ: K^D → K with ker φ ⊇ Cσ, φ ≠ 0)."""
     w = ctx.weight
     kk = w.field.kk
-    ops = []
-    for lam in w.field.enumerate_field("Fq"):
-        if not lam:
-            continue
-        ops.append(linalg.LinMap(kk, action_matrix(w, [[w.field.fq.one, lam], [w.field.fq.zero, w.field.fq.one]])))
-    C = linalg.coinvariant_complement(ops, field=kk, ambient=w.D)
+    one, zero = w.field.fq.one, w.field.fq.zero
+    ops = [action_matrix(w, [[one, lam], [zero, one]]) for lam in w.field.enumerate_field("Fq") if lam]
+    C = linalg.coinvariant_complement(ops, kk, w.D)
     assert C.dim == w.D - 1, "weight coinvariants are one-dimensional"
-    piv = set(int(c) for c in C.pivots)
-    free = next(j for j in range(w.D) if j not in piv)
+    free = int(linalg.non_pivots(C.pivots, w.D)[0])
 
     def phi(vec: np.ndarray) -> int:
         return int(C.reduce(np.asarray(vec, dtype=np.int32))[free])
@@ -207,12 +202,23 @@ def weight_coinvariant_functional(ctx: InductionCtx):
 # -- quotient machinery --
 
 
-def induced_quotient_maps(ctx: InductionCtx, ops, lr: LevelRange, S: linalg.Subspace):
+def induced_quotient_maps(ctx: InductionCtx, ops, lr: LevelRange, S: linalg.Subspace) -> list:
     """Matrices of the translations by ops on ambient/S, in the coordinates of
-    S's non-pivot columns (induction.quotient_translation).  No production
-    route calls it: it is the dense oracle of truncated_L in the tests."""
-    kk = ctx.weight.field.kk
-    return [linalg.LinMap(kk, quotient_translation(ctx, c, lr, S)) for c in ops]
+    S's non-pivot columns: S.reduce(T[nonpiv])[:, nonpiv] for the matrix T of
+    a translation, which translate_vectors builds level by level.  No
+    production route calls it: it is the dense oracle of truncated_L in the
+    tests, built apart from the entry lists that truncated_L eliminates."""
+    nonpiv = linalg.non_pivots(S.pivots, S.ambient)
+    maps = []
+    for c in ops:
+        T = np.zeros((S.ambient, S.ambient), dtype=np.int32)
+        base = 0
+        for n in lr.levels():
+            size = ctx.q**n * ctx.D
+            T[base : base + size, base : base + size] = translate_vectors(ctx, c, n, np.eye(size, dtype=np.int32))
+            base += size
+        maps.append(S.reduce(T[nonpiv])[:, nonpiv])
+    return maps
 
 
 # -- the main existence computation --
@@ -246,8 +252,7 @@ def _first_digit_block(ctx: InductionCtx, deep, B0: linalg.Subspace) -> linalg.S
     kk = ctx.weight.field.kk
     q, D = ctx.q, ctx.D
     heads = np.arange(q)[:, None] * q
-    eye = np.zeros((q * D, q * D), dtype=np.int32)
-    eye[np.arange(q * D), np.arange(q * D)] = 1
+    eye = np.eye(q * D, dtype=np.int32)
     deltas = []
     for c in deep:
         perm, twist = (a.reshape(q, q) for a in translation_table(c, 2))
@@ -255,7 +260,7 @@ def _first_digit_block(ctx: InductionCtx, deep, B0: linalg.Subspace) -> linalg.S
             "a translation by ϖO must act by one matrix on every first digit"
         )
         deltas.append(B0.reduce(_minus_identity(ctx, move_keys(ctx, perm[0], twist[0], eye), eye)))
-    return linalg.kernel(linalg.LinMap(kk, np.hstack(deltas)))
+    return linalg.kernel(np.hstack(deltas), kk)
 
 
 def _minus_identity_on_blocks(ctx: InductionCtx, c: RingElem, V0: linalg.Subspace) -> np.ndarray:
@@ -320,7 +325,7 @@ def _candidate_spaces(ctx: InductionCtx) -> CandidateSpaces:
     # u - 1 maps V′ into V′, so V is a kernel over V′'s coordinates: (u - 1)x ∈ T₊R₁′ for every u;
     # constraint columns that are zero on all of V′ are dropped
     delta = np.hstack([tplus_r1p_in_vp.reduce(_minus_identity_on_blocks(ctx, c, V0)) for c in gens])
-    V = linalg.kernel(linalg.LinMap(kk, delta[:, np.any(delta, axis=0)]))
+    V = linalg.kernel(delta[:, np.any(delta, axis=0)], kk)
     # every basis row v of V is U-fixed modulo T₊R₁′: uv and v have the same remainder
     # mod T₊R₁ and, over T₊R₁'s rows, the same coordinates mod T₊R₁′
     rows = Vp.embed(V).rows
@@ -330,7 +335,7 @@ def _candidate_spaces(ctx: InductionCtx) -> CandidateSpaces:
         assert np.array_equal(tplus_r1.reduce(moved), rest), "V must be U-fixed modulo T₊R₁′"
         assert np.array_equal(tplus_r1p.reduce(moved[:, tplus_r1.pivots]), rest_coords), "V must be U-fixed modulo T₊R₁′"
     assert not np.any(V.reduce(tplus_r1p_in_vp.rows)), "T₊R₁′ must lie in V"
-    in_tplus_r1 = linalg.kernel(linalg.LinMap(kk, tplus_r1_coords.reduce(V.rows)))
+    in_tplus_r1 = linalg.kernel(tplus_r1_coords.reduce(V.rows), kk)
     W = linalg.echelon(_kernels.matmul(in_tplus_r1.rows, V.rows, kk), kk, ambient=Vp.dim)
     return CandidateSpaces(r1p, tplus_r1, tplus_r1p, Vp, V, W, q * q * D - tplus_r1p.dim, V.dim - tplus_r1p.dim)
 
@@ -665,7 +670,7 @@ def _certified_fixed_lower_bound(ctx: InductionCtx, N: int) -> int:
         if u_act(c, v0) != v0:
             raise CheckFailed("level-0 top vector must be exactly U-fixed")
     lr02 = LevelRange("even", 0, 2)
-    img = linalg.image(hecke_matrix(ctx, LevelRange("all", 1, 1), lr02))
+    img = linalg.image(hecke_matrix(ctx, LevelRange("all", 1, 1), lr02), kk)
     main = main_lemma_report(ctx)
     if not (main.found and main.certificate):
         # only the level-0 line is certified

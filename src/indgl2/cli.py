@@ -118,13 +118,7 @@ class Config:
             bad(f"suites must be a list, got {self.suites!r}")
         if not self.suites:
             bad("suites must select at least one suite")
-        for s in self.suites:
-            if s not in SUITES:
-                bad(f"unknown suite {s!r}; valid: {', '.join(SUITES)}")
-        if len(set(self.suites)) != len(self.suites):
-            bad(f"suites must not repeat, got {list(self.suites)!r}")
-        if "truncation" in self.suites and self.N_max < 1:
-            bad(f"the truncation suite needs N_max >= 1, got {self.N_max}")
+        _check_suites(self.suites, self.N_max, where)
         if not _is_int(self.seed) or self.seed < 0:
             bad(f"seed must be a non-negative integer, got {self.seed!r}")
         if self.out is not None and not isinstance(self.out, str):
@@ -138,10 +132,7 @@ class Config:
         return self.N if self.N is not None else auto
 
     def check_precision(self, suites):
-        """Reject a ring precision N below what one of the selected suites needs,
-        and a truncation suite with no N to check."""
-        if "truncation" in suites and self.N_max < 1:
-            raise ConfigError(f"the truncation suite needs N_max >= 1, got {self.N_max}", location="N_max")
+        """Reject a ring precision N below what one of the selected suites needs."""
         main_lemma = analysis.MAIN_LEMMA_PRECISION
         search_only = self.e == 1 and self.f == 1  # analysis.select_case; no main lemma runs
         need = {
@@ -179,6 +170,17 @@ class Config:
             "suites": list(self.suites), "seed": self.seed,
             "inject_failure": self.inject_failure,
         }
+
+
+def _check_suites(suites, N_max: int, where: str):
+    """The rules on a suite selection: known names, no repeats, and N_max >= 1 for the truncation suite."""
+    for s in suites:
+        if s not in SUITES:
+            raise ConfigError(f"unknown suite {s!r}; valid: {', '.join(SUITES)}", location=where)
+    if len(set(suites)) != len(suites):
+        raise ConfigError(f"suites must not repeat, got {list(suites)!r}", location=where)
+    if "truncation" in suites and N_max < 1:
+        raise ConfigError(f"the truncation suite needs N_max >= 1, got {N_max}", location=where)
 
 
 def _parse_value(text: str):
@@ -232,7 +234,7 @@ def config_from_file(path: str) -> Config:
     try:
         with open(path, "r", encoding="utf-8") as fh:
             text = fh.read()
-    except OSError as ex:
+    except (OSError, UnicodeDecodeError) as ex:
         raise ConfigError(str(ex), location=path) from ex
     return config_from_mapping(parse_config_text(text, where=path), where=path)
 
@@ -499,11 +501,7 @@ _SUITE_FNS = {
 def run(cfg: Config, suites=None, timings: bool = False) -> Report:
     """Execute the selected suites; suite crashes become failed records."""
     selected = list(suites) if suites is not None else list(cfg.suites)
-    for s in selected:
-        if s not in SUITES:
-            raise ConfigError(f"unknown suite {s!r}", location="--suites")
-    if len(set(selected)) != len(selected):
-        raise ConfigError(f"suites must not repeat, got {selected!r}", location="--suites")
+    _check_suites(selected, cfg.N_max, "--suites")
     cfg.check_precision(selected)
     ctx = cfg.build()
 

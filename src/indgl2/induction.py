@@ -8,10 +8,11 @@ and pushes a K-correction into the weight.
 
 Level ranges export their operators over frozen bases: hecke_entries lists
 the entries of T by index arithmetic from the two local q x D matrices
-(hecke_matrix writes them into a dense matrix), translation_entries lists
-those of a translation minus the identity from the level tables, and
-quotient_translation gives a translation's matrix on a quotient ambient/S
-straight from S's reduced echelon rows.
+(hecke_matrix writes them into a dense matrix), and translation_entries
+lists those of a translation minus the identity from the level tables.
+translate_vectors moves flat vectors of one level by a translation.  Dense
+operators are plain int32 matrices in the row convention (v ↦ v @ M), as in
+linalg.
 
 Only positive levels exist here.  The lower coset direction that T would need
 on level 0 is not representable, so T and T₋ reject level-0 support and T₊
@@ -25,7 +26,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import _kernels, linalg
+from . import _kernels
 from .errors import (
     DimensionMismatch,
     LevelZeroInput,
@@ -360,19 +361,17 @@ def unflatten(ctx: InductionCtx, lr: LevelRange, coords: np.ndarray) -> InducedE
     return InducedElem(ctx, terms)
 
 
-def operator_matrix(ctx: InductionCtx, op, domain: LevelRange, codomain: LevelRange) -> linalg.LinMap:
-    """LinMap of op over the frozen bases; row = image of a domain basis element."""
-    kk = ctx.weight.field.kk
+def operator_matrix(ctx: InductionCtx, op, domain: LevelRange, codomain: LevelRange) -> np.ndarray:
+    """Matrix of op over the frozen bases; row = image of a domain basis element."""
     rows = range_dim(ctx, domain)
     M = np.zeros((rows, range_dim(ctx, codomain)), dtype=np.int32)
     r = 0
     for n in domain.levels():
         for mu in itertools.product(range(ctx.q), repeat=n):
             for widx in range(ctx.D):
-                y = op(singleton(ctx, n, mu, widx))
-                M[r] = flatten(y, codomain)
+                M[r] = flatten(op(singleton(ctx, n, mu, widx)), codomain)
                 r += 1
-    return linalg.LinMap(kk, M)
+    return M
 
 
 def hecke_entries(ctx: InductionCtx, domain: LevelRange, codomain: LevelRange) -> tuple:
@@ -413,15 +412,15 @@ def _nonzero_entries(parts) -> tuple:
     return rows[nz], cols[nz], vals[nz].astype(np.int32)
 
 
-def hecke_matrix(ctx: InductionCtx, domain: LevelRange, codomain: LevelRange) -> linalg.LinMap:
-    """LinMap of T = T₊ + T₋ over the frozen bases, keeping the parts that land
+def hecke_matrix(ctx: InductionCtx, domain: LevelRange, codomain: LevelRange) -> np.ndarray:
+    """Matrix of T = T₊ + T₋ over the frozen bases, keeping the parts that land
     in codomain: hecke_entries written into a dense matrix.  operator_matrix
     over hecke_T is its oracle.
     """
     rows, cols, vals = hecke_entries(ctx, domain, codomain)
     M = np.zeros((range_dim(ctx, domain), range_dim(ctx, codomain)), dtype=np.int32)
     M[rows, cols] = vals
-    return linalg.LinMap(ctx.weight.field.kk, M)
+    return M
 
 
 def translation_entries(ctx: InductionCtx, c: RingElem, lr: LevelRange) -> tuple:
@@ -449,48 +448,6 @@ def translation_entries(ctx: InductionCtx, c: RingElem, lr: LevelRange) -> tuple
         diag = src[moved, None] + i
         parts.append((diag, diag, minus_one))
     return _nonzero_entries(parts)
-
-
-def quotient_translation(ctx: InductionCtx, c: RingElem, lr: LevelRange, S: linalg.Subspace) -> np.ndarray:
-    """Matrix of u_act(c, ·) on ambient/S over the frozen basis of lr, in the
-    coordinates of S's non-pivot columns.
-
-    Row (n, μ, i) of the translation matrix T_c is row i of the twist
-    [[1, t], [0, 1]] in the block of key (n, μ″), with (μ″, t) read from
-    translation_table, so T_c itself is never built.  S is in reduced echelon
-    form, so the class of e_j is the unit vector of j for a non-pivot j and
-    −(row k of S), read on the non-pivot columns, for the k-th pivot j: a
-    coefficient landing on a non-pivot column is scattered into it, and one
-    landing on a pivot adds its multiple of that row.
-    """
-    kk = ctx.weight.field.kk
-    D = ctx.D
-    nonpiv = linalg.non_pivots(S.pivots, S.ambient)
-    on_pivot = np.zeros(S.ambient, dtype=bool)
-    on_pivot[S.pivots] = True
-    slot = np.empty(S.ambient, dtype=np.int64)  # quotient coordinate of a non-pivot, rank of a pivot
-    slot[nonpiv] = np.arange(nonpiv.size)
-    slot[S.pivots] = np.arange(S.dim)
-    pivot_rows = S.rows[:, nonpiv]
-    targets, twists = [], []
-    for n, base in _offsets(ctx, lr).items():
-        perm, twist = translation_table(c, n)
-        targets.append(base + D * perm)
-        twists.append(twist)
-    key, i = np.divmod(nonpiv, D)  # every level's offset is a multiple of D
-    target = np.concatenate(targets)[key]
-    twist = np.concatenate(twists)[key]
-    coef = np.stack([_unipotent(ctx, t) for t in range(ctx.q)])[twist, i]
-    out = np.zeros((nonpiv.size, nonpiv.size), dtype=np.int32)
-    for d in range(D):
-        nz = np.flatnonzero(coef[:, d])  # each output row at most once, so no index repeats below
-        src = target[nz] + d
-        pivot = on_pivot[src]
-        hit, at = nz[~pivot], slot[src[~pivot]]
-        out[hit, at] = kk.ADD[out[hit, at], coef[hit, d]]
-        hit = nz[pivot]
-        out[hit] = kk.ADD[out[hit], kk.MUL[kk.NEG[coef[hit, d]][:, None], pivot_rows[slot[src[pivot]]]]]
-    return out
 
 
 def translate_vectors(ctx: InductionCtx, c: RingElem, n: int, X: np.ndarray) -> np.ndarray:

@@ -1,7 +1,8 @@
 """Exact subspace algebra over a finite field K.
 
-Vectors are rows of field codes; a LinMap with matrix M sends the row vector
-v to v @ M (row i of M is the image of the i-th domain basis vector).  A
+Vectors are rows of field codes, and a linear map is a plain matrix M in the
+row convention: it sends the row vector v to v @ M (row i of M is the image
+of the i-th domain basis vector), and the field is passed beside it.  A
 Subspace is stored in reduced row echelon form, which is unique, so equality
 of subspaces is equality of row arrays.  Everything here is exact, and a
 Subspace is dense; a BlockSum, q copies of one subspace on disjoint
@@ -89,9 +90,7 @@ def echelon(vectors, field: PrimeExtField, ambient: int | None = None) -> Subspa
 
 
 def full_space(field: PrimeExtField, ambient: int) -> Subspace:
-    eye = np.zeros((ambient, ambient), dtype=np.int32)
-    np.fill_diagonal(eye, 1)
-    return Subspace(field, ambient, eye, np.arange(ambient, dtype=np.int64), _canonical=True)
+    return Subspace(field, ambient, np.eye(ambient, dtype=np.int32), np.arange(ambient, dtype=np.int64), _canonical=True)
 
 
 class BlockSum:
@@ -165,43 +164,15 @@ def member_over(v, frame: Subspace | BlockSum, S: Subspace) -> bool:
     return member(v, frame) and member(np.asarray(v)[..., frame.pivots], S)
 
 
-class LinMap:
-    """K-linear map as a matrix; row i is the image of domain basis vector i."""
-
-    __slots__ = ("field", "matrix", "domain", "codomain")
-
-    def __init__(self, field: PrimeExtField, matrix):
-        self.field = field
-        self.matrix = np.ascontiguousarray(matrix, dtype=np.int32)
-        if self.matrix.ndim != 2:
-            raise DimensionMismatch("matrix must be 2-dimensional")
-        self.domain, self.codomain = self.matrix.shape
-
-    def apply(self, v: np.ndarray) -> np.ndarray:
-        v = np.asarray(v, dtype=np.int32)
-        if v.shape != (self.domain,):
-            raise DimensionMismatch(f"vector length {v.shape} vs domain {self.domain}")
-        return _kernels.vec_mat(v, self.matrix, self.field)
-
-    def compose(self, then: "LinMap") -> "LinMap":
-        if self.codomain != then.domain:
-            raise DimensionMismatch("composition shape mismatch")
-        return LinMap(self.field, _kernels.matmul(self.matrix, then.matrix, self.field))
-
-    def minus_identity(self) -> "LinMap":
-        if self.domain != self.codomain:
-            raise DimensionMismatch("needs a square matrix")
-        F = self.field
-        M = self.matrix.copy()
-        d = np.arange(self.domain)
-        M[d, d] = F.ADD[M[d, d], int(F.NEG[1])]
-        return LinMap(F, M)
-
-    def __repr__(self):
-        return f"LinMap({self.domain} -> {self.codomain})"
+def _matrix(M) -> np.ndarray:
+    """M as an int32 matrix, with no copy when it already is one."""
+    M = np.asarray(M, dtype=np.int32)
+    if M.ndim != 2:
+        raise DimensionMismatch(f"matrix must be 2-dimensional, got shape {M.shape}")
+    return M
 
 
-def kernel(M: LinMap) -> Subspace:
+def kernel(M, field: PrimeExtField) -> Subspace:
     """{v : v @ M = 0}, read off R = rref(Mᵀ).
 
     v @ M = 0 says Mᵀ vᵀ = 0, so every free column j of R gives the kernel
@@ -209,18 +180,20 @@ def kernel(M: LinMap) -> Subspace:
     `echelon` for the canonical basis.  The row reduction is only as wide as
     the domain, with no identity block beside M.
     """
-    F = M.field
-    n = M.domain
-    R, piv = _kernels.rref(M.matrix.T, F)
+    M = _matrix(M)
+    n = M.shape[0]
+    R, piv = _kernels.rref(M.T, field)
     free = non_pivots(piv, n)
     null_rows = np.zeros((free.size, n), dtype=np.int32)
     null_rows[np.arange(free.size), free] = 1
-    null_rows[:, piv] = F.NEG[R[: len(piv)][:, free]].T
-    return echelon(null_rows, F, ambient=n)
+    null_rows[:, piv] = field.NEG[R[: len(piv)][:, free]].T
+    return echelon(null_rows, field, ambient=n)
 
 
-def image(M: LinMap) -> Subspace:
-    return echelon(M.matrix, M.field, ambient=M.codomain)
+def image(M, field: PrimeExtField) -> Subspace:
+    """{v @ M}: the row span of M."""
+    M = _matrix(M)
+    return echelon(M, field, ambient=M.shape[1])
 
 
 def intersect(S: Subspace, T: Subspace) -> Subspace:
@@ -238,11 +211,12 @@ def intersect(S: Subspace, T: Subspace) -> Subspace:
     return echelon(inter_rows, F, ambient=n)
 
 
-def preimage(M: LinMap, S: Subspace) -> Subspace:
+def preimage(M, S: Subspace) -> Subspace:
     """{v : v @ M ∈ S}; reduction of rows mod S is linear, then a kernel solve."""
-    if S.ambient != M.codomain:
-        raise DimensionMismatch("subspace ambient must equal map codomain")
-    return kernel(LinMap(M.field, S.reduce(M.matrix)))
+    M = _matrix(M)
+    if S.ambient != M.shape[1]:
+        raise DimensionMismatch(f"subspace ambient {S.ambient} vs map codomain {M.shape[1]}")
+    return kernel(S.reduce(M), S.field)
 
 
 def _same_ambient(S: Subspace, T: Subspace):
@@ -250,48 +224,34 @@ def _same_ambient(S: Subspace, T: Subspace):
         raise DimensionMismatch("subspaces live in different ambients")
 
 
-def fixed_space(ops, field: PrimeExtField | None = None, ambient: int | None = None) -> Subspace:
-    """∩ ker(u - id), computed by iterative restriction; result is re-verified."""
-    ops = list(ops)
-    if not ops:
-        if field is None or ambient is None:
-            raise DimensionMismatch("empty op list needs explicit field and ambient")
-        return full_space(field, ambient)
-    F = ops[0].field
-    n = ops[0].domain
-    for u in ops:
-        if u.domain != u.codomain or u.domain != n or u.field is not F:
-            raise DimensionMismatch("fixed_space needs square maps on one ambient")
-    basis = None  # None means the full space
-    for u in ops:
-        delta = u.minus_identity().matrix
-        if basis is None:
-            coeffs = kernel(LinMap(F, delta))
-            basis = coeffs.rows
-        else:
-            if basis.shape[0] == 0:
-                break
-            restricted = _kernels.matmul(basis, delta, F)
-            coeffs = kernel(LinMap(F, restricted))
-            basis = _kernels.matmul(coeffs.rows, basis, F)
-    out = echelon(basis if basis is not None else np.zeros((0, n), dtype=np.int32), F, ambient=n)
-    for u in ops:  # the result must be genuinely fixed
-        assert np.array_equal(_kernels.matmul(out.rows, u.matrix, F), out.rows), "fixed_space post-check failed"
+def _minus_identity(u, field: PrimeExtField, n: int) -> np.ndarray:
+    """u - 1 for an n x n matrix u, as a new matrix."""
+    u = _matrix(u)
+    if u.shape != (n, n):
+        raise DimensionMismatch(f"needs {n} x {n} matrices, got {u.shape}")
+    d = np.arange(n)
+    out = u.copy()
+    out[d, d] = field.ADD[u[d, d], field.NEG[1]]
     return out
 
 
-def coinvariant_complement(ops, field: PrimeExtField | None = None, ambient: int | None = None) -> Subspace:
-    """Σ image(u - id); the coinvariants are the quotient by this subspace."""
-    ops = list(ops)
-    if not ops:
-        if field is None or ambient is None:
-            raise DimensionMismatch("empty op list needs explicit field and ambient")
-        return echelon(np.zeros((0, ambient), dtype=np.int32), field, ambient=ambient)
-    F = ops[0].field
-    n = ops[0].domain
-    stacked = []
-    for u in ops:
-        if u.domain != u.codomain or u.domain != n or u.field is not F:
-            raise DimensionMismatch("coinvariant_complement needs square maps on one ambient")
-        stacked.append(u.minus_identity().matrix)
-    return echelon(np.vstack(stacked), F, ambient=n)
+def fixed_space(mats, field: PrimeExtField, n: int) -> Subspace:
+    """∩ ker(u - 1) over the n x n matrices u, computed by iterative restriction; the result is re-verified."""
+    deltas = [_minus_identity(u, field, n) for u in mats]
+    basis = None  # None means the full space
+    for delta in deltas:
+        if basis is None:
+            basis = kernel(delta, field).rows
+        elif basis.shape[0]:
+            coeffs = kernel(_kernels.matmul(basis, delta, field), field)
+            basis = _kernels.matmul(coeffs.rows, basis, field)
+    out = full_space(field, n) if basis is None else echelon(basis, field, ambient=n)
+    for delta in deltas:  # the result must be genuinely fixed
+        assert not np.any(_kernels.matmul(out.rows, delta, field)), "fixed_space post-check failed"
+    return out
+
+
+def coinvariant_complement(mats, field: PrimeExtField, n: int) -> Subspace:
+    """Σ image(u - 1) over the n x n matrices u; the coinvariants are the quotient by this subspace."""
+    deltas = [_minus_identity(u, field, n) for u in mats]
+    return echelon(np.vstack([np.zeros((0, n), dtype=np.int32)] + deltas), field, ambient=n)

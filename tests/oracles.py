@@ -64,10 +64,10 @@ def tplus_by_walk(ctx):
     """(R₁′, the dense T₊|R₁ matrix, T₊R₁, T₊R₁′), each from the per-basis-vector walk."""
     kk = ctx.weight.field.kk
     r1, r2 = LevelRange("all", 1, 1), LevelRange("all", 2, 2)
-    r1p = linalg.kernel(operator_matrix(ctx, hecke_T_minus, r1, LevelRange("all", 0, 0)))
+    r1p = linalg.kernel(operator_matrix(ctx, hecke_T_minus, r1, LevelRange("all", 0, 0)), kk)
     Mplus = operator_matrix(ctx, hecke_T_plus, r1, r2)
-    tplus_r1p = linalg.echelon(_kernels.matmul(r1p.rows, Mplus.matrix, kk), kk, ambient=Mplus.codomain)
-    return r1p, Mplus, linalg.image(Mplus), tplus_r1p
+    tplus_r1p = linalg.echelon(_kernels.matmul(r1p.rows, Mplus, kk), kk, ambient=Mplus.shape[1])
+    return r1p, Mplus, linalg.image(Mplus, kk), tplus_r1p
 
 
 def dense_candidates(ctx):
@@ -95,16 +95,17 @@ def dense_fixed_dim(ctx, N):
     """dim L_N^U by the dense route that analysis.truncated_L took up to
     dim I^e = 2048: the translations by the generators as matrices on
     I^e/T(I^o) (analysis.induced_quotient_maps), then linalg.fixed_space."""
+    kk = ctx.weight.field.kk
     lr_even, lr_odd = LevelRange("even", 0, 2 * N), LevelRange("odd", 1, 2 * N - 1)
-    S = linalg.image(hecke_matrix(ctx, lr_odd, lr_even))
+    S = linalg.image(hecke_matrix(ctx, lr_odd, lr_even), kk)
     assert S.dim == range_dim(ctx, lr_odd), "T must be injective on odd levels"
     maps = analysis.induced_quotient_maps(ctx, analysis.u_generators(ctx, 2 * N), lr_even, S)
-    return linalg.fixed_space(maps).dim
+    return linalg.fixed_space(maps, kk, S.ambient - S.dim).dim
 
 
 def quotient_projection(S):
     """ambient x L matrix P with row j = coordinates of e_j in ambient/S: the
-    dense projection that induction.quotient_translation never builds.
+    dense projection that analysis.induced_quotient_maps reads off S.reduce.
 
     The complement coordinates are the non-pivot columns of S's reduced
     echelon form: row j of P is the unit vector of j for each non-pivot j,
@@ -132,5 +133,5 @@ def make_digits(ctx, values):
 def u_invariants(w):
     """Fixed space in the weight w of every upper unipotent [[1, λ], [0, 1]] over F_q."""
     kk = w.field.kk
-    ops = [linalg.LinMap(kk, action_matrix(w, [[1, lam], [0, 1]])) for lam in w.field.enumerate_field("Fq") if lam]
-    return linalg.fixed_space(ops, field=kk, ambient=w.D)
+    ops = [action_matrix(w, [[1, lam], [0, 1]]) for lam in w.field.enumerate_field("Fq") if lam]
+    return linalg.fixed_space(ops, kk, w.D)

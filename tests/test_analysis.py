@@ -159,7 +159,7 @@ class TestBlockRank:
         for n in (1, 2):
             dim = analysis.tplus_kernel_dim(ram_r1, n)
             T = operator_matrix(ram_r1, hecke_T_plus, LevelRange("all", n, n), LevelRange("all", n + 1, n + 1))
-            assert dim == linalg.kernel(T).dim == 0
+            assert dim == linalg.kernel(T, ram_r1.weight.field.kk).dim == 0
 
 
 class TestHeckeMatrixAgainstOracle:
@@ -190,12 +190,12 @@ class TestHeckeMatrixAgainstOracle:
             cases += [(R[n], R[n + 1], hecke_T_plus), (R[n], R[n - 1], hecke_T_minus)]
         for dom, cod, op in cases:
             want = operator_matrix(ctx, op, dom, cod)
-            assert np.array_equal(hecke_matrix(ctx, dom, cod).matrix, want.matrix), (dom, cod, op.__name__)
+            assert np.array_equal(hecke_matrix(ctx, dom, cod), want), (dom, cod, op.__name__)
             if op is hecke_T_plus:
-                assert analysis.tplus_kernel_dim(ctx, dom.lo) == linalg.kernel(want).dim
+                assert analysis.tplus_kernel_dim(ctx, dom.lo) == linalg.kernel(want, ctx.weight.field.kk).dim
         # T₊|R₁ acts by one D x qD block on every first digit and keeps the first digit
         q, D = ctx.q, ctx.D
-        blocks = operator_matrix(ctx, hecke_T_plus, R[1], R[2]).matrix.reshape(q, D, q, q * D)
+        blocks = operator_matrix(ctx, hecke_T_plus, R[1], R[2]).reshape(q, D, q, q * D)
         first = np.arange(q)
         assert np.array_equal(blocks[first, :, first], np.broadcast_to(blocks[0, :, 0], (q, D, q * D)))
         assert np.count_nonzero(blocks) == q * np.count_nonzero(blocks[0, :, 0])
@@ -286,8 +286,8 @@ class TestBlockRouteAgainstDense:
         P = quotient_projection(tplus_r1p)
         gens = all_translations(ctx, 2)
         maps = analysis.induced_quotient_maps(ctx, gens, LevelRange("all", 2, 2), tplus_r1p)
-        fixed = linalg.fixed_space(maps, field=kk, ambient=P.shape[1])
-        V = linalg.preimage(linalg.LinMap(kk, P), fixed)
+        fixed = linalg.fixed_space(maps, kk, P.shape[1])
+        V = linalg.preimage(P, fixed)
         return V, linalg.intersect(V, tplus_r1), tplus_r1, P.shape[1], fixed.dim
 
     @pytest.mark.parametrize("args", CONFIGS)
@@ -311,7 +311,7 @@ class TestBlockRouteAgainstDense:
         r1p, Mplus, tplus_r1, tplus_r1p = tplus_by_walk(ctx)
         dense_tplus_r1p, dense_V, dense_W = dense_candidates(ctx)
         # the walk's T₊|R₁ is I_q ⊗ the block that _tplus_r1 reads off the local matrix
-        assert np.array_equal(Mplus.matrix, np.kron(np.eye(q, dtype=np.int32), analysis._tplus_r1(ctx)[0]))
+        assert np.array_equal(Mplus, np.kron(np.eye(q, dtype=np.int32), analysis._tplus_r1(ctx)[0]))
         # the T₊R₁′ of the block image, built in coordinates over T₊R₁, against r1p.rows @ T₊|R₁
         assert np.array_equal(spaces.r1p.rows, r1p.rows)
         assert np.array_equal(dense_tplus_r1p.rows, tplus_r1p.rows)
@@ -320,7 +320,7 @@ class TestBlockRouteAgainstDense:
         block_sum = spaces.tplus_r1
         dense = direct_sum(block_sum.block, block_sum.copies)
         assert dense == tplus_r1 and np.array_equal(block_sum.pivots, tplus_r1.pivots)
-        members = _kernels.matmul(rng.integers(0, kk.order, size=(4, q * D)).astype(np.int32), Mplus.matrix, kk)
+        members = _kernels.matmul(rng.integers(0, kk.order, size=(4, q * D)).astype(np.int32), Mplus, kk)
         others = members.copy()
         others[:, rng.integers(0, q * q * D, size=4)] = rng.integers(1, kk.order, size=4)
         noise = rng.integers(0, kk.order, size=(4, q * q * D)).astype(np.int32)
@@ -488,7 +488,7 @@ class TestCandidateChecks:
         lr2 = LevelRange("all", 2, 2)
         r1p = analysis.r1_prime(ram_r1)
         Mp = operator_matrix(ram_r1, hecke_T_plus, LevelRange("all", 1, 1), lr2)
-        tpr1p = linalg.echelon(_kernels.matmul(r1p.rows, Mp.matrix, kk), kk, ambient=Mp.codomain)
+        tpr1p = linalg.echelon(_kernels.matmul(r1p.rows, Mp, kk), kk, ambient=Mp.shape[1])
         for c in all_translations(ram_r1, 2):
             delta = u_act(c, g) - g
             assert linalg.member(flatten(delta, lr2), tpr1p)
@@ -590,7 +590,7 @@ class TestTranslationMatrices:
     def _subspace(self, ctx, lr):
         if lr == LevelRange("all", 2, 2):
             return dense_candidates(ctx)[0]
-        return linalg.image(operator_matrix(ctx, hecke_T, LevelRange("odd", 1, lr.hi - 1), lr))
+        return linalg.image(operator_matrix(ctx, hecke_T, LevelRange("odd", 1, lr.hi - 1), lr), ctx.weight.field.kk)
 
     @pytest.mark.parametrize(
         "name,lr",
@@ -608,8 +608,8 @@ class TestTranslationMatrices:
         maps = analysis.induced_quotient_maps(ctx, gens, lr, S)
         for c, Q in zip(gens, maps):
             # the class of a vector in ambient/S is its remainder mod S, read on the non-pivot columns
-            T = operator_matrix(ctx, lambda x, c=c: u_act(c, x), lr, lr).matrix
-            assert np.array_equal(Q.matrix, S.reduce(T[nonpiv])[:, nonpiv])
+            T = operator_matrix(ctx, lambda x, c=c: u_act(c, x), lr, lr)
+            assert np.array_equal(Q, S.reduce(T[nonpiv])[:, nonpiv])
 
     @pytest.mark.parametrize(
         "name,lr",
@@ -625,7 +625,7 @@ class TestTranslationMatrices:
             assert np.all(vals != 0) and len(set(zip(rows.tolist(), cols.tolist()))) == rows.size
             M = np.zeros_like(eye)
             M[rows, cols] = vals
-            T = operator_matrix(ctx, lambda x, c=c: u_act(c, x), lr, lr).matrix
+            T = operator_matrix(ctx, lambda x, c=c: u_act(c, x), lr, lr)
             assert np.array_equal(M, kk.ADD[T, kk.NEG[eye]])
 
     @pytest.mark.parametrize("name", ["q3_r0", "ram_r1", "unram_gen"])
@@ -715,7 +715,7 @@ class TestCollapseAgainstDense:
         gens = all_translations(ctx, 2 * N)
         dim_ie = range_dim(ctx, lr_even)
         ops = [operator_matrix(ctx, lambda x, c=c: u_act(c, x), lr_even, lr_even) for c in gens]
-        C = linalg.coinvariant_complement(ops)
+        C = linalg.coinvariant_complement(ops, kk, dim_ie)
         rows = [
             flatten(hecke_T(singleton(ctx, n, mu, widx)), lr_even)
             for n in LevelRange("odd", 1, 2 * N - 1).levels()
@@ -730,14 +730,14 @@ class TestCollapseAgainstDense:
             lr_dn = LevelRange("all", n - 1, n - 1)
             lr_up = LevelRange("all", n + 1, n + 1)
             Cdn = linalg.coinvariant_complement(
-                [operator_matrix(ctx, lambda x, c=c: u_act(c, x), lr_dn, lr_dn) for c in gens]
+                [operator_matrix(ctx, lambda x, c=c: u_act(c, x), lr_dn, lr_dn) for c in gens], kk, range_dim(ctx, lr_dn)
             )
-            img_dn = linalg.image(operator_matrix(ctx, hecke_T_minus, LevelRange("all", n, n), lr_dn))
+            img_dn = linalg.image(operator_matrix(ctx, hecke_T_minus, LevelRange("all", n, n), lr_dn), kk)
             tm.append(subspace_sum(img_dn, Cdn).dim == range_dim(ctx, lr_dn))
             Cup = linalg.coinvariant_complement(
-                [operator_matrix(ctx, lambda x, c=c: u_act(c, x), lr_up, lr_up) for c in gens]
+                [operator_matrix(ctx, lambda x, c=c: u_act(c, x), lr_up, lr_up) for c in gens], kk, range_dim(ctx, lr_up)
             )
-            img_up = linalg.image(operator_matrix(ctx, hecke_T_plus, LevelRange("all", n, n), lr_up))
+            img_up = linalg.image(operator_matrix(ctx, hecke_T_plus, LevelRange("all", n, n), lr_up), kk)
             tp.append(all(linalg.member(r, Cup) for r in img_up.rows))
         return coinv, tuple(tm), tuple(tp)
 
@@ -759,7 +759,7 @@ class TestCollapseAgainstDense:
                 operator_matrix(ram_r1, lambda x, c=c: u_act(c, x), lr, lr)
                 for c in all_translations(ram_r1, max(n, 1))
             ]
-            C = linalg.coinvariant_complement(ops, field=kk, ambient=range_dim(ram_r1, lr))
+            C = linalg.coinvariant_complement(ops, kk, range_dim(ram_r1, lr))
             assert C.dim == 3**n * ram_r1.D - 1
 
 
@@ -775,13 +775,13 @@ class TestTruncationAgainstDense:
         ctx = analysis.build_ctx(*args, N=analysis.truncation_precision(N))
         kk = ctx.weight.field.kk
         lr_even, lr_odd = LevelRange("even", 0, 2 * N), LevelRange("odd", 1, 2 * N - 1)
-        S = linalg.image(operator_matrix(ctx, hecke_T, lr_odd, lr_even))
+        S = linalg.image(operator_matrix(ctx, hecke_T, lr_odd, lr_even), kk)
         eye = np.eye(S.ambient, dtype=np.int32)
         deltas = [
-            S.reduce(kk.ADD[operator_matrix(ctx, lambda x, c=c: u_act(c, x), lr_even, lr_even).matrix, kk.NEG[eye]])
+            S.reduce(kk.ADD[operator_matrix(ctx, lambda x, c=c: u_act(c, x), lr_even, lr_even), kk.NEG[eye]])
             for c in all_translations(ctx, 2 * N)
         ]
-        fixed = linalg.kernel(linalg.LinMap(kk, np.hstack(deltas)))
+        fixed = linalg.kernel(np.hstack(deltas), kk)
         rep = analysis.truncated_L(ctx, N)
         assert rep.ln_u_method == "sparse"
         assert (rep.dim_t_io, rep.dim_ln_u) == (S.dim, fixed.dim - S.dim)
@@ -806,7 +806,7 @@ class TestTruncationAgainstDense:
         # dim T(I^o) = dim I^o, which truncated_L reads off the full block rank
         ctx = analysis.build_ctx(*args, N=analysis.truncation_precision(N))
         lr_odd = LevelRange("odd", 1, 2 * N - 1)
-        image = linalg.image(hecke_matrix(ctx, lr_odd, LevelRange("even", 0, 2 * N)))
+        image = linalg.image(hecke_matrix(ctx, lr_odd, LevelRange("even", 0, 2 * N)), ctx.weight.field.kk)
         assert image.dim == range_dim(ctx, lr_odd) == analysis.truncated_L(ctx, N).dim_t_io
 
 

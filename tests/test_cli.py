@@ -313,6 +313,14 @@ class TestMain:
         captured = capsys.readouterr()
         assert "at least one suite" in captured.err and "verdict" not in captured.out
 
+    def test_exit_2_on_non_utf8_config(self, tmp_path, capsys):
+        # one Latin-1 byte in a comment is a config error at the file, not a traceback
+        cfg = tmp_path / "c.txt"
+        cfg.write_bytes(b"p = 3\nf = 1\ne = 1\nr = [0]\n# caf\xe9\n")
+        assert cli.main(["verify", "--config", str(cfg)]) == 2
+        captured = capsys.readouterr()
+        assert "config error" in captured.err and str(cfg) in captured.err and "verdict" not in captured.out
+
     def test_exit_2_promptly_on_huge_prime(self, tmp_path):
         # p = 2^61 - 1 is prime, so trial division before the table cap would
         # spin for minutes; a child process turns that into a timeout, not a hang

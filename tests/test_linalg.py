@@ -11,7 +11,6 @@ from indgl2.gf import FieldCtx
 from indgl2.induction import LevelRange, hecke_matrix
 from indgl2.linalg import (
     BlockSum,
-    LinMap,
     Subspace,
     coinvariant_complement,
     echelon,
@@ -150,25 +149,25 @@ def test_block_sum_embed_matches_dense_embed(F9):
 
 
 def test_kernel_zero_map(F3):
-    Z = LinMap(F3, np.zeros((3, 4), dtype=np.int32))
-    assert kernel(Z).dim == 3
+    Z = np.zeros((3, 4), dtype=np.int32)
+    assert kernel(Z, F3).dim == 3
 
 
 def test_kernel_all_ones_row_map(F3):
     # 1x3 all-ones map transposed: v ↦ Σv_i; kernel has dimension 2
-    M = LinMap(F3, np.ones((3, 1), dtype=np.int32))
-    assert kernel(M).dim == 2
+    M = np.ones((3, 1), dtype=np.int32)
+    assert kernel(M, F3).dim == 2
 
 
 def test_rank_nullity_random(F9):
     rng = np.random.default_rng(2)
     for _ in range(25):
         n, m = rng.integers(1, 14, size=2)
-        M = LinMap(F9, rand_mat(rng, F9, n, m))
-        k = kernel(M)
-        assert k.dim + image(M).dim == n
+        M = rand_mat(rng, F9, n, m)
+        k = kernel(M, F9)
+        assert k.dim + image(M, F9).dim == n
         for row in k.rows:
-            assert not np.any(M.apply(row))
+            assert not np.any(_kernels.vec_mat(row, M, F9))
 
 
 def test_sum_intersect_dim_formula(F9):
@@ -185,40 +184,40 @@ def test_sum_intersect_dim_formula(F9):
 def test_preimage(F9):
     rng = np.random.default_rng(4)
     for _ in range(15):
-        M = LinMap(F9, rand_mat(rng, F9, 6, 5))
+        M = rand_mat(rng, F9, 6, 5)
         S = echelon(rand_mat(rng, F9, 2, 5), F9)
         P = preimage(M, S)
         for row in P.rows:
-            assert member(M.apply(row), S)
+            assert member(_kernels.vec_mat(row, M, F9), S)
         # the preimage contains the kernel
-        for row in kernel(M).rows:
+        for row in kernel(M, F9).rows:
             assert member(row, P)
 
 
 def test_preimage_exhaustive_small(F3):
     # brute force count over F_3^3
     rng = np.random.default_rng(5)
-    M = LinMap(F3, rand_mat(rng, F3, 3, 2))
+    M = rand_mat(rng, F3, 3, 2)
     S = echelon(np.array([[1, 2]], dtype=np.int32), F3)
     P = preimage(M, S)
     count = 0
     for code in range(27):
         v = np.array([code % 3, (code // 3) % 3, (code // 9) % 3], dtype=np.int32)
-        if member(M.apply(v), S):
+        if member(_kernels.vec_mat(v, M, F3), S):
             count += 1
     assert count == 3**P.dim
 
 
 def test_fixed_space_identity(F3):
-    assert fixed_space([LinMap(F3, np.eye(4, dtype=np.int32))]).dim == 4
-    assert fixed_space([], field=F3, ambient=4).dim == 4
+    assert fixed_space([np.eye(4, dtype=np.int32)], F3, 4).dim == 4
+    assert fixed_space([], F3, 4).dim == 4
 
 
 def test_fixed_space_regular_rep(F3):
     # cyclic shift on K^3 = regular representation of Z/3
     P = np.zeros((3, 3), dtype=np.int32)
     P[0, 1] = P[1, 2] = P[2, 0] = 1
-    fx = fixed_space([LinMap(F3, P)])
+    fx = fixed_space([P], F3, 3)
     assert fx.dim == 1
     assert member(np.array([1, 1, 1], dtype=np.int32), fx)
 
@@ -232,23 +231,23 @@ def test_fixed_space_multiple_ops(F9):
         N = np.triu(rand_mat(rng, F9, n, n), k=1)
         M = N.copy()
         np.fill_diagonal(M, 1)
-        ops.append(LinMap(F9, M))
-    fx = fixed_space(ops)
+        ops.append(M)
+    fx = fixed_space(ops, F9, n)
     for u in ops:
         for row in fx.rows:
-            assert np.array_equal(u.apply(row), row)
+            assert np.array_equal(_kernels.vec_mat(row, u, F9), row)
 
 
 def test_coinvariant_complement_regular_rep(F3):
     P = np.zeros((3, 3), dtype=np.int32)
     P[0, 1] = P[1, 2] = P[2, 0] = 1
-    cw = coinvariant_complement([LinMap(F3, P)])
+    cw = coinvariant_complement([P], F3, 3)
     assert cw.dim == 2  # augmentation ideal image has codimension 1
 
 
 def test_coinvariant_identity_op(F3):
-    assert coinvariant_complement([LinMap(F3, np.eye(5, dtype=np.int32))]).dim == 0
-    assert coinvariant_complement([], field=F3, ambient=5).dim == 0
+    assert coinvariant_complement([np.eye(5, dtype=np.int32)], F3, 5).dim == 0
+    assert coinvariant_complement([], F3, 5).dim == 0
 
 
 def test_coinvariant_contains_product_op(F9):
@@ -261,10 +260,9 @@ def test_coinvariant_contains_product_op(F9):
         M = N.copy()
         np.fill_diagonal(M, 1)
         mats.append(M)
-    u, v = LinMap(F9, mats[0]), LinMap(F9, mats[1])
-    cw = coinvariant_complement([u, v])
-    uv = u.compose(v)
-    for row in image(uv.minus_identity()).rows:
+    cw = coinvariant_complement(mats, F9, n)
+    uv = _kernels.matmul(mats[0], mats[1], F9)
+    for row in image(F9.ADD[uv, F9.NEG[np.eye(n, dtype=np.int32)]], F9).rows:
         assert member(row, cw)
 
 
@@ -275,6 +273,49 @@ def test_dimension_mismatch_guards(F3, F9):
         subspace_sum(S, T)
     with pytest.raises(DimensionMismatch):
         intersect(S, echelon(np.array([[1, 0]], dtype=np.int32), F9))
+
+
+def _layout(M, layout):
+    """M, equal in value, as int64, as a transposed (Fortran-order) view, or as a column slice of a wider array."""
+    if layout == "int64":
+        return M.astype(np.int64)
+    if layout == "transposed":
+        return np.ascontiguousarray(M.T).T
+    wide = np.zeros((M.shape[0], 2 * M.shape[1]), dtype=np.int32)
+    wide[:, ::2] = M
+    return wide[:, ::2]
+
+
+@pytest.mark.parametrize("layout", ["int64", "transposed", "column-sliced"])
+@pytest.mark.parametrize("p,k", [(3, 1), (3, 2)])
+def test_map_functions_take_caller_arrays(p, k, layout):
+    # the matrices go in as the caller holds them, e.g. analysis's delta[:, mask]
+    F = FieldCtx(p, k).fq
+    rng = np.random.default_rng(10 * k + len(layout))
+    M = rand_low_rank(rng, F, 7, 5, 3)
+    U = np.triu(rand_mat(rng, F, 6, 6), k=1)
+    np.fill_diagonal(U, 1)
+    S = echelon(rand_mat(rng, F, 2, 5), F)
+    got_M, got_U = _layout(M, layout), _layout(U, layout)
+    assert got_M.dtype != np.int32 or not got_M.flags.c_contiguous
+    ref_M, ref_U = np.ascontiguousarray(M, dtype=np.int32), np.ascontiguousarray(U, dtype=np.int32)
+    assert kernel(got_M, F) == kernel(ref_M, F) and kernel(got_M, F).dim >= 2
+    assert image(got_M, F) == image(ref_M, F)
+    assert preimage(got_M, S) == preimage(ref_M, S)
+    assert fixed_space([got_U, got_U.T], F, 6) == fixed_space([ref_U, ref_U.T], F, 6)
+    assert coinvariant_complement([got_U], F, 6) == coinvariant_complement([ref_U], F, 6)
+    # the guards on caller input
+    for bad in (M[0], M[None]):  # not 2-dimensional
+        for call in (lambda: kernel(bad, F), lambda: image(bad, F), lambda: preimage(bad, S)):
+            with pytest.raises(DimensionMismatch):
+                call()
+    with pytest.raises(DimensionMismatch):
+        preimage(M.T, S)  # S lives in K^5, the map lands in K^7
+    for bad in (M, U[:5, :5], U[0]):  # not square, wrong size, not 2-dimensional
+        with pytest.raises(DimensionMismatch):
+            fixed_space([U, bad], F, 6)
+        with pytest.raises(DimensionMismatch):
+            coinvariant_complement([U, bad], F, 6)
 
 
 def _matmul_loops(A, B, F):
@@ -326,16 +367,15 @@ def _rref_loops(M, F):
     return R, np.array(pivots, dtype=np.int64)
 
 
-def _kernel_augmented(M):
+def _kernel_augmented(M, F):
     """{v : v @ M = 0} from the rref of [M | I]: the oracle for linalg.kernel."""
-    F = M.field
-    n = M.domain
-    aug = np.zeros((n, M.codomain + n), dtype=np.int32)
-    aug[:, : M.codomain] = M.matrix
-    aug[np.arange(n), M.codomain + np.arange(n)] = 1
+    n, m = M.shape
+    aug = np.zeros((n, m + n), dtype=np.int32)
+    aug[:, :m] = M
+    aug[np.arange(n), m + np.arange(n)] = 1
     R, piv = _kernels.rref(aug, F)
     R = R[: len(piv)]
-    null_rows = R[piv >= M.codomain][:, M.codomain :]
+    null_rows = R[piv >= m][:, m:]
     return echelon(null_rows, F, ambient=n)
 
 
@@ -458,12 +498,12 @@ class TestBackends:
         # T(I^o) -> I^e of ramified-r1 at N = 2: a few nonzeros per row, many zero columns
         ctx = build_ctx(3, 1, 2, (1,), N=5)
         T = hecke_matrix(ctx, LevelRange("odd", 1, 3), LevelRange("even", 0, 4))
-        M = T.matrix.T if transpose else T.matrix
-        F = T.field
+        M = T.T if transpose else T
+        F = ctx.weight.field.kk
         r1, p1 = _kernels.rref(M, F)
         r2, p2 = _rref_loops(np.array(M), F)
         assert np.array_equal(r1, r2) and np.array_equal(p1, p2)
-        assert len(p1) == T.domain  # T is injective on I^o
+        assert len(p1) == T.shape[0]  # T is injective on I^o
 
     def test_matmul_agrees(self, F9):
         rng = np.random.default_rng(9)
@@ -546,18 +586,18 @@ class TestKernelAgainstAugmented:
         F = FieldCtx(p, k).fq
         rng = np.random.default_rng(p + k)
         for n, m, rank in [(12, 12, 12), (12, 9, 9), (9, 12, 9), (15, 15, 6), (20, 7, 3), (7, 20, 5)]:
-            M = LinMap(F, rand_low_rank(rng, F, n, m, rank))
-            got = kernel(M)
-            assert got == _kernel_augmented(M)
-            assert got.dim == n - image(M).dim >= n - rank
+            M = rand_low_rank(rng, F, n, m, rank)
+            got = kernel(M, F)
+            assert got == _kernel_augmented(M, F)
+            assert got.dim == n - image(M, F).dim >= n - rank
 
     @pytest.mark.parametrize("p,k", [(3, 2), (5, 2)])
     @pytest.mark.parametrize("n,m", [(6, 6), (6, 4), (0, 5), (5, 0), (0, 0)])
     def test_zero_and_empty_maps(self, p, k, n, m):
         F = FieldCtx(p, k).fq
-        M = LinMap(F, np.zeros((n, m), dtype=np.int32))
-        got = kernel(M)
-        assert got == _kernel_augmented(M)
+        M = np.zeros((n, m), dtype=np.int32)
+        got = kernel(M, F)
+        assert got == _kernel_augmented(M, F)
         assert got == full_space(F, n)
 
     @pytest.mark.parametrize("p,k", [(3, 2), (5, 2)])
@@ -565,8 +605,8 @@ class TestKernelAgainstAugmented:
         F = FieldCtx(p, k).fq
         M = np.triu(rand_mat(np.random.default_rng(k), F, 8, 8))
         np.fill_diagonal(M, 1)
-        got = kernel(LinMap(F, M))
-        assert got.dim == 0 and got == _kernel_augmented(LinMap(F, M))
+        got = kernel(M, F)
+        assert got.dim == 0 and got == _kernel_augmented(M, F)
 
 
 @given(st.lists(st.integers(0, 8), min_size=12, max_size=12))
