@@ -1,0 +1,79 @@
+"""The main-lemma ladder: verdict, wall time and peak RSS at the frontier.
+
+Runs the mainlemma suite of `indgl2 verify` on each configuration below, each
+in a fresh process, and prints one line per configuration.  A child takes the
+path `indgl2 verify --format json` takes (cli.config_from_mapping, cli.run,
+cli.emit) on the indgl2 of this checkout; wall_s is that path's time, imports
+excluded, peak_rss_mb the child's own ru_maxrss, and sha256 the digest of the
+JSON report, so two checkouts can be compared report for report.  The thread
+variables are set to the CPU count, as perfbench/run.py sets them.
+
+Run from the root of a checkout:
+
+    python3 benchmarks/ladder.py
+"""
+
+import json
+import math
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+SRC = Path(__file__).resolve().parent.parent / "src"
+THREAD_VARS = ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS")
+
+# (p, f, e, r): frontier-q25 first, then the configurations whose re-verification of V held
+# the largest dim V x q²D arrays
+LADDER = [
+    (5, 2, 1, (1, 1)),  # q = 25, D = 4
+    (7, 2, 1, (3, 3)),  # q = 49, D = 16
+    (2, 6, 1, (1, 1, 0, 0, 0, 0)),  # q = 64, D = 4
+    (3, 4, 1, (1, 1, 0, 0)),  # q = 81, D = 4
+    (3, 5, 1, (0, 0, 0, 0, 0)),  # q = 243, D = 1
+]
+
+CHILD = """
+import hashlib, json, resource, sys, time
+from indgl2 import cli
+p, f, e, r = json.loads(sys.argv[1])
+t0 = time.perf_counter()
+report = cli.run(cli.config_from_mapping({"p": p, "f": f, "e": e, "r": r, "suites": ["mainlemma"]}))
+payload = cli.emit(report, "json")
+wall = time.perf_counter() - t0
+print(json.dumps({
+    "verdict": report.verdict,
+    "wall_s": round(wall, 2),
+    "peak_rss_mb": round(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024),
+    "sha256": hashlib.sha256(payload).hexdigest(),
+}))
+"""
+
+
+def run_one(config) -> dict:
+    env = dict(os.environ, PYTHONPATH=str(SRC))
+    for var in THREAD_VARS:
+        env[var] = str(os.cpu_count() or 1)
+    done = subprocess.run(
+        [sys.executable, "-c", CHILD, json.dumps(config)], env=env, capture_output=True, text=True, check=False
+    )
+    if done.returncode:
+        return {"verdict": "crash", "error": done.stderr.strip().splitlines()[-1:]}
+    return json.loads(done.stdout.strip().splitlines()[-1])
+
+
+def main():
+    for p, f, e, r in LADDER:
+        result = run_one([p, f, e, list(r)])
+        name = f"({p},{f},{e},{tuple(r)}) q={p**f} D={math.prod(x + 1 for x in r)}"
+        if result["verdict"] == "crash":
+            print(f"{name:40s} crash  {result['error']}")
+            continue
+        print(
+            f"{name:40s} {result['verdict']:5s} {result['wall_s']:7.2f} s {result['peak_rss_mb']:6d} MB  "
+            f"sha256={result['sha256'][:16]}"
+        )
+
+
+if __name__ == "__main__":
+    main()

@@ -85,7 +85,10 @@ class Config:
     out: str | None = None
     inject_failure: bool = False
 
-    def validate(self, where: str = "<config>"):
+    def validate(self, where: str = "<config>", suites=None):
+        """Check every field.  The suite rules apply to suites, the run's selection, when it names
+        any suite, else to self.suites; run itself rejects an empty selection, at --suites."""
+
         def bad(msg):
             raise ConfigError(msg, location=where)
 
@@ -116,9 +119,7 @@ class Config:
             bad(f"N must be an integer >= 2, got {self.N!r}")
         if not isinstance(self.suites, (list, tuple)):
             bad(f"suites must be a list, got {self.suites!r}")
-        if not self.suites:
-            bad("suites must select at least one suite")
-        _check_suites(self.suites, self.N_max, where)
+        _check_suites(suites or self.suites, self.N_max, where)
         if not _is_int(self.seed) or self.seed < 0:
             bad(f"seed must be a non-negative integer, got {self.seed!r}")
         if self.out is not None and not isinstance(self.out, str):
@@ -173,7 +174,9 @@ class Config:
 
 
 def _check_suites(suites, N_max: int, where: str):
-    """The rules on a suite selection: known names, no repeats, and N_max >= 1 for the truncation suite."""
+    """The rules on a suite selection: at least one suite, known names, no repeats, and N_max >= 1 for the truncation suite."""
+    if not suites:
+        raise ConfigError(f"this run selects no suite; pick at least one suite of: {', '.join(SUITES)}", location=where)
     for s in suites:
         if s not in SUITES:
             raise ConfigError(f"unknown suite {s!r}; valid: {', '.join(SUITES)}", location=where)
@@ -569,17 +572,14 @@ def main(argv=None) -> int:
             cfg = config_from_preset(args.preset)
         else:
             raise ConfigError("one of --config or --preset is required", location="command line")
+        # the overrides are checked against the suites this run selects, not the config's own list
+        suites = None if args.suites is None else [s for s in args.suites.split(",") if s]
         if args.trunc is not None:
             cfg.N_max = args.trunc
-            cfg.validate("--trunc")
+            cfg.validate("--trunc", suites)
         if args.seed is not None:
             cfg.seed = args.seed
-            cfg.validate("--seed")
-        suites = None
-        if args.suites is not None:
-            suites = [s for s in args.suites.split(",") if s]
-            if not suites:
-                raise ConfigError(f"--suites {args.suites!r} selects no suite", location="command line")
+            cfg.validate("--seed", suites)
         report = run(cfg, suites=suites, timings=args.timings)
     except ConfigError as ex:
         print(f"config error: {ex}", file=sys.stderr)

@@ -117,6 +117,15 @@ class InducedElem:
         self.ctx = ctx
         self.terms = clean
 
+    @classmethod
+    def _canonical(cls, ctx: InductionCtx, terms: dict) -> "InducedElem":
+        """The element with terms already in the form __init__ makes: keys (n, digit tuple of
+        length n) with n within the ring headroom, values nonzero int32 arrays; nothing is checked."""
+        x = cls.__new__(cls)
+        x.ctx = ctx
+        x.terms = terms
+        return x
+
     def support(self):
         return sorted(self.terms.keys())
 
@@ -349,16 +358,22 @@ def flatten(x: InducedElem, lr: LevelRange) -> np.ndarray:
 
 
 def unflatten(ctx: InductionCtx, lr: LevelRange, coords: np.ndarray) -> InducedElem:
-    """The InducedElem with coordinates coords in the frozen basis of the level range."""
+    """The InducedElem with coordinates coords in the frozen basis of the level range.
+
+    The terms are made in canonical form here (nonzero blocks only, digit
+    tuples of the level's length), so they are not validated again.
+    """
     q, D = ctx.q, ctx.D
     coords = np.asarray(coords, dtype=np.int32)
     terms = {}
     for n, base in _offsets(ctx, lr).items():
         blocks = coords[base : base + q**n * D].reshape(q**n, D)
         keys = np.flatnonzero(blocks.any(axis=1))
+        if keys.size and n > ctx.max_level():
+            raise PrecisionExhausted(f"level {n} exceeds ring headroom N-1 = {ctx.max_level()}")
         digits = keys[:, None] // q ** np.arange(n - 1, -1, -1) % q  # big-endian, as flatten ranks them
         terms.update(((n, mu), v) for mu, v in zip(map(tuple, digits.tolist()), blocks[keys]))
-    return InducedElem(ctx, terms)
+    return InducedElem._canonical(ctx, terms)
 
 
 def operator_matrix(ctx: InductionCtx, op, domain: LevelRange, codomain: LevelRange) -> np.ndarray:

@@ -129,22 +129,28 @@ class BlockSum:
             raise DimensionMismatch(f"vector length {out.shape} vs ambient {self.ambient}")
         return self.block.reduce(out.reshape(-1, self.block.ambient)).reshape(out.shape)
 
-    def embed(self, S: Subspace) -> Subspace:
-        """S, given in coordinates over the rows of this sum, as a subspace of its ambient.
+    def vectors(self, coords: np.ndarray) -> np.ndarray:
+        """The vectors whose coordinates over the rows of this sum are the rows of coords.
 
         Piece k of a coordinate row, its k-th run of block.dim entries, times
         the block's rows is copy k of the vector, so one product of the pieces
-        with the block gives every copy.  The result is in reduced echelon
-        form, with pivots self.pivots[S.pivots], as S.rows and the block's
-        rows are.
+        with the block gives every copy.
+        """
+        B = self.block
+        if coords.ndim != 2 or coords.shape[1] != self.dim:
+            raise DimensionMismatch(f"coordinates of shape {coords.shape} vs a basis of {self.dim} rows")
+        return _kernels.matmul(coords.reshape(-1, B.dim), B.rows, B.field).reshape(len(coords), self.ambient)
+
+    def embed(self, S: Subspace) -> Subspace:
+        """S, given in coordinates over the rows of this sum, as a subspace of its ambient.
+
+        The result is in reduced echelon form, with pivots self.pivots[S.pivots],
+        as S.rows and the block's rows are.
         """
         B = self.block
         if S.ambient != self.dim or S.field is not B.field:
             raise DimensionMismatch(f"coordinates of length {S.ambient} vs a basis of {self.dim} rows")
-        if S.dim:
-            rows = _kernels.matmul(S.rows.reshape(-1, B.dim), B.rows, B.field).reshape(S.dim, self.ambient)
-        else:
-            rows = np.zeros((0, self.ambient), dtype=np.int32)
+        rows = self.vectors(S.rows) if S.dim else np.zeros((0, self.ambient), dtype=np.int32)
         return Subspace(B.field, self.ambient, rows, self.pivots[S.pivots], _canonical=True)
 
 

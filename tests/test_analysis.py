@@ -6,6 +6,12 @@ cross-checked against independent dense linear algebra built inline here.
 """
 
 import itertools
+import json
+import os
+import subprocess
+import sys
+import textwrap
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -383,6 +389,77 @@ class TestBlockRouteAgainstDense:
         arrays = list(self._arrays(analysis._candidate_spaces(ctx)))
         assert len(arrays) >= 12
         assert all(a.shape[-1] != ctx.q * ctx.q * ctx.D for a in arrays)
+
+
+class TestReverification:
+    """_reverify_fixed checks V's basis rows in R₂ a block of REVERIFY_ROWS rows at a time."""
+
+    def test_every_row_translated_once_per_generator_in_blocks(self, monkeypatch):
+        # frontier-q25's configuration: dim V = 99, three full blocks and a partial one
+        ctx = analysis.build_ctx(5, 2, 1, (1, 1), N=3)
+        spaces = analysis._candidate_spaces(ctx)
+        gens = analysis.u_generators(ctx, 2)
+        assert spaces.V.dim == 99 and 99 % analysis.REVERIFY_ROWS
+        translated = {k: [] for k in range(len(gens))}
+        reduced = []
+        real_translate, real_reduce = analysis.translate_vectors, linalg.BlockSum.reduce
+
+        def translate(ctx, c, n, X):
+            translated[next(k for k, u in enumerate(gens) if u is c)].append(np.array(X))
+            return real_translate(ctx, c, n, X)
+
+        def reduce(self, v):
+            reduced.append(len(v))
+            return real_reduce(self, v)
+
+        monkeypatch.setattr(analysis, "translate_vectors", translate)
+        monkeypatch.setattr(linalg.BlockSum, "reduce", reduce)
+        analysis._reverify_fixed(ctx, gens, spaces.vp, spaces.V, spaces.tplus_r1, spaces.tplus_r1p)
+        rows = spaces.vp.embed(spaces.V).rows
+        for calls in translated.values():
+            assert max(len(X) for X in calls) <= analysis.REVERIFY_ROWS
+            assert np.array_equal(np.vstack(calls), rows)
+        assert reduced and max(reduced) <= analysis.REVERIFY_ROWS
+
+    def test_corrupt_translate_fails_under_python_O(self):
+        # with assertions compiled out, a translate that breaks invariance in the last,
+        # partial block must still turn the run into a CheckFailed record, not a pass
+        script = textwrap.dedent(
+            """
+            import sys
+            from indgl2 import analysis, cli, linalg
+
+            if __debug__:
+                sys.exit("run under python -O")
+            real_translate, real_reverify = analysis.translate_vectors, analysis._reverify_fixed
+            inside = []
+
+            def reverify(*args):
+                inside.append(True)
+                return real_reverify(*args)
+
+            def translate(ctx, c, n, X):
+                out = real_translate(ctx, c, n, X)
+                if inside and len(X) < analysis.REVERIFY_ROWS:
+                    col = linalg.non_pivots(analysis._tplus_r1(ctx)[1].pivots, out.shape[1])[0]
+                    out[0, col] = ctx.weight.field.kk.ADD[out[0, col], 1]
+                return out
+
+            analysis._reverify_fixed, analysis.translate_vectors = reverify, translate
+            cfg = cli.config_from_mapping({"p": 5, "f": 2, "e": 1, "r": [1, 1], "suites": ["mainlemma"]})
+            sys.stdout.write(cli.emit(cli.run(cfg), "json").decode())
+            """
+        )
+        src = Path(analysis.__file__).resolve().parent.parent
+        done = subprocess.run(
+            [sys.executable, "-O", "-c", script],
+            env={**os.environ, "PYTHONPATH": str(src)}, capture_output=True, text=True, timeout=300,
+        )
+        assert done.returncode == 0, done.stderr
+        report = json.loads(done.stdout)
+        assert report["verdict"] == "fail"
+        records = {r["name"]: r for r in report["records"]}
+        assert records["mainlemma:error"]["detail"] == "CheckFailed: V must be U-fixed modulo T₊R₁′"
 
 
 class TestNegativeControl:

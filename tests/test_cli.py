@@ -127,8 +127,9 @@ class TestConfigParsing:
 
 class TestRun:
     def test_empty_suites(self):
-        rep = cli.run(make_cfg(), suites=[])
-        assert rep.records == [] and rep.verdict == "pass"
+        # a run that selects no suite checks nothing, so it is a config error, not a pass
+        with pytest.raises(ConfigError, match="selects no suite"):
+            cli.run(make_cfg(), suites=[])
 
     def test_records_sorted_and_pass(self):
         rep = cli.run(make_cfg(), suites=["negative", "arith"])
@@ -229,7 +230,7 @@ class TestEmit:
         assert len(lines) == 2 + len(rep.records)
 
     def test_unknown_format(self):
-        rep = cli.run(make_cfg(), suites=[])
+        rep = cli.run(make_cfg(), suites=["arith"])
         with pytest.raises(ValueError):
             cli.emit(rep, "yaml")
 
@@ -357,6 +358,19 @@ class TestMain:
         assert cli.main(["verify", "--preset", "ramified-r1", "--suites", "truncation", "--trunc", "0"]) == 2
         captured = capsys.readouterr()
         assert "--trunc" in captured.err and "N_max >= 1" in captured.err and "verdict" not in captured.out
+
+    def test_trunc_0_follows_selected_suites(self, tmp_path, capsys):
+        # the preset lists the truncation suite, but this run does not select it
+        assert cli.main(["verify", "--preset", "ramified-r0", "--suites", "arith", "--trunc", "0"]) == 0
+        assert "verdict: pass" in capsys.readouterr().out
+        cfg = tmp_path / "c.txt"
+        cfg.write_text('p = 3\nf = 1\ne = 2\nr = [0]\nN_max = 0\nsuites = ["arith"]\n')
+        assert cli.main(["verify", "--config", str(cfg)]) == 0
+        assert cli.main(["verify", "--preset", "ramified-r0", "--suites", "arith", "--trunc", "0", "--seed", "3"]) == 0
+        capsys.readouterr()
+        # an empty selection is blamed on --suites, not on the override validated first
+        assert cli.main(["verify", "--preset", "ramified-r0", "--suites", ",", "--trunc", "2"]) == 2
+        assert "--suites: this run selects no suite" in capsys.readouterr().err
 
     def test_exit_2_on_truncation_with_no_depth_in_config(self, tmp_path, capsys):
         cfg = tmp_path / "c.txt"

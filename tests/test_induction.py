@@ -367,6 +367,31 @@ class TestMatrixExports:
             x = rand_elem(steinberg3, rng)
             assert unflatten(steinberg3, lr, flatten(x, lr)) == x
 
+    @pytest.mark.parametrize("fixture", ["steinberg3", "unram4"])
+    def test_unflatten_matches_validated_constructor(self, fixture, request):
+        # unflatten builds its terms without the constructor's checks; the result must be the same
+        ctx = request.getfixturevalue(fixture)
+        rng = np.random.default_rng(16)
+        lr = LevelRange("all", 0, 2)
+        for density in (0.0, 0.2, 1.0):
+            coords = rng.integers(0, ctx.weight.field.kk.order, size=range_dim(ctx, lr)).astype(np.int32)
+            coords[rng.random(coords.size) >= density] = 0  # all-zero weight blocks, and at 0.0 all zero
+            x = unflatten(ctx, lr, coords)
+            blocks = iter(coords.reshape(-1, ctx.D))  # every key of every level, zero blocks too
+            y = InducedElem(ctx, {(n, mu): next(blocks) for n in lr.levels() for mu in itertools.product(range(ctx.q), repeat=n)})
+            assert x.terms.keys() == y.terms.keys() and x == y
+            assert all(v.dtype == np.int32 and v.any() for v in x.terms.values())
+            assert all(type(c) is int for _, mu in x.terms for c in mu)
+            assert np.array_equal(flatten(x, lr), coords)
+
+    def test_unflatten_rejects_levels_beyond_headroom(self, steinberg3):
+        lr = LevelRange("all", 0, steinberg3.max_level() + 1)
+        coords = np.zeros(range_dim(steinberg3, lr), dtype=np.int32)
+        assert unflatten(steinberg3, lr, coords).is_zero()
+        coords[-1] = 1
+        with pytest.raises(PrecisionExhausted):
+            unflatten(steinberg3, lr, coords)
+
     def test_matrix_agrees_with_apply(self, steinberg3):
         rng = random.Random(13)
         dom, cod = LevelRange("all", 1, 1), LevelRange("all", 0, 2)
