@@ -574,9 +574,9 @@ def main_lemma_report(ctx: InductionCtx) -> MainLemmaReport:
 
 def _witness_from_spaces(spaces: CandidateSpaces) -> np.ndarray:
     """The first basis row of V outside W, as coordinates in R₂."""
-    for row in spaces.V.rows:  # V and W share V′'s frame; a reduced row is its own echelon form
+    for row in spaces.V.rows:  # V and W share V′'s frame
         if not linalg.member(row, spaces.W):
-            return spaces.vp.embed(linalg.echelon(row, spaces.V.field, ambient=spaces.V.ambient)).rows[0]
+            return spaces.vp.vectors(row[None])[0]
     raise CheckFailed("V is not larger than W; no witness exists")
 
 

@@ -13,7 +13,7 @@ are coordinate lists over the prime field.
 import argparse
 import json
 import sys
-from dataclasses import dataclass, field as dc_field
+from dataclasses import asdict, dataclass, field as dc_field, fields
 from time import perf_counter
 
 import numpy as np
@@ -50,11 +50,6 @@ PRESETS = {
     "unramified-generic": {"p": 3, "f": 2, "e": 1, "r": [0, 0]},
     "unramified-maximal": {"p": 2, "f": 2, "e": 1, "r": [1, 1]},
     "unramified-stretch": {"p": 3, "f": 2, "e": 1, "r": [2, 2], "N_max": 1},
-}
-
-_CONFIG_KEYS = {
-    "p", "f", "e", "m", "r", "chi", "nu", "E", "N", "N_max",
-    "suites", "seed", "out", "inject_failure",
 }
 
 
@@ -162,15 +157,8 @@ class Config:
         except (ValueError, ZeroDivisionError) as ex:
             raise ConfigError(str(ex), location="<config>") from ex
 
-    def to_dict(self) -> dict:
-        return {
-            "p": self.p, "f": self.f, "e": self.e, "m": self.m,
-            "r": list(self.r), "chi": self.chi,
-            "nu": list(self.nu) if self.nu is not None else None,
-            "E": self.E, "N": self.effective_precision(), "N_max": self.N_max,
-            "suites": list(self.suites), "seed": self.seed,
-            "inject_failure": self.inject_failure,
-        }
+
+_CONFIG_KEYS = {f.name for f in fields(Config)}
 
 
 def _check_suites(suites, N_max: int, where: str):
@@ -256,15 +244,6 @@ class CheckRecord:
     seconds: float = 0.0
     detail: str | None = None
 
-    def to_dict(self) -> dict:
-        return {
-            "name": self.name,
-            "status": self.status,
-            "dims": self.dims,
-            "seconds": self.seconds,
-            "detail": self.detail,
-        }
-
 
 @dataclass
 class Report:
@@ -272,14 +251,6 @@ class Report:
     config: dict
     records: list
     verdict: str
-
-    def to_dict(self) -> dict:
-        return {
-            "version": self.version,
-            "config": self.config,
-            "records": [r.to_dict() for r in self.records],
-            "verdict": self.verdict,
-        }
 
 
 # -- suites --
@@ -501,15 +472,14 @@ _SUITE_FNS = {
 }
 
 
-def run(cfg: Config, suites=None, timings: bool = False) -> Report:
-    """Execute the selected suites; suite crashes become failed records."""
-    selected = list(suites) if suites is not None else list(cfg.suites)
-    _check_suites(selected, cfg.N_max, "--suites")
-    cfg.check_precision(selected)
+def run(cfg: Config, timings: bool = False) -> Report:
+    """Execute cfg.suites; suite crashes become failed records."""
+    _check_suites(cfg.suites, cfg.N_max, "--suites")
+    cfg.check_precision(cfg.suites)
     ctx = cfg.build()
 
     records = []
-    for name in selected:
+    for name in cfg.suites:
         # numpy.random is imported on first use, so suites that draw nothing do not pay for it
         rng = np.random.default_rng(cfg.seed + SUITES.index(name)) if name in RANDOM_SUITES else None
         t0 = perf_counter()
@@ -527,12 +497,14 @@ def run(cfg: Config, suites=None, timings: bool = False) -> Report:
         records.append(CheckRecord("injected-failure", "fail", detail="forced by configuration"))
     records.sort(key=lambda r: r.name)
     verdict = "pass" if all(r.status != "fail" for r in records) else "fail"
-    return Report(version=__version__, config=cfg.to_dict(), records=records, verdict=verdict)
+    # the echo is the config that ran, with the effective ring precision and without the report path
+    config = {k: v for k, v in asdict(cfg).items() if k != "out"} | {"N": cfg.effective_precision()}
+    return Report(version=__version__, config=config, records=records, verdict=verdict)
 
 
 def emit(report: Report, format: str = "text") -> bytes:
-    if format in ("json", "structured"):
-        return (json.dumps(report.to_dict(), sort_keys=True, indent=2) + "\n").encode()
+    if format == "json":
+        return (json.dumps(asdict(report), sort_keys=True, indent=2) + "\n").encode()
     if format != "text":
         raise ValueError(f"unknown format {format!r}")
     lines = [f"indgl2 {report.version}"]
@@ -580,7 +552,9 @@ def main(argv=None) -> int:
         if args.seed is not None:
             cfg.seed = args.seed
             cfg.validate("--seed", suites)
-        report = run(cfg, suites=suites, timings=args.timings)
+        if suites is not None:
+            cfg.suites = suites
+        report = run(cfg, timings=args.timings)
     except ConfigError as ex:
         print(f"config error: {ex}", file=sys.stderr)
         return 2

@@ -227,7 +227,6 @@ class PrimeExtField:
         inv = self._pow_all(Q - 2) if Q > 2 else np.array([0, 1], dtype=np.int32)
         inv[0] = 0  # sentinel; callers must not invert 0
         self.INV = inv
-        self._pows_of_p = pows
         # AXJ_DIGITS[a, j, d] = digit d of a * x^j, in float64 for the BLAS product of _kernels.matmul
         self.AXJ_DIGITS = axj_digits.astype(np.float64)
 
@@ -425,7 +424,8 @@ class FieldCtx:
         for _ in range(self.f):
             qth = kk.FROB[qth]
         fixed = set(codes[qth == codes].tolist())
-        assert fixed == set(int(c) for c in self._embed), "embedding image != fixed set of x -> x^q"
+        if fixed != set(int(c) for c in self._embed):
+            raise ValueError("embedding image != fixed set of x -> x^q")
 
     def embed(self, a: FqElem) -> FqElem:
         if a.field is self.kk:

@@ -46,7 +46,8 @@ class LocalRingCtx:
             raise ValueError("need e, f, N >= 1")
         self.p, self.f, self.e, self.N = p, f, e, N
         self.M = -(-N // e) + 1
-        assert self.e * self.M >= N + 1
+        if self.e * self.M < N + 1:
+            raise ValueError(f"{self.M} digits of ramification {e} do not reach precision N = {N}")
         self.pM = p**self.M
         if f * (self.pM - 1) ** 2 >= 2**63:
             raise ValueError(

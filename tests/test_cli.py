@@ -1,6 +1,8 @@
 """Configuration parsing, suite driver, report emission, exit codes."""
 
 import contextlib
+import dataclasses
+import hashlib
 import io
 import json
 import os
@@ -129,17 +131,17 @@ class TestRun:
     def test_empty_suites(self):
         # a run that selects no suite checks nothing, so it is a config error, not a pass
         with pytest.raises(ConfigError, match="selects no suite"):
-            cli.run(make_cfg(), suites=[])
+            cli.run(dataclasses.replace(make_cfg(), suites=[]))
 
     def test_records_sorted_and_pass(self):
-        rep = cli.run(make_cfg(), suites=["negative", "arith"])
+        rep = cli.run(dataclasses.replace(make_cfg(), suites=["negative", "arith"]))
         names = [r.name for r in rep.records]
         assert names == sorted(names)
         assert rep.verdict == "pass"
         assert all(r.seconds == 0.0 for r in rep.records)
 
     def test_mainlemma_dims_table(self):
-        rep = cli.run(make_cfg(), suites=["mainlemma"])
+        rep = cli.run(dataclasses.replace(make_cfg(), suites=["mainlemma"]))
         rec = next(r for r in rep.records if r.name == "mainlemma:witness")
         assert rec.status == "pass"
         for key in ("R1", "R1prime", "Q", "V", "V_cap_TplusR1"):
@@ -148,23 +150,23 @@ class TestRun:
         assert (beyond.status, beyond.dims, beyond.detail) == ("pass", {}, "method=blockwise")
 
     def test_search_only_config_skips_mainlemma(self):
-        rep = cli.run(cli.config_from_mapping({"p": 3, "f": 1, "e": 1, "r": [1]}), suites=["mainlemma"])
+        rep = cli.run(dataclasses.replace(cli.config_from_mapping({"p": 3, "f": 1, "e": 1, "r": [1]}), suites=["mainlemma"]))
         statuses = {r.name: r.status for r in rep.records}
         assert statuses["mainlemma:witness"] == "skipped"
         assert rep.verdict == "pass"
 
     def test_injected_failure(self):
-        rep = cli.run(make_cfg(inject_failure=True), suites=["negative"])
+        rep = cli.run(dataclasses.replace(make_cfg(inject_failure=True), suites=["negative"]))
         assert rep.verdict == "fail"
         assert any(r.name == "injected-failure" and r.status == "fail" for r in rep.records)
 
     def test_unknown_suite_rejected(self):
         with pytest.raises(ConfigError):
-            cli.run(make_cfg(), suites=["nope"])
+            cli.run(dataclasses.replace(make_cfg(), suites=["nope"]))
 
     def test_repeated_suite_rejected(self):
         with pytest.raises(ConfigError):
-            cli.run(make_cfg(), suites=["arith", "arith"])
+            cli.run(dataclasses.replace(make_cfg(), suites=["arith", "arith"]))
 
     def test_candidate_spaces_built_once_per_ctx(self, monkeypatch):
         # V and W come from one first-digit block V₀ of R₂; the mainlemma and
@@ -177,7 +179,7 @@ class TestRun:
             return real(ctx, deep, B0)
 
         monkeypatch.setattr(analysis, "_first_digit_block", counting)
-        rep = cli.run(cli.config_from_preset("unramified-generic"), suites=["mainlemma", "truncation"])
+        rep = cli.run(dataclasses.replace(cli.config_from_preset("unramified-generic"), suites=["mainlemma", "truncation"]))
         assert rep.verdict == "pass"
         assert list(builds.values()) == [1]
 
@@ -192,19 +194,19 @@ class TestRun:
             return real(ctx, domain, codomain)
 
         monkeypatch.setattr(analysis, "hecke_matrix", counting)
-        rep = cli.run(cli.config_from_preset("ramified-r1"), suites=["hecke", "mainlemma", "truncation"])
+        rep = cli.run(dataclasses.replace(cli.config_from_preset("ramified-r1"), suites=["hecke", "mainlemma", "truncation"]))
         assert rep.verdict == "pass"
         assert builds.count((LevelRange("all", 1, 1), LevelRange("all", 2, 2))) == 0
 
     def test_timings_give_each_record_its_suite_time(self, monkeypatch):
         clock = iter([10.0, 11.0])  # one suite, timed at 1.0 s
         monkeypatch.setattr(cli, "perf_counter", lambda: next(clock))
-        rep = cli.run(make_cfg(), suites=["arith"], timings=True)
+        rep = cli.run(dataclasses.replace(make_cfg(), suites=["arith"]), timings=True)
         assert len(rep.records) > 1
         assert all(r.seconds == 1.0 for r in rep.records)
 
     def test_truncation_suite_records(self):
-        rep = cli.run(make_cfg(N_max=2), suites=["truncation"])
+        rep = cli.run(dataclasses.replace(make_cfg(N_max=2), suites=["truncation"]))
         names = [r.name for r in rep.records]
         assert "truncation:N=1" in names and "truncation:N=2" in names
         assert "truncation:monotone-fixed-dims" in names
@@ -223,16 +225,30 @@ class TestEmit:
         assert set(doc) == {"version", "config", "records", "verdict"}
 
     def test_text_one_line_per_check(self):
-        rep = cli.run(make_cfg(), suites=["negative"])
+        rep = cli.run(dataclasses.replace(make_cfg(), suites=["negative"]))
         text = cli.emit(rep, "text").decode()
         lines = text.strip().splitlines()
         assert lines[-1] == "verdict: pass"
         assert len(lines) == 2 + len(rep.records)
 
     def test_unknown_format(self):
-        rep = cli.run(make_cfg(), suites=["arith"])
-        with pytest.raises(ValueError):
-            cli.emit(rep, "yaml")
+        rep = cli.run(dataclasses.replace(make_cfg(), suites=["arith"]))
+        for format in ("yaml", "structured"):
+            with pytest.raises(ValueError):
+                cli.emit(rep, format)
+
+    def test_frontier_q25_report_digest(self):
+        # the q = 25, D = 4 main lemma, whose report the benchmark checks only by its dims
+        cfg = cli.config_from_mapping({"p": 5, "f": 2, "e": 1, "r": [1, 1], "suites": ["mainlemma"], "seed": 0})
+        digest = hashlib.sha256(cli.emit(cli.run(cfg), "json")).hexdigest()
+        assert digest == "3cc7484f920ecc01138ed78708751585adabf2deed33a076be5c8a5fca6d2359"
+
+    def test_suites_override_is_echoed(self, capsys):
+        # the echo names the suites that ran, not the preset's own list
+        assert cli.main(["verify", "--preset", "ramified-r0", "--suites", "arith", "--format", "json"]) == 0
+        out = capsys.readouterr().out
+        assert json.loads(out)["config"]["suites"] == ["arith"]
+        assert hashlib.sha256(out.encode()).hexdigest() == "47166f14902eddf077d31589bbc80308ae3bb31337be43758bb5489f3026125e"
 
 
 class TestMain:
@@ -403,8 +419,8 @@ class TestMain:
         # only arith and hecke draw random elements; importing numpy.random costs 10-16 ms and 6 MB
         src = Path(cli.__file__).resolve().parent.parent
         code = (
-            "import sys; from indgl2 import cli; "
-            "rep = cli.run(cli.config_from_preset('ramified-r1'), suites=['mainlemma', 'truncation']); "
+            "import dataclasses, sys; from indgl2 import cli; "
+            "rep = cli.run(dataclasses.replace(cli.config_from_preset('ramified-r1'), suites=['mainlemma', 'truncation'])); "
             "print(rep.verdict, 'numpy.random' in sys.modules)"
         )
         done = subprocess.run(
@@ -426,8 +442,8 @@ class TestMain:
     def test_random_suites_draw_from_their_seeded_generator(self):
         # the generator of a suite is seeded by seed + its index in SUITES, whichever suites run with it
         for name in cli.RANDOM_SUITES:
-            alone = cli.emit(cli.run(make_cfg(), suites=[name]), "json")
-            together = cli.emit(cli.run(make_cfg(), suites=["mainlemma", name]), "json")
+            alone = cli.emit(cli.run(dataclasses.replace(make_cfg(), suites=[name])), "json")
+            together = cli.emit(cli.run(dataclasses.replace(make_cfg(), suites=["mainlemma", name])), "json")
             records = [r for r in json.loads(together)["records"] if r["name"].startswith(name + ":")]
             assert json.loads(alone)["records"] == records
 
