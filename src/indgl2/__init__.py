@@ -14,7 +14,6 @@ from .errors import (
     MixedFieldContexts,
     NonConvergence,
     NotDivisible,
-    NotInK,
     PrecisionExhausted,
     SingularMatrix,
 )

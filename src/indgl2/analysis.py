@@ -47,19 +47,14 @@ from . import _kernels, linalg
 from .errors import CaseMismatch, CheckFailed, PrecisionExhausted
 from .gf import FieldCtx
 from .induction import (
-    InducedElem,
     InductionCtx,
     LevelRange,
-    flatten,
     hecke_entries,
     hecke_matrix,
     move_keys,
     range_dim,
-    singleton,
     translate_vectors,
     translation_entries,
-    u_act,
-    unflatten,
 )
 from .localring import LocalRingCtx, RingElem, teichmuller, translation_table
 from .weight import WeightCtx, action_matrix
@@ -74,10 +69,7 @@ SPARSE_FIXED_CAP = 262144
 # generators of U act on it modulo ϖ³
 MAIN_LEMMA_PRECISION = 3
 
-# R₂ with its frozen basis, where every witness lives
-LR2 = LevelRange("all", 2, 2)
-
-# basis rows of V re-verified in R₂ at a time (_reverify_fixed): its peak memory grows
+# basis rows of V re-verified in R₂ at a time (_u_fixed_mod_tplus_r1p): its peak memory grows
 # with this x q²D, and each block pays a fixed cost per generator in move_keys.  On
 # (5,2,1,(1,1)) 8-row blocks took 55 ms against 35 ms at 32 rows, and 32 rows cut the
 # peak RSS of its whole run by 8 %
@@ -244,12 +236,6 @@ class CandidateSpaces:
     qu_dim: int
 
 
-def _minus_identity(ctx: InductionCtx, moved: np.ndarray, X: np.ndarray) -> np.ndarray:
-    """(u - 1)X from moved = uX."""
-    kk = ctx.weight.field.kk
-    return kk.ADD[moved, kk.NEG[X]]
-
-
 def _first_digit_block(ctx: InductionCtx, deep, B0: linalg.Subspace) -> linalg.Subspace:
     """V₀ = {x ∈ K^{qD} : (u-1)x ∈ B₀ for every u in deep}, on one first-digit block of R₂.
 
@@ -265,7 +251,7 @@ def _first_digit_block(ctx: InductionCtx, deep, B0: linalg.Subspace) -> linalg.S
         perm, twist = (a.reshape(q, q) for a in translation_table(c, 2))
         if not (np.array_equal(perm, heads + perm[0]) and np.array_equal(twist, np.broadcast_to(twist[0], (q, q)))):
             raise CheckFailed("a translation by ϖO must act by one matrix on every first digit")
-        deltas.append(B0.reduce(_minus_identity(ctx, move_keys(ctx, perm[0], twist[0], eye), eye)))
+        deltas.append(B0.reduce(kk.ADD[move_keys(ctx, perm[0], twist[0], eye), kk.NEG[eye]]))
     return linalg.kernel(np.hstack(deltas), kk)
 
 
@@ -296,37 +282,36 @@ def _minus_identity_on_blocks(ctx: InductionCtx, c: RingElem, V0: linalg.Subspac
     return M.reshape(q * d0, q * d0)
 
 
-def _reverify_fixed(ctx: InductionCtx, gens, Vp: linalg.BlockSum, V: linalg.Subspace,
-                    tplus_r1: linalg.BlockSum, tplus_r1p: linalg.Subspace) -> None:
-    """Check in R₂ that every basis row v of V is U-fixed modulo T₊R₁′, or raise CheckFailed.
+def _u_fixed_mod_tplus_r1p(ctx: InductionCtx, gens, count: int, rows_of,
+                          tplus_r1: linalg.BlockSum, tplus_r1p: linalg.Subspace) -> bool:
+    """Whether count rows of R₂ are all U-fixed modulo T₊R₁′: the one check of it, for V's rows and for g.
 
-    For every generator u, uv and v must have the same remainder mod T₊R₁
-    and, over T₊R₁'s rows, the same coordinates mod T₊R₁′, on all q²D
-    entries.  The rows are embedded, translated and reduced mod T₊R₁
-    REVERIFY_ROWS at a time, so no dim V x q²D array is held.  Each block
-    keeps only its entries on T₊R₁'s pivots, q·dim B₀ wide, and after the
-    loop those of the rows and of each generator's translates are reduced
-    mod T₊R₁′, one call each.  That reduction rebuilds T₊R₁′'s digit planes
-    on every call, so one call per block would cost more time; one call for
-    all of them together would hold (1 + #generators)·dim V rows of digit
-    planes at once (50 MB more at q = 49, D = 16).
+    rows_of(block) gives the rows of the slice block in R₂.  For every
+    generator u, uv and v must have the same remainder mod T₊R₁ and, over
+    T₊R₁'s rows, the same coordinates mod T₊R₁′, on all q²D entries.  The
+    rows are embedded, translated and reduced mod T₊R₁ REVERIFY_ROWS at a
+    time, so no count x q²D array is held.  Each block keeps only its
+    entries on T₊R₁'s pivots, q·dim B₀ wide, and after the loop those of the
+    rows and of each generator's translates are reduced mod T₊R₁′, one call
+    each.  That reduction rebuilds T₊R₁′'s digit planes on every call, so one
+    call per block would cost more time; one call for all of them together
+    would hold (1 + #generators)·count rows of digit planes at once (50 MB
+    more at q = 49, D = 16).
     """
     pivots = tplus_r1.pivots
-    coords = np.empty((1 + len(gens), V.dim, len(pivots)), dtype=np.int32)  # the rows', then each u's translates'
-    for start in range(0, V.dim, REVERIFY_ROWS):
+    coords = np.empty((1 + len(gens), count, len(pivots)), dtype=np.int32)  # the rows', then each u's translates'
+    for start in range(0, count, REVERIFY_ROWS):
         block = slice(start, start + REVERIFY_ROWS)
-        rows = Vp.vectors(V.rows[block])
+        rows = rows_of(block)
         rest = tplus_r1.reduce(rows)
         coords[0, block] = rows[:, pivots]
         for k, c in enumerate(gens, start=1):
             moved = translate_vectors(ctx, c, 2, rows)
             if not np.array_equal(tplus_r1.reduce(moved), rest):
-                raise CheckFailed("V must be U-fixed modulo T₊R₁′")
+                return False
             coords[k, block] = moved[:, pivots]
     rest_coords = tplus_r1p.reduce(coords[0])
-    for moved in coords[1:]:
-        if not np.array_equal(tplus_r1p.reduce(moved), rest_coords):
-            raise CheckFailed("V must be U-fixed modulo T₊R₁′")
+    return all(np.array_equal(tplus_r1p.reduce(moved), rest_coords) for moved in coords[1:])
 
 
 @_per_ctx
@@ -341,7 +326,7 @@ def _candidate_spaces(ctx: InductionCtx) -> CandidateSpaces:
     coordinates of V′, and W = V ∩ T₊R₁ is read off in those coordinates;
     neither is embedded in R₂.  Every basis row of V is embedded and
     re-verified against every generator on its q²D entries, REVERIFY_ROWS
-    rows at a time (_reverify_fixed), and T₊R₁′ is checked to lie in V,
+    rows at a time (_u_fixed_mod_tplus_r1p), and T₊R₁′ is checked to lie in V,
     which with that makes T₊R₁′ U-stable.
     """
     kk = ctx.weight.field.kk
@@ -372,7 +357,8 @@ def _candidate_spaces(ctx: InductionCtx) -> CandidateSpaces:
     V = linalg.kernel(delta[:, np.any(delta, axis=0)], kk)
     # every basis row of V, embedded in R₂, is U-fixed modulo T₊R₁′ on all q²D entries,
     # checked REVERIFY_ROWS rows at a time
-    _reverify_fixed(ctx, gens, Vp, V, tplus_r1, tplus_r1p)
+    if not _u_fixed_mod_tplus_r1p(ctx, gens, V.dim, lambda block: Vp.vectors(V.rows[block]), tplus_r1, tplus_r1p):
+        raise CheckFailed("V must be U-fixed modulo T₊R₁′")
     if np.any(V.reduce(tplus_r1p_in_vp.rows)):
         raise CheckFailed("T₊R₁′ must lie in V")
     in_tplus_r1 = linalg.kernel(tplus_r1_coords.reduce(V.rows), kk)
@@ -409,23 +395,13 @@ def _sum_over_keys(ctx: InductionCtx, weights: np.ndarray) -> np.ndarray:
     return np.tile(weights.reshape(-1), ctx.q)
 
 
-def paper_candidate(ctx: InductionCtx, case: str | None = None):
+def paper_candidate(ctx: InductionCtx):
     """The explicit g of the construction matching this configuration.
 
-    Returns (g, case, j0) where j0 is the factor index used by the
-    unramified cases (None otherwise).
+    Returns (coordinates of g in R₂, case, j0) where j0 is the factor index
+    used by the unramified cases (None otherwise).
     """
-    coords, case, j0 = _paper_coords(ctx, case)
-    return unflatten(ctx, LR2, coords), case, j0
-
-
-def _paper_coords(ctx: InductionCtx, case: str | None):
-    """(coordinates of g in R₂, case, j0) for paper_candidate."""
-    actual = select_case(ctx)
-    if case is None:
-        case = actual
-    if case != actual:
-        raise CaseMismatch(f"configuration matches case {actual!r}, not {case!r}")
+    case = select_case(ctx)
     w = ctx.weight
     field = w.field
     if case == CASE_SEARCH_ONLY:
@@ -469,52 +445,40 @@ def _paper_coords(ctx: InductionCtx, case: str | None):
 # -- checks on a candidate g --
 
 
-def candidate_checks(ctx: InductionCtx, g: InducedElem) -> dict:
-    """The two defining checks of a witness g ∈ R₂: g ∉ T₊R₁ and (u-1)g ∈ T₊R₁′.
+def candidate_checks(ctx: InductionCtx, coords: np.ndarray) -> dict:
+    """The two defining checks of a witness g ∈ R₂, given by its coordinates:
+    g ∉ T₊R₁ and (u-1)g ∈ T₊R₁′.
 
-    (u-1)g is computed on g's flat coordinates, one translate_vectors per
-    generator.  That reads the same translation tables as the construction
-    of V, and every table is verified forward on every key before use
-    (localring.translation_table), so the check does not rest on the carry
+    The second is _u_fixed_mod_tplus_r1p on g's single row, the check V's
+    rows pass.  It moves g with translate_vectors, which reads translation
+    tables that are verified forward on every key before use
+    (localring.translation_table), so it does not rest on the carry
     recursion that built them; tests/oracles.py keeps the per-key u_act form.
     """
-    if g.levels() != [2]:
-        raise CheckFailed("candidate must be supported on level 2")
-    return _checks_on_coords(ctx, flatten(g, LR2))
-
-
-def _checks_on_coords(ctx: InductionCtx, coords: np.ndarray) -> dict:
-    """candidate_checks on the coordinates of g in R₂."""
     spaces = _candidate_spaces(ctx)
-    flat = coords[None]
-    deltas = np.vstack([_minus_identity(ctx, translate_vectors(ctx, c, 2, flat), flat) for c in u_generators(ctx, 2)])
+    row = np.asarray(coords, dtype=np.int32)[None]
     return {
-        "g_not_in_TplusR1": not linalg.member(coords, spaces.tplus_r1),
-        "u_invariance_mod_TplusR1prime": linalg.member_over(deltas, spaces.tplus_r1, spaces.tplus_r1p),
+        "g_not_in_TplusR1": not linalg.member(row[0], spaces.tplus_r1),
+        "u_invariance_mod_TplusR1prime": _u_fixed_mod_tplus_r1p(
+            ctx, u_generators(ctx, 2), 1, lambda block: row[block], spaces.tplus_r1, spaces.tplus_r1p
+        ),
     }
 
 
-def independence_certificate(ctx: InductionCtx, g: InducedElem, raise_on_fail: bool = False):
-    """Certify dim L(σ)^U ≥ 2 from a checked g: novelty plus T₊ injectivity.
+def independence_certificate(ctx: InductionCtx, coords: np.ndarray):
+    """Certify dim L(σ)^U ≥ 2 from a checked g, given by its coordinates in R₂:
+    novelty plus T₊ injectivity.
 
     Injectivity at levels 1 and 3 is the blockwise kernel of tplus_kernel_dim;
     the same block rank covers every other level.
     """
-    subchecks = {}
-    subchecks["g-nonzero"] = not g.is_zero()
-    subchecks["g-level-2-support"] = g.levels() == [2]
-    if subchecks["g-nonzero"] and subchecks["g-level-2-support"]:
-        tplus_r1 = _candidate_spaces(ctx).tplus_r1
-        subchecks["g-not-in-TplusR1"] = not linalg.member(flatten(g, LR2), tplus_r1)
-    else:
-        subchecks["g-not-in-TplusR1"] = False
-    subchecks["tplus-kernel-R1-zero"] = tplus_kernel_dim(ctx, 1) == 0
-    subchecks["tplus-kernel-R3-zero"] = tplus_kernel_dim(ctx, 3) == 0
-    ok = all(subchecks.values())
-    if not ok and raise_on_fail:
-        failing = next(k for k, v in subchecks.items() if v is False)
-        raise CheckFailed(f"independence certificate failed at {failing}")
-    return ok, subchecks
+    subchecks = {
+        "g-nonzero": bool(np.any(coords)),
+        "g-not-in-TplusR1": not linalg.member(coords, _candidate_spaces(ctx).tplus_r1),
+        "tplus-kernel-R1-zero": tplus_kernel_dim(ctx, 1) == 0,
+        "tplus-kernel-R3-zero": tplus_kernel_dim(ctx, 3) == 0,
+    }
+    return all(subchecks.values()), subchecks
 
 
 # -- reports --
@@ -524,7 +488,7 @@ def independence_certificate(ctx: InductionCtx, g: InducedElem, raise_on_fail: b
 class MainLemmaReport:
     case: str
     found: bool
-    g: InducedElem | None
+    g: np.ndarray | None  # coordinates in R₂
     checks: dict
     dims: dict
     certificate: bool
@@ -552,11 +516,10 @@ def main_lemma_report(ctx: InductionCtx) -> MainLemmaReport:
     cert_ok, cert_detail = False, {}
     if found:
         if case == CASE_SEARCH_ONLY:
-            coords = _witness_from_spaces(spaces)
+            g = _witness_from_spaces(spaces)
         else:
-            coords, _, j0 = _paper_coords(ctx, case)
-        g = unflatten(ctx, LR2, coords)
-        checks = _checks_on_coords(ctx, coords)
+            g, _, j0 = paper_candidate(ctx)
+        checks = candidate_checks(ctx, g)
         if not all(checks.values()):
             raise CheckFailed("found witness must pass both defining checks")
         cert_ok, cert_detail = independence_certificate(ctx, g)
@@ -705,18 +668,21 @@ def _certified_fixed_lower_bound(ctx: InductionCtx, N: int) -> int:
       - their span meets T(R₁) trivially (small dense computation in R₀ ⊕ R₂).
     """
     kk = ctx.weight.field.kk
-    v0 = singleton(ctx, 0, (), 0)
+    e0 = np.zeros((1, ctx.D), dtype=np.int32)
+    e0[0, 0] = 1
     for c in u_generators(ctx, 2 * N):
-        if u_act(c, v0) != v0:
+        if not np.array_equal(translate_vectors(ctx, c, 0, e0), e0):
             raise CheckFailed("level-0 top vector must be exactly U-fixed")
     lr02 = LevelRange("even", 0, 2)
     img = linalg.image(hecke_matrix(ctx, LevelRange("all", 1, 1), lr02), kk)
+    v0 = np.zeros(range_dim(ctx, lr02), dtype=np.int32)  # level 0's D entries come first
+    v0[0] = 1
     main = main_lemma_report(ctx)
     if not (main.found and main.certificate):
         # only the level-0 line is certified
-        return 1 if not linalg.member(flatten(v0, lr02), img) else 0
-    g02 = flatten(main.g, lr02)
-    pair = linalg.echelon(np.vstack([flatten(v0, lr02), g02]), kk, ambient=range_dim(ctx, lr02))
+        return 1 if not linalg.member(v0, img) else 0
+    g02 = np.concatenate([np.zeros(ctx.D, dtype=np.int32), main.g])
+    pair = linalg.echelon(np.vstack([v0, g02]), kk, ambient=v0.size)
     if pair.dim != 2:
         raise CheckFailed("witness pair must be linearly independent")
     if linalg.intersect(pair, img).dim != 0:

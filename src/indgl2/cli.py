@@ -80,9 +80,8 @@ class Config:
     out: str | None = None
     inject_failure: bool = False
 
-    def validate(self, where: str = "<config>", suites=None):
-        """Check every field.  The suite rules apply to suites, the run's selection, when it names
-        any suite, else to self.suites; run itself rejects an empty selection, at --suites."""
+    def validate(self, where: str = "<config>"):
+        """Check every field, the suite rules on self.suites among them."""
 
         def bad(msg):
             raise ConfigError(msg, location=where)
@@ -114,7 +113,7 @@ class Config:
             bad(f"N must be an integer >= 2, got {self.N!r}")
         if not isinstance(self.suites, (list, tuple)):
             bad(f"suites must be a list, got {self.suites!r}")
-        _check_suites(suites or self.suites, self.N_max, where)
+        _check_suites(self.suites, self.N_max, where)
         if not _is_int(self.seed) or self.seed < 0:
             bad(f"seed must be a non-negative integer, got {self.seed!r}")
         if self.out is not None and not isinstance(self.out, str):
@@ -161,8 +160,9 @@ class Config:
 _CONFIG_KEYS = {f.name for f in fields(Config)}
 
 
-def _check_suites(suites, N_max: int, where: str):
-    """The rules on a suite selection: at least one suite, known names, no repeats, and N_max >= 1 for the truncation suite."""
+def _check_suites(suites, N_max: int | None, where: str):
+    """The rules on a suite selection: at least one suite, known names, no repeats, and N_max >= 1 for the
+    truncation suite (not checked when N_max is None)."""
     if not suites:
         raise ConfigError(f"this run selects no suite; pick at least one suite of: {', '.join(SUITES)}", location=where)
     for s in suites:
@@ -170,7 +170,7 @@ def _check_suites(suites, N_max: int, where: str):
             raise ConfigError(f"unknown suite {s!r}; valid: {', '.join(SUITES)}", location=where)
     if len(set(suites)) != len(suites):
         raise ConfigError(f"suites must not repeat, got {list(suites)!r}", location=where)
-    if "truncation" in suites and N_max < 1:
+    if "truncation" in suites and N_max is not None and N_max < 1:
         raise ConfigError(f"the truncation suite needs N_max >= 1, got {N_max}", location=where)
 
 
@@ -544,16 +544,17 @@ def main(argv=None) -> int:
             cfg = config_from_preset(args.preset)
         else:
             raise ConfigError("one of --config or --preset is required", location="command line")
-        # the overrides are checked against the suites this run selects, not the config's own list
-        suites = None if args.suites is None else [s for s in args.suites.split(",") if s]
+        # the selection is written and checked first, so the overrides are checked against the suites that
+        # run; a --trunc given with it answers for the truncation suite's depth
+        if args.suites is not None:
+            cfg.suites = [s for s in args.suites.split(",") if s]
+            _check_suites(cfg.suites, cfg.N_max if args.trunc is None else None, "--suites")
         if args.trunc is not None:
             cfg.N_max = args.trunc
-            cfg.validate("--trunc", suites)
+            cfg.validate("--trunc")
         if args.seed is not None:
             cfg.seed = args.seed
-            cfg.validate("--seed", suites)
-        if suites is not None:
-            cfg.suites = suites
+            cfg.validate("--seed")
         report = run(cfg, timings=args.timings)
     except ConfigError as ex:
         print(f"config error: {ex}", file=sys.stderr)

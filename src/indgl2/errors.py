@@ -33,10 +33,6 @@ class SingularMatrix(IndGL2Error):
     pass
 
 
-class NotInK(IndGL2Error):
-    pass
-
-
 class DimensionMismatch(IndGL2Error):
     pass
 

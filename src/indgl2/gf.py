@@ -184,7 +184,6 @@ class PrimeExtField:
         if self.order > TABLE_CAP:
             raise ValueError(f"field order {self.order} exceeds table cap {TABLE_CAP}")
         self._build_tables()
-        self.primitive = self._find_primitive()
 
     # -- table construction --
 
@@ -239,16 +238,6 @@ class PrimeExtField:
             base = self.MUL[base, base]
             e >>= 1
         return out
-
-    def _find_primitive(self) -> int:
-        n = self.order - 1
-        if n == 1:
-            return 1
-        factors = _prime_factors(n)
-        for c in range(2, self.order):
-            if all(self.pow_code(c, n // ell) != 1 for ell in factors):
-                return c
-        raise AssertionError("no primitive element found")
 
     # -- code-level arithmetic --
 
@@ -376,19 +365,18 @@ class FqElem:
 class FieldCtx:
     """Residue field F_q = F_{p^f} together with the coefficient field K = F_{q^m}."""
 
-    def __init__(self, p: int, f: int, m: int = 1, modulus_q=None, modulus_k=None):
+    def __init__(self, p: int, f: int, m: int = 1):
         if f < 1 or m < 1:
             raise ValueError("f and m must be >= 1")
         self.p, self.f, self.m = p, f, m
         self.q = p**f
-        self.fq = PrimeExtField(p, modulus_q or default_modulus(p, f))
+        self.fq = PrimeExtField(p, default_modulus(p, f))
         if m == 1:
             self.kk = self.fq
             self._embed = np.arange(self.q, dtype=np.int32)
         else:
-            self.kk = PrimeExtField(p, modulus_k or default_modulus(p, f * m))
+            self.kk = PrimeExtField(p, default_modulus(p, f * m))
             self._embed = self._build_embedding()
-        self._section = {int(c): i for i, c in enumerate(self._embed)}
         self._check_embedding_is_q_fixed_set()
 
     def _build_embedding(self) -> np.ndarray:
@@ -436,15 +424,6 @@ class FieldCtx:
 
     def embed_code(self, code: int) -> int:
         return int(self._embed[code])
-
-    def section(self, a: FqElem) -> FqElem:
-        """Inverse of embed on its image."""
-        if a.field is self.fq:
-            return a
-        code = self._section.get(a.code)
-        if code is None:
-            raise ValueError("element is not in the residue subfield")
-        return FqElem(self.fq, code)
 
     def enumerate_field(self, which: str = "Fq"):
         if which == "Fq":

@@ -35,7 +35,7 @@ from .errors import (
 )
 from .gf import monomial_exp
 from .localring import LocalRingCtx, RingElem, translate_digits, translation_table
-from .weight import WeightCtx, WeightVector, action_matrix
+from .weight import WeightCtx, action_matrix
 
 
 class InductionCtx:
@@ -132,13 +132,6 @@ class InducedElem:
     def levels(self):
         return sorted({n for n, _ in self.terms})
 
-    def coeff(self, n: int, mu) -> WeightVector:
-        key = (n, tuple(int(c) for c in mu))
-        v = self.terms.get(key)
-        if v is None:
-            v = np.zeros(self.ctx.D, dtype=np.int32)
-        return WeightVector(self.ctx.weight, v.copy())
-
     def is_zero(self) -> bool:
         return not self.terms
 
@@ -160,11 +153,6 @@ class InducedElem:
         kk = self.ctx.weight.field.kk
         return InducedElem(self.ctx, {k: kk.MUL[code, v] for k, v in self.terms.items()})
 
-    def scale(self, c) -> "InducedElem":
-        field = self.ctx.weight.field
-        code = c.code if c.field is field.kk else field.embed(c).code
-        return InducedElem(self.ctx, {k: field.kk.MUL[code, v] for k, v in self.terms.items()})
-
     def _check(self, other):
         if not isinstance(other, InducedElem) or other.ctx is not self.ctx:
             raise DimensionMismatch("elements from different induction contexts")
@@ -185,10 +173,8 @@ class InducedElem:
 
 
 def singleton(ctx: InductionCtx, n: int, mu, weight) -> InducedElem:
-    """[(ϖⁿ, μ), w]; weight may be a WeightVector, coefficient array, or basis index."""
-    if isinstance(weight, WeightVector):
-        v = weight.codes
-    elif isinstance(weight, (int, np.integer)):
+    """[(ϖⁿ, μ), w]; weight may be a coefficient array or a basis index (an integer or an exponent tuple i⃗)."""
+    if isinstance(weight, (int, np.integer)):
         v = np.zeros(ctx.D, dtype=np.int32)
         v[int(weight)] = 1
     elif isinstance(weight, tuple) and weight in ctx.weight.index:

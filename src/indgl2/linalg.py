@@ -89,10 +89,6 @@ def echelon(vectors, field: PrimeExtField, ambient: int | None = None) -> Subspa
     return Subspace(field, amb, np.ascontiguousarray(R), piv, _canonical=True)
 
 
-def full_space(field: PrimeExtField, ambient: int) -> Subspace:
-    return Subspace(field, ambient, np.eye(ambient, dtype=np.int32), np.arange(ambient, dtype=np.int64), _canonical=True)
-
-
 class BlockSum:
     """S ⊕ .. ⊕ S in K^(copies·S.ambient), copy k on coordinates k·S.ambient .. (k+1)·S.ambient - 1.
 

@@ -12,10 +12,8 @@ import math
 
 import numpy as np
 
-from . import _kernels
-from .errors import DimensionMismatch, NotInK, SingularMatrix
+from .errors import DimensionMismatch, SingularMatrix
 from .gf import FieldCtx, FqElem
-from .localring import RingElem, residue
 
 
 class WeightCtx:
@@ -38,66 +36,8 @@ class WeightCtx:
         self.index = {iv: n for n, iv in enumerate(self.basis)}
         self._action_cache: dict = {}
 
-    def basis_vector(self, ivec) -> "WeightVector":
-        codes = np.zeros(self.D, dtype=np.int32)
-        codes[self.index[tuple(ivec)]] = 1
-        return WeightVector(self, codes)
-
-    def vector(self, coeffs) -> "WeightVector":
-        codes = np.zeros(self.D, dtype=np.int32)
-        for n, c in enumerate(coeffs):
-            codes[n] = c.code if isinstance(c, FqElem) else int(c)
-        return WeightVector(self, codes)
-
     def __repr__(self):
         return f"WeightCtx(r={self.rvec}, chi_c={self.chi_c}, nu={self.nu.code}, D={self.D})"
-
-
-class WeightVector:
-    """Coefficient row over K indexed by {i⃗ ≤ r⃗}."""
-
-    __slots__ = ("ctx", "codes")
-
-    def __init__(self, ctx: WeightCtx, codes: np.ndarray):
-        self.ctx = ctx
-        self.codes = np.asarray(codes, dtype=np.int32)
-        if self.codes.shape != (ctx.D,):
-            raise DimensionMismatch(f"coefficient list must have length {ctx.D}")
-
-    def __add__(self, other):
-        if other.ctx is not self.ctx:
-            raise DimensionMismatch("vectors from different weight contexts")
-        return WeightVector(self.ctx, self.ctx.field.kk.ADD[self.codes, other.codes])
-
-    def __sub__(self, other):
-        if other.ctx is not self.ctx:
-            raise DimensionMismatch("vectors from different weight contexts")
-        kk = self.ctx.field.kk
-        return WeightVector(self.ctx, kk.ADD[self.codes, kk.NEG[other.codes]])
-
-    def scale(self, c: FqElem) -> "WeightVector":
-        kk = self.ctx.field.kk
-        code = c.code if c.field is kk else self.ctx.field.embed(c).code
-        return WeightVector(self.ctx, kk.MUL[code, self.codes])
-
-    def __eq__(self, other):
-        return (
-            isinstance(other, WeightVector)
-            and other.ctx is self.ctx
-            and np.array_equal(other.codes, self.codes)
-        )
-
-    def __hash__(self):
-        return hash((id(self.ctx), self.codes.tobytes()))
-
-    def __bool__(self):
-        return bool(np.any(self.codes))
-
-    def coeff(self, ivec) -> FqElem:
-        return self.ctx.field.kk.elem(int(self.codes[self.ctx.index[tuple(ivec)]]))
-
-    def __repr__(self):
-        return f"WeightVector({self.codes.tolist()})"
 
 
 def _as_codes(g, field: FieldCtx) -> tuple:
@@ -173,24 +113,3 @@ def action_matrix(ctx: WeightCtx, g) -> np.ndarray:
     out = np.ascontiguousarray(out)
     ctx._action_cache[key] = out
     return out
-
-
-def act_gl2(g, v: WeightVector) -> WeightVector:
-    M = action_matrix(v.ctx, g)
-    return WeightVector(v.ctx, _kernels.vec_mat(v.codes, M, v.ctx.field.kk))
-
-
-def act_KZ(g, z: int, v: WeightVector) -> WeightVector:
-    """g a 2x2 matrix over the local ring with unit determinant, z the central ϖ-power."""
-    entries = [entry for row in g for entry in row]
-    if not all(isinstance(x, RingElem) for x in entries):
-        raise NotInK("act_KZ expects local ring entries")
-    res = [residue(x) for x in entries]
-    det = res[0] * res[3] - res[1] * res[2]
-    if not det:
-        raise NotInK("determinant is not a unit")
-    out = act_gl2([[res[0], res[1]], [res[2], res[3]]], v)
-    if z == 0:
-        return out
-    kk = v.ctx.field.kk
-    return out.scale(kk.elem(kk.pow_code(v.ctx.nu.code, z)))

@@ -17,9 +17,8 @@ import numpy as np
 import pytest
 
 from indgl2 import _kernels, analysis, cli, linalg
-from indgl2.errors import CaseMismatch, CheckFailed, PrecisionExhausted
+from indgl2.errors import CaseMismatch, CheckFailed, DimensionMismatch, PrecisionExhausted
 from indgl2.induction import (
-    InducedElem,
     LevelRange,
     flatten,
     hecke_matrix,
@@ -392,7 +391,7 @@ class TestBlockRouteAgainstDense:
 
 
 class TestReverification:
-    """_reverify_fixed checks V's basis rows in R₂ a block of REVERIFY_ROWS rows at a time."""
+    """_u_fixed_mod_tplus_r1p checks V's basis rows in R₂ a block of REVERIFY_ROWS rows at a time."""
 
     def test_every_row_translated_once_per_generator_in_blocks(self, monkeypatch):
         # frontier-q25's configuration: dim V = 99, three full blocks and a partial one
@@ -414,7 +413,10 @@ class TestReverification:
 
         monkeypatch.setattr(analysis, "translate_vectors", translate)
         monkeypatch.setattr(linalg.BlockSum, "reduce", reduce)
-        analysis._reverify_fixed(ctx, gens, spaces.vp, spaces.V, spaces.tplus_r1, spaces.tplus_r1p)
+        V, Vp = spaces.V, spaces.vp
+        assert analysis._u_fixed_mod_tplus_r1p(
+            ctx, gens, V.dim, lambda block: Vp.vectors(V.rows[block]), spaces.tplus_r1, spaces.tplus_r1p
+        )
         rows = spaces.vp.embed(spaces.V).rows
         for calls in translated.values():
             assert max(len(X) for X in calls) <= analysis.REVERIFY_ROWS
@@ -431,7 +433,7 @@ class TestReverification:
 
             if __debug__:
                 sys.exit("run under python -O")
-            real_translate, real_reverify = analysis.translate_vectors, analysis._reverify_fixed
+            real_translate, real_reverify = analysis.translate_vectors, analysis._u_fixed_mod_tplus_r1p
             inside = []
 
             def reverify(*args):
@@ -445,7 +447,7 @@ class TestReverification:
                     out[0, col] = ctx.weight.field.kk.ADD[out[0, col], 1]
                 return out
 
-            analysis._reverify_fixed, analysis.translate_vectors = reverify, translate
+            analysis._u_fixed_mod_tplus_r1p, analysis.translate_vectors = reverify, translate
             cfg = cli.config_from_mapping({"p": 5, "f": 2, "e": 1, "r": [1, 1], "suites": ["mainlemma"]})
             sys.stdout.write(cli.emit(cli.run(cfg), "json").decode())
             """
@@ -489,45 +491,52 @@ class TestSelectCase:
         assert analysis.select_case(analysis.build_ctx(*args, N=5)) == expected
 
 
+LR2 = LevelRange("all", 2, 2)
+
+
 class TestPaperCandidate:
+    """paper_candidate gives g as coordinates in R₂; each test reads them as an element itself."""
+
     def test_ramified_big_shape(self, ram_r1):
-        g, case, j0 = analysis.paper_candidate(ram_r1)
+        coords, case, j0 = analysis.paper_candidate(ram_r1)
         assert case == "ramified-dim>1" and j0 == 0
+        g = unflatten(ram_r1, LR2, coords)
         assert len(g.support()) == 9
         want = np.array([0, 1], dtype=np.int32)  # the pure y line
         for n, mu in g.support():
             assert n == 2
-            assert np.array_equal(g.coeff(n, mu).codes, want)
+            assert np.array_equal(g.terms[(n, mu)], want)
 
     def test_ramified_dim1_coefficients(self, ram_r0):
-        g, case, _ = analysis.paper_candidate(ram_r0)
+        coords, case, _ = analysis.paper_candidate(ram_r0)
         assert case == "ramified-dim1"
+        g = unflatten(ram_r0, LR2, coords)
         # weight coefficient is the embedded second digit; λ = 0 keys vanish
         assert len(g.support()) == 6
         for n, mu in g.support():
             assert mu[1] != 0
-            assert g.coeff(n, mu).codes[0] == ram_r0.weight.field.embed_code(mu[1])
+            assert g.terms[(n, mu)][0] == ram_r0.weight.field.embed_code(mu[1])
 
     def test_unramified_generic_exponent(self, unram_gen):
-        g, case, j0 = analysis.paper_candidate(unram_gen)
+        coords, case, j0 = analysis.paper_candidate(unram_gen)
         assert case == "unramified-generic" and j0 == 0
+        g = unflatten(unram_gen, LR2, coords)
         fq = unram_gen.weight.field.fq
         k = (unram_gen.weight.rvec[j0] + 1) * 3**j0
         for n, mu in g.support():
             lam = mu[1]
-            assert g.coeff(n, mu).codes[0] == unram_gen.weight.field.embed_code(fq.pow_code(lam, k))
+            assert g.terms[(n, mu)][0] == unram_gen.weight.field.embed_code(fq.pow_code(lam, k))
 
     def test_unramified_maximal_shape(self, unram_max):
-        g, case, _ = analysis.paper_candidate(unram_max)
+        coords, case, _ = analysis.paper_candidate(unram_max)
         assert case == "unramified-maximal"
+        g = unflatten(unram_max, LR2, coords)
         idx = unram_max.weight.index[(1, 0)]
         for n, mu in g.support():
-            vec = g.coeff(n, mu).codes
+            vec = g.terms[(n, mu)]
             assert vec[idx] == 1 and int(np.count_nonzero(vec)) == 1
 
-    def test_case_mismatch(self, ram_r1, q3_r1):
-        with pytest.raises(CaseMismatch):
-            analysis.paper_candidate(ram_r1, "unramified-generic")
+    def test_case_mismatch(self, q3_r1):
         with pytest.raises(CaseMismatch):
             analysis.paper_candidate(q3_r1)
 
@@ -547,10 +556,8 @@ class TestPaperCandidate:
     )
     def test_candidate_always_in_v_outside_w(self, args):
         ctx = analysis.build_ctx(*args, N=6)
-        g, _, _ = analysis.paper_candidate(ctx)
+        coords, _, _ = analysis.paper_candidate(ctx)
         _, V, W = dense_candidates(ctx)
-        lr2 = LevelRange("all", 2, 2)
-        coords = flatten(g, lr2)
         assert linalg.member(coords, V)
         assert not linalg.member(coords, W)
 
@@ -558,59 +565,54 @@ class TestPaperCandidate:
 class TestCandidateChecks:
     def test_direct_arithmetic_invariance(self, ram_r1):
         # (u-1)g ∈ T₊R₁′ verified term by term on induced elements
-        g, _, _ = analysis.paper_candidate(ram_r1)
-        checks = analysis.candidate_checks(ram_r1, g)
+        coords, _, _ = analysis.paper_candidate(ram_r1)
+        checks = analysis.candidate_checks(ram_r1, coords)
         assert checks == {"g_not_in_TplusR1": True, "u_invariance_mod_TplusR1prime": True}
+        g = unflatten(ram_r1, LR2, coords)
         kk = ram_r1.weight.field.kk
-        lr2 = LevelRange("all", 2, 2)
         r1p = analysis.r1_prime(ram_r1)
-        Mp = operator_matrix(ram_r1, hecke_T_plus, LevelRange("all", 1, 1), lr2)
+        Mp = operator_matrix(ram_r1, hecke_T_plus, LevelRange("all", 1, 1), LR2)
         tpr1p = linalg.echelon(_kernels.matmul(r1p.rows, Mp, kk), kk, ambient=Mp.shape[1])
         for c in all_translations(ram_r1, 2):
             delta = u_act(c, g) - g
-            assert linalg.member(flatten(delta, lr2), tpr1p)
+            assert linalg.member(flatten(delta, LR2), tpr1p)
 
     def test_requires_level_2(self, ram_r1):
-        with pytest.raises(CheckFailed):
-            analysis.candidate_checks(ram_r1, singleton(ram_r1, 1, (0,), 0))
+        # a level-1 vector's coordinates have the wrong length for R₂
+        level1 = flatten(singleton(ram_r1, 1, (0,), 0), LevelRange("all", 1, 1))
+        with pytest.raises(DimensionMismatch):
+            analysis.candidate_checks(ram_r1, level1)
 
     @pytest.mark.parametrize("preset", sorted(cli.PRESETS))
     def test_flat_route_matches_u_act_oracle(self, preset):
         ctx = cli.config_from_preset(preset).build()
-        g = analysis.main_lemma_report(ctx).g
+        coords = analysis.main_lemma_report(ctx).g
+        g = unflatten(ctx, LR2, coords)
         passing = {"g_not_in_TplusR1": True, "u_invariance_mod_TplusR1prime": True}
-        assert analysis.candidate_checks(ctx, g) == candidate_checks_by_u_act(ctx, g) == passing
+        assert analysis.candidate_checks(ctx, coords) == candidate_checks_by_u_act(ctx, g) == passing
         # g plus a level-2 vector outside V is no longer U-fixed modulo T₊R₁′, on either route
         V = dense_candidates(ctx)[1]
-        lr2 = LevelRange("all", 2, 2)
         outside = next(x for x in np.eye(V.ambient, dtype=np.int32) if not linalg.member(x, V))
-        bad = g + unflatten(ctx, lr2, outside)
-        assert not analysis.candidate_checks(ctx, bad)["u_invariance_mod_TplusR1prime"]
+        bad = g + unflatten(ctx, LR2, outside)
+        assert not analysis.candidate_checks(ctx, flatten(bad, LR2))["u_invariance_mod_TplusR1prime"]
         assert not candidate_checks_by_u_act(ctx, bad)["u_invariance_mod_TplusR1prime"]
 
 
 class TestIndependenceCertificate:
     def test_true_for_witness(self, ram_r1):
-        g, _, _ = analysis.paper_candidate(ram_r1)
-        ok, detail = analysis.independence_certificate(ram_r1, g)
+        coords, _, _ = analysis.paper_candidate(ram_r1)
+        ok, detail = analysis.independence_certificate(ram_r1, coords)
         assert ok
-        assert set(detail) == {
-            "g-nonzero", "g-level-2-support", "g-not-in-TplusR1", "tplus-kernel-R1-zero", "tplus-kernel-R3-zero"
-        }
+        assert set(detail) == {"g-nonzero", "g-not-in-TplusR1", "tplus-kernel-R1-zero", "tplus-kernel-R3-zero"}
 
     def test_false_for_image_member(self, ram_r1):
         g = hecke_T_plus(singleton(ram_r1, 1, (0,), 0))
-        ok, detail = analysis.independence_certificate(ram_r1, g)
+        ok, detail = analysis.independence_certificate(ram_r1, flatten(g, LR2))
         assert not ok and not detail["g-not-in-TplusR1"]
 
     def test_false_for_zero(self, ram_r1):
-        ok, _ = analysis.independence_certificate(ram_r1, InducedElem(ram_r1, {}))
+        ok, _ = analysis.independence_certificate(ram_r1, np.zeros(range_dim(ram_r1, LR2), dtype=np.int32))
         assert not ok
-
-    def test_raises_when_asked(self, ram_r1):
-        g = hecke_T_plus(singleton(ram_r1, 1, (0,), 0))
-        with pytest.raises(CheckFailed):
-            analysis.independence_certificate(ram_r1, g, raise_on_fail=True)
 
 
 class TestMainLemmaReport:
@@ -764,6 +766,21 @@ class TestTruncatedL:
         assert prev.dim_t_io == range_dim(ctx, LevelRange("odd", 1, 5))
         assert all(a <= b for a, b in zip(dims, dims[1:]))
         assert dims[-1] >= 2
+
+    @pytest.mark.parametrize("N", [1, 2])
+    @pytest.mark.parametrize("preset", sorted(cli.PRESETS))
+    def test_certified_lower_bound_with_witness(self, preset, N):
+        # the bound's own value: truncated_L takes its maximum with the previous N, so the
+        # sequence records do not pin it
+        ctx = cli.config_from_preset(preset).build()
+        assert analysis._certified_fixed_lower_bound(ctx, N) == 2
+
+    @pytest.mark.parametrize("N", [1, 2])
+    @pytest.mark.parametrize("args", [(3, 1, 1, (1,)), (5, 1, 1, (0,)), (2, 1, 1, (1,))])
+    def test_certified_lower_bound_without_witness(self, args, N):
+        # e = f = 1 has no witness g, so only the level-0 line is certified
+        ctx = analysis.build_ctx(*args, N=analysis.truncation_precision(N))
+        assert analysis._certified_fixed_lower_bound(ctx, N) == 1
 
     @pytest.mark.parametrize("args,N,dim", [((3, 1, 2, (1,)), 4, 9), ((2, 2, 1, (1, 1)), 3, 7)], ids=["ramified-r1", "unramified-maximal"])
     def test_exact_beyond_the_old_dense_cap(self, args, N, dim):

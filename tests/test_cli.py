@@ -243,6 +243,13 @@ class TestEmit:
         digest = hashlib.sha256(cli.emit(cli.run(cfg), "json")).hexdigest()
         assert digest == "3cc7484f920ecc01138ed78708751585adabf2deed33a076be5c8a5fca6d2359"
 
+    def test_certified_route_report_digest(self, capsys):
+        # truncation at N = 3 is beyond the sparse cap here, so this report takes the certified lower bound
+        argv = ["verify", "--preset", "unramified-generic", "--suites", "mainlemma,truncation", "--trunc", "3", "--format", "json"]
+        assert cli.main(argv) == 0
+        digest = hashlib.sha256(capsys.readouterr().out.encode()).hexdigest()
+        assert digest == "0840f106ce40e7f5f7db3a09c399c0558892b54cbc7fa6b0f1c8be01660714ee"
+
     def test_suites_override_is_echoed(self, capsys):
         # the echo names the suites that ran, not the preset's own list
         assert cli.main(["verify", "--preset", "ramified-r0", "--suites", "arith", "--format", "json"]) == 0
@@ -387,6 +394,13 @@ class TestMain:
         # an empty selection is blamed on --suites, not on the override validated first
         assert cli.main(["verify", "--preset", "ramified-r0", "--suites", ",", "--trunc", "2"]) == 2
         assert "--suites: this run selects no suite" in capsys.readouterr().err
+
+    def test_trunc_answers_for_selected_truncation_depth(self, tmp_path, capsys):
+        # the config's N_max = 0 does not reject --suites truncation when --trunc sets the depth
+        cfg = tmp_path / "c.txt"
+        cfg.write_text('p = 3\nf = 1\ne = 2\nr = [0]\nN_max = 0\nsuites = ["arith"]\n')
+        assert cli.main(["verify", "--config", str(cfg), "--suites", "truncation", "--trunc", "1"]) == 0
+        assert "truncation:N=1" in capsys.readouterr().out
 
     def test_exit_2_on_truncation_with_no_depth_in_config(self, tmp_path, capsys):
         cfg = tmp_path / "c.txt"

@@ -15,7 +15,6 @@ from indgl2.linalg import (
     coinvariant_complement,
     echelon,
     fixed_space,
-    full_space,
     image,
     intersect,
     kernel,
@@ -598,7 +597,7 @@ class TestKernelAgainstAugmented:
         M = np.zeros((n, m), dtype=np.int32)
         got = kernel(M, F)
         assert got == _kernel_augmented(M, F)
-        assert got == full_space(F, n)
+        assert got == Subspace(F, n, np.eye(n, dtype=np.int32), np.arange(n, dtype=np.int64), _canonical=True)
 
     @pytest.mark.parametrize("p,k", [(3, 2), (5, 2)])
     def test_invertible_map(self, p, k):

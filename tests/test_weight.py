@@ -4,11 +4,11 @@ import random
 import numpy as np
 import pytest
 
-from indgl2.errors import NotInK, SingularMatrix
-from indgl2.gf import FieldCtx, FqElem, monomial_exp
+from indgl2 import _kernels
+from indgl2.errors import SingularMatrix
+from indgl2.gf import FieldCtx, monomial_exp
 from indgl2.linalg import member
-from indgl2.localring import LocalRingCtx
-from indgl2.weight import WeightCtx, act_KZ, act_gl2, action_matrix
+from indgl2.weight import WeightCtx, action_matrix
 from oracles import u_invariants
 
 
@@ -67,26 +67,38 @@ def gl2_elements(field):
 
 def test_unipotent_on_y():
     ctx = WeightCtx(FieldCtx(3, 1), (1,))
-    out = act_gl2([[1, 1], [0, 1]], ctx.basis_vector((1,)))
-    assert out.codes.tolist() == [1, 1]  # y ↦ x + y
+    M = action_matrix(ctx, [[1, 1], [0, 1]])
+    assert M[ctx.index[(1,)]].tolist() == [1, 1]  # y ↦ x + y
 
 
 def test_identity_acts_trivially():
     ctx = WeightCtx(FieldCtx(2, 2), (1, 1), chi_c=2)
-    for iv in ctx.basis:
-        v = ctx.basis_vector(iv)
-        assert act_gl2([[1, 0], [0, 1]], v) == v
+    assert np.array_equal(action_matrix(ctx, [[1, 0], [0, 1]]), np.eye(ctx.D, dtype=np.int32))
 
 
 def test_swap_on_sym2():
     ctx = WeightCtx(FieldCtx(3, 1), (2,))
-    assert act_gl2([[0, 1], [1, 0]], ctx.basis_vector((0,))) == ctx.basis_vector((2,))
+    M = action_matrix(ctx, [[0, 1], [1, 0]])
+    assert M[ctx.index[(0,)]].tolist() == [0, 0, 1]  # x² ↦ y²
 
 
 def test_singular_rejected():
     ctx = WeightCtx(FieldCtx(3, 1), (1,))
     with pytest.raises(SingularMatrix):
-        act_gl2([[1, 1], [1, 1]], ctx.basis_vector((0,)))
+        action_matrix(ctx, [[1, 1], [1, 1]])
+
+
+def _product(g, h):
+    return [
+        [g[0][0] * h[0][0] + g[0][1] * h[1][0], g[0][0] * h[0][1] + g[0][1] * h[1][1]],
+        [g[1][0] * h[0][0] + g[1][1] * h[1][0], g[1][0] * h[0][1] + g[1][1] * h[1][1]],
+    ]
+
+
+def _assert_multiplicative(ctx, g, h):
+    # row convention v ↦ v·M(g): acting by h, then by g, is acting by gh, so M(gh) = M(h)·M(g)
+    want = _kernels.matmul(action_matrix(ctx, h), action_matrix(ctx, g), ctx.field.kk)
+    assert np.array_equal(action_matrix(ctx, _product(g, h)), want)
 
 
 def test_weight_validation():
@@ -128,14 +140,7 @@ def test_multiplicativity_random(p, f, rvec, chi_c):
     gl2 = gl2_elements(field)
     rng = random.Random(5)
     for _ in range(50):
-        g = rng.choice(gl2)
-        h = rng.choice(gl2)
-        gh = [
-            [g[0][0] * h[0][0] + g[0][1] * h[1][0], g[0][0] * h[0][1] + g[0][1] * h[1][1]],
-            [g[1][0] * h[0][0] + g[1][1] * h[1][0], g[1][0] * h[0][1] + g[1][1] * h[1][1]],
-        ]
-        v = ctx.vector([rng.randrange(ctx.field.kk.order) for _ in range(ctx.D)])
-        assert act_gl2(gh, v) == act_gl2(g, act_gl2(h, v))
+        _assert_multiplicative(ctx, rng.choice(gl2), rng.choice(gl2))
 
 
 def test_multiplicativity_exhaustive_generators_q3():
@@ -147,13 +152,7 @@ def test_multiplicativity_exhaustive_generators_q3():
     ]
     for g in gl2_elements(field):
         for h in gens:
-            gh = [
-                [g[0][0] * h[0][0] + g[0][1] * h[1][0], g[0][0] * h[0][1] + g[0][1] * h[1][1]],
-                [g[1][0] * h[0][0] + g[1][1] * h[1][0], g[1][0] * h[0][1] + g[1][1] * h[1][1]],
-            ]
-            for iv in ctx.basis:
-                v = ctx.basis_vector(iv)
-                assert act_gl2(gh, v) == act_gl2(g, act_gl2(h, v))
+            _assert_multiplicative(ctx, g, h)
 
 
 @pytest.mark.parametrize("p,f", [(2, 1), (3, 1), (2, 2), (5, 1), (3, 2)])
@@ -189,37 +188,3 @@ def test_central_scalar_identity():
         np.fill_diagonal(want, scalar.code)
         assert np.array_equal(M, want)
 
-
-class TestActKZ:
-    @pytest.fixture()
-    def setup(self):
-        ring = LocalRingCtx(3, 1, 2, N=3)
-        ctx = WeightCtx(ring.field, (1,), chi_c=1, nu=ring.field.kk.elem(2))
-        return ring, ctx
-
-    def test_K1_acts_trivially(self, setup):
-        ring, ctx = setup
-        one, pi = ring.one(), ring.uniformizer()
-        v = ctx.vector([1, 2])
-        g = [[one + pi, pi], [pi * pi, one + pi * pi]]
-        assert act_KZ(g, 0, v) == v
-
-    def test_central_uniformizer_scalar(self, setup):
-        ring, ctx = setup
-        one, zero = ring.one(), ring.zero()
-        v = ctx.vector([1, 2])
-        assert act_KZ([[one, zero], [zero, one]], 1, v) == v.scale(ctx.nu)
-        assert act_KZ([[one, zero], [zero, one]], -1, v) == v.scale(ctx.nu.inverse())
-
-    def test_unit_determinant_required(self, setup):
-        ring, ctx = setup
-        pi, one, zero = ring.uniformizer(), ring.one(), ring.zero()
-        with pytest.raises(NotInK):
-            act_KZ([[pi, zero], [zero, one]], 0, ctx.vector([1, 0]))
-
-    def test_reduction_then_action(self, setup):
-        ring, ctx = setup
-        one, pi, zero = ring.one(), ring.uniformizer(), ring.zero()
-        v = ctx.basis_vector((1,))
-        g = [[one, one + pi], [zero, one]]  # reduces to [[1,1],[0,1]]
-        assert act_KZ(g, 0, v) == act_gl2([[1, 1], [0, 1]], v)
