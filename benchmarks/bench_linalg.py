@@ -10,10 +10,12 @@ nonzeros, 729 zero columns), the echelon the truncation suite builds.  Each
 end-to-end repeat builds a fresh context (inside the timed call), so results
 memoised on a context never shortcut a repeat.  Each repeat of the tables
 also starts from a fresh context, built with its generators (and so with the
-Teichmüller lifts) outside the timed part.  The sparse ranks are those of
-the matrix A of analysis.fixed_space_system for ramified-r1 at N = 3 and
-N = 4, which truncated_L eliminates for dim L_N^U; A is built outside the
-timed part.
+Teichmüller lifts) outside the timed part.  For ramified-r1 at N = 3 and
+N = 4 it times the two sparse eliminations truncated_L makes for dim L_N^U:
+_kernels.sparse_pivot_rows on the entries of T (dim I^o x dim I^e, in the
+column order of analysis.fixed_space_system), and the rank of the
+dim L_N x g·dim L_N quotient system that fixed_space_system builds.  Both
+sets of entries are built outside the timed part.
 Run from the repository root:
 
     python3 benchmarks/bench_linalg.py --size 400 --repeat 3
@@ -59,7 +61,7 @@ def main():
 
     from indgl2 import _kernels, analysis, linalg
     from indgl2.gf import FieldCtx
-    from indgl2.induction import LevelRange, hecke_matrix
+    from indgl2.induction import LevelRange, hecke_entries, hecke_matrix, range_dim
 
     field = FieldCtx(args.p, args.f).fq
     rng = np.random.default_rng(0)
@@ -79,9 +81,20 @@ def main():
     ranks = ""
     for N in (3, 4):
         ctx = analysis.build_ctx(3, 1, 2, (1,), N=analysis.truncation_precision(N))
+        kk = ctx.weight.field.kk
+        lr_odd, lr_even = LevelRange("odd", 1, 2 * N - 1), LevelRange("even", 0, 2 * N)
+        t_rows, t_cols, t_vals = hecke_entries(ctx, lr_odd, lr_even)
+        shape = (range_dim(ctx, lr_odd), range_dim(ctx, lr_even))
+        t_cols = analysis._elimination_column(ctx, t_cols, shape[1])  # the column order fixed_space_system takes
+        t_piv = best_of(
+            lambda: _kernels.sparse_pivot_rows(t_rows, t_cols, t_vals, (shape[0], 2 * shape[1]), kk), args.repeat
+        )
         rows, cols, vals, (r, c) = analysis.fixed_space_system(ctx, N)
-        t = best_of(lambda: _kernels.sparse_rank(rows, cols, vals, (r, c), ctx.weight.field.kk), args.repeat)
-        ranks += f"sparse_rank A {r}x{c} (N={N}): {t * 1e3:8.1f} ms   "
+        t_rank = best_of(lambda: _kernels.sparse_rank(rows, cols, vals, (r, c), kk), args.repeat)
+        ranks += (
+            f"pivot rows T {shape[0]}x{shape[1]} (N={N}): {t_piv * 1e3:8.1f} ms   "
+            f"sparse_rank quotient {r}x{c} (N={N}): {t_rank * 1e3:8.1f} ms   "
+        )
     t_q25 = best_tables((5, 2, 1, (1, 1)), args.repeat)
     t_q243 = best_tables((3, 5, 1, (0,) * 5), args.repeat)
     print(

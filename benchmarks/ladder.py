@@ -1,12 +1,15 @@
-"""The main-lemma ladder: verdict, wall time and peak RSS at the frontier.
+"""The scale ladder: verdict, wall time and peak RSS at the frontier.
 
-Runs the mainlemma suite of `indgl2 verify` on each configuration below, each
-in a fresh process, and prints one line per configuration.  A child takes the
-path `indgl2 verify --format json` takes (cli.config_from_mapping, cli.run,
-cli.emit) on the indgl2 of this checkout; wall_s is that path's time, imports
-excluded, peak_rss_mb the child's own ru_maxrss, and sha256 the digest of the
-JSON report, so two checkouts can be compared report for report.  The thread
-variables are set to the CPU count, as perfbench/run.py sets them.
+Runs `indgl2 verify` on each rung below, each in a fresh process, and prints
+one line per rung: the mainlemma suite on the main-lemma configurations, then
+the truncation suite to depth N_max on the truncation ones, whose exact
+dim L_N^U is the sparse elimination of analysis.fixed_space_system.  A child
+takes the path `indgl2 verify --format json` takes (cli.config_from_mapping,
+cli.run, cli.emit) on the indgl2 of this checkout; wall_s is that path's
+time, imports excluded, peak_rss_mb the child's own ru_maxrss, and sha256 the
+digest of the JSON report, so two checkouts can be compared report for
+report.  The thread variables are set to the CPU count, as perfbench/run.py
+sets them.
 
 Run from the root of a checkout:
 
@@ -33,12 +36,18 @@ LADDER = [
     (3, 5, 1, (0, 0, 0, 0, 0)),  # q = 243, D = 1
 ]
 
+# (p, f, e, r, N_max): the truncation suite, exact at every N up to N_max
+TRUNCATION_LADDER = [
+    (3, 1, 2, (1,), 5),  # ramified-r1: dim I^e = 132860 at N = 5
+    (5, 1, 2, (2,), 3),  # q = 5, D = 3: dim I^e = 48828 at N = 3
+]
+
 CHILD = """
 import hashlib, json, resource, sys, time
 from indgl2 import cli
-p, f, e, r = json.loads(sys.argv[1])
+mapping = json.loads(sys.argv[1])
 t0 = time.perf_counter()
-report = cli.run(cli.config_from_mapping({"p": p, "f": f, "e": e, "r": r, "suites": ["mainlemma"]}))
+report = cli.run(cli.config_from_mapping(mapping))
 payload = cli.emit(report, "json")
 wall = time.perf_counter() - t0
 print(json.dumps({
@@ -50,22 +59,31 @@ print(json.dumps({
 """
 
 
-def run_one(config) -> dict:
+def run_one(mapping: dict) -> dict:
     env = dict(os.environ, PYTHONPATH=str(SRC))
     for var in THREAD_VARS:
         env[var] = str(os.cpu_count() or 1)
     done = subprocess.run(
-        [sys.executable, "-c", CHILD, json.dumps(config)], env=env, capture_output=True, text=True, check=False
+        [sys.executable, "-c", CHILD, json.dumps(mapping)], env=env, capture_output=True, text=True, check=False
     )
     if done.returncode:
         return {"verdict": "crash", "error": done.stderr.strip().splitlines()[-1:]}
     return json.loads(done.stdout.strip().splitlines()[-1])
 
 
-def main():
+def rungs():
+    """(name, mapping) of every rung, main-lemma rungs first."""
     for p, f, e, r in LADDER:
-        result = run_one([p, f, e, list(r)])
-        name = f"({p},{f},{e},{tuple(r)}) q={p**f} D={math.prod(x + 1 for x in r)}"
+        mapping = {"p": p, "f": f, "e": e, "r": list(r), "suites": ["mainlemma"]}
+        yield f"({p},{f},{e},{tuple(r)}) q={p**f} D={math.prod(x + 1 for x in r)}", mapping
+    for p, f, e, r, n_max in TRUNCATION_LADDER:
+        mapping = {"p": p, "f": f, "e": e, "r": list(r), "suites": ["truncation"], "N_max": n_max}
+        yield f"({p},{f},{e},{tuple(r)}) truncation N_max={n_max}", mapping
+
+
+def main():
+    for name, mapping in rungs():
+        result = run_one(mapping)
         if result["verdict"] == "crash":
             print(f"{name:40s} crash  {result['error']}")
             continue

@@ -27,10 +27,15 @@ found once.  A pivot row is zero left of the pivot, and a mostly-zero one
 updates only the columns where it is nonzero; a mostly-nonzero pivot row
 updates the whole slice from the pivot on.
 
-`sparse_rank` is the rank of a matrix given by its entry lists, by
-elimination on one dict per row through the field's tables: columns are
-taken from the highest down, each with the shortest live row holding it as
-pivot, and the pivot row then leaves, so nothing dense is ever formed.
+`sparse_pivot_rows` eliminates a matrix given by its entry lists, on one
+dict per row through the field's tables: columns are taken from the highest
+down, each with the shortest live row holding it as pivot, and the pivot row
+then leaves, scaled to 1 on its pivot and with nothing above it, so nothing
+dense is ever formed.  `sparse_rank` is the number of those rows.
+`sparse_reduce` takes the entries of another matrix to their remainders
+modulo the pivot rows, zero on every pivot column: the entries off the
+pivots pass through, and each pivot column met is replaced by the remainder
+of its unit vector, built once from the pivot rows below it.
 """
 
 import numpy as np
@@ -154,16 +159,29 @@ def _groups(keys: np.ndarray, values: np.ndarray) -> dict:
     return {k: vlist[a:b] for k, a, b in zip(keys[starts].tolist(), bounds, bounds[1:])}
 
 
-def sparse_rank(rows, cols, vals, shape, field) -> int:
-    """Rank of the shape[0] x shape[1] matrix with entry vals[k] at (rows[k], cols[k]).
+def sparse_pivot_rows(rows, cols, vals, shape, field) -> dict:
+    """{pivot column c: row dict column -> code} of one sparse elimination of the
+    shape[0] x shape[1] matrix with entry vals[k] at (rows[k], cols[k]).
 
-    Positions must be distinct; zero entries are dropped.  Each row is a dict
-    column -> code, and a column holds the list of rows that gained it.
-    Columns are taken in descending order, and the pivot of a column is the
-    shortest live row holding it (structured Gaussian elimination:
-    LaMacchia–Odlyzko, CRYPTO '90).  The pivot row then leaves: the columns
-    above c are gone from every live row, so the rows it updates gain only
-    columns below c, and the rank is the number of pivots.
+    Positions must be distinct; zero entries are dropped.  Each pivot row is
+    1 on its pivot and zero above it (see _eliminate), and the rows span the
+    row space.
+    """
+    return dict(_eliminate(*_sparse_rows(rows, cols, vals, shape), field))
+
+
+def sparse_rank(rows, cols, vals, shape, field) -> int:
+    """Rank of the shape[0] x shape[1] matrix with entry vals[k] at (rows[k], cols[k]): its number of pivot rows.
+
+    Each pivot row is dropped as soon as it is made, so only the live rows are held.
+    """
+    return sum(1 for _ in _eliminate(*_sparse_rows(rows, cols, vals, shape), field))
+
+
+def _sparse_rows(rows, cols, vals, shape) -> tuple:
+    """(R, holders): R[r] the dict column -> code of row r, holders[c] the rows holding column c.
+
+    Positions must be distinct and inside the shape; zero entries are dropped.
     """
     n, m = shape
     rows, cols, vals = (np.asarray(a, dtype=np.int64).ravel() for a in (rows, cols, vals))
@@ -179,28 +197,41 @@ def sparse_rank(rows, cols, vals, shape, field) -> int:
     for r, entries in _groups(rows, np.stack([cols, vals], axis=1)).items():
         R[r] = dict(entries)
     by_col = np.argsort(cols, kind="stable")
-    holders = _groups(cols[by_col], rows[by_col])
-    del rows, cols, vals, by_col  # only R and holders are read from here on
+    return R, _groups(cols[by_col], rows[by_col])
+
+
+def _eliminate(R: list, holders: dict, field):
+    """Yield (c, pivot row) for each pivot column c of the rows R, eliminating them in place.
+
+    A column holds the list of rows that gained it.  Columns are taken in
+    descending order, and the pivot of a column is the shortest live row
+    holding it (structured Gaussian elimination: LaMacchia–Odlyzko, CRYPTO
+    '90).  The pivot row then leaves, scaled to coefficient 1 on its pivot:
+    the columns above c are gone from every live row, so it has nothing
+    above c, and the rows it updates gain only columns below c.
+    """
     ADD, MUL = _TableRows(field.ADD), _TableRows(field.MUL)
     NEG, INV = field.NEG.tolist(), field.INV.tolist()
-    rank = 0
     for c in sorted(holders, reverse=True):
         live = [r for r in holders.pop(c) if c in R[r]]
         if not live:
             continue
-        rank += 1
-        if len(live) == 1:
-            R[live[0]] = {}
-            continue
-        live = set(live)  # a row that lost c and gained it again is listed twice
-        pivot = min(live, key=lambda r: len(R[r]))
-        live.discard(pivot)
+        if len(live) > 1:
+            live = set(live)  # a row that lost c and gained it again is listed twice
+            pivot = min(live, key=lambda r: len(R[r]))
+            live.discard(pivot)
+        else:
+            pivot, live = live[0], ()
         P, R[pivot] = R[pivot], {}
-        inv = INV[P.pop(c)]
-        items = list(P.items())
+        inv = INV[P[c]]
+        if inv != 1:
+            scale = MUL[inv]
+            P = {k: scale[v] for k, v in P.items()}
+        items = [(k, v) for k, v in P.items() if k != c] if live else ()
+        yield c, P
         for r in live:
             row = R[r]
-            mul = MUL[MUL[NEG[row.pop(c)]][inv]]
+            mul = MUL[NEG[row.pop(c)]]
             for k, v in items:
                 w = mul[v]
                 old = row.get(k)
@@ -213,4 +244,93 @@ def sparse_rank(rows, cols, vals, shape, field) -> int:
                         row[k] = s
                     else:
                         del row[k]
-    return rank
+
+
+def _sum_runs(vals: np.ndarray, starts: np.ndarray, field) -> np.ndarray:
+    """The field sum of each run vals[starts[i] : starts[i + 1]], digit by digit mod p."""
+    p, k = field.p, field.deg
+    weights = p ** np.arange(k, dtype=np.int64)
+    digits = vals[:, None] // weights % p
+    return (np.add.reduceat(digits, starts, axis=0) % p) @ weights
+
+
+def sparse_reduce(rows, cols, vals, pivot_rows: dict, field) -> tuple:
+    """(rows, cols, vals): the remainder of each row of the matrix with entry
+    vals[k] at (rows[k], cols[k]) modulo the pivot rows of sparse_pivot_rows.
+
+    The remainder is zero on every pivot column, and a row minus its
+    remainder lies in the span of the pivot rows.  Positions must be
+    distinct.  A row is the sum of its entries off the pivot columns, which
+    pass through, and of a·rem(c) for its entry a on a pivot column c, where
+    rem(c) is the remainder of the unit vector e_c: e_c minus its pivot row
+    is supported below c, so rem(c) = −Σ_k P_c[k]·rem(k) over the columns
+    k < c of that row, with rem(k) = e_k off the pivot columns.  rem is built
+    as dicts once for each pivot the entries meet, lower pivots first; the
+    products a·rem(c) are then scattered and summed by position in numpy.
+    """
+    rows, cols, vals = (np.asarray(a, dtype=np.int64).ravel() for a in (rows, cols, vals))
+    order = np.lexsort((cols, rows))
+    rows, cols, vals = rows[order], cols[order], vals[order]
+    if np.any((rows[1:] == rows[:-1]) & (cols[1:] == cols[:-1])):
+        raise ValueError("repeated entry position")
+    if rows.size and min(rows[0], cols.min()) < 0:
+        raise ValueError("negative entry position")
+    is_pivot = np.zeros(1 + max(cols.max(initial=-1), max(pivot_rows, default=-1)), dtype=bool)
+    is_pivot[list(pivot_rows)] = True
+    on_pivot = is_pivot[cols]
+    met = np.flatnonzero(np.bincount(cols[on_pivot]))
+    rem = _remainders(met.tolist(), pivot_rows, field)
+    rems = [rem[c] for c in met.tolist()]
+    sizes = np.array([len(r) for r in rems], dtype=np.int64)
+    rem_cols = np.fromiter((k for r in rems for k in r), dtype=np.int64, count=int(sizes.sum()))
+    rem_vals = np.fromiter((v for r in rems for v in r.values()), dtype=np.int64, count=rem_cols.size)
+    which = np.searchsorted(met, cols[on_pivot])
+    n = sizes[which]
+    # entry i of a·rem(c) reads rem's flat arrays at (start of c) + i
+    at = np.arange(n.sum()) + np.repeat((np.cumsum(sizes) - sizes)[which] - (np.cumsum(n) - n), n)
+    rows = np.concatenate([rows[~on_pivot], np.repeat(rows[on_pivot], n)])
+    cols = np.concatenate([cols[~on_pivot], rem_cols[at]])
+    vals = np.concatenate([vals[~on_pivot], field.MUL[np.repeat(vals[on_pivot], n), rem_vals[at]]])
+    order = np.lexsort((cols, rows))
+    rows, cols, vals = rows[order], cols[order], vals[order]
+    starts = np.flatnonzero(np.diff(rows, prepend=-1) | np.diff(cols, prepend=-1))
+    rows, cols, vals = rows[starts], cols[starts], _sum_runs(vals, starts, field)
+    nz = vals != 0
+    return rows[nz], cols[nz], vals[nz]
+
+
+def _remainders(columns: list, pivot_rows: dict, field) -> dict:
+    """{pivot column c: the remainder of e_c modulo the pivot rows, a dict column -> code}, for c in columns and
+    every lower pivot they reach; each is built once, after those of the pivots below it in its row."""
+    ADD, MUL = _TableRows(field.ADD), _TableRows(field.MUL)
+    NEG = field.NEG.tolist()
+    rem = {}
+    todo = list(columns)
+    while todo:
+        c = todo[-1]
+        if c in rem:
+            todo.pop()
+            continue
+        P = pivot_rows[c]
+        below = [k for k in P if k != c and k in pivot_rows and k not in rem]
+        if below:
+            todo += below
+            continue
+        todo.pop()
+        acc = {}
+        for k, v in P.items():
+            if k == c:
+                continue
+            mul = MUL[NEG[v]]
+            for j, w in (rem[k] if k in pivot_rows else {k: 1}).items():
+                old = acc.get(j)
+                if old is None:
+                    acc[j] = mul[w]
+                else:
+                    s = ADD[old][mul[w]]
+                    if s:
+                        acc[j] = s
+                    else:
+                        del acc[j]
+        rem[c] = acc
+    return rem

@@ -26,10 +26,14 @@ q x D matrices.  T₊|R_n is qⁿ copies of one local block,
 so T₊|R₁ is never built (its block is the local T₊ matrix on the e₀ columns),
 its kernel is read off the block rank, and the maps T induces on
 U-coinvariants are two scalars read off the local matrices, the same at every
-level.  dim L_N^U is exact by sparse elimination (_kernels.sparse_rank) on
-the entry lists of T and of the translations u - 1 (induction.hecke_entries,
-induction.translation_entries): no quotient matrix, dense rref or fixed
-space is formed, and beyond SPARSE_FIXED_CAP it is a certified lower bound.
+level.  dim L_N^U is exact by sparse elimination on the entry lists of T and
+of the translations u - 1 (induction.hecke_entries,
+induction.translation_entries): T is eliminated once
+(_kernels.sparse_pivot_rows), its non-pivot columns are a basis of L_N, each
+u - 1 is reduced onto that basis (_kernels.sparse_reduce), and the rank of
+the maps side by side (_kernels.sparse_rank) gives dim L_N^U.  No dense
+quotient matrix, dense rref or fixed space is formed, and beyond
+SPARSE_FIXED_CAP it is a certified lower bound.
 
 A witness g of the main existence statement is any element of V outside W;
 its classes together with x^{r⃗} at level 0 span a 2-dimensional piece of
@@ -49,6 +53,7 @@ from .gf import FieldCtx
 from .induction import (
     InductionCtx,
     LevelRange,
+    _offsets,
     hecke_entries,
     hecke_matrix,
     move_keys,
@@ -60,9 +65,9 @@ from .localring import LocalRingCtx, RingElem, teichmuller, translation_table
 from .weight import WeightCtx, action_matrix
 
 # largest dim I^e whose L_N^U is computed exactly, by sparse elimination; beyond it
-# a certified lower bound.  Every configuration measured under it took at most 18 s
-# and 0.94 GB (q = 49, D = 49 at N = 1; ramified-r1 at N = 5 takes 5-6 s), and
-# unramified-generic at N = 3 (dim I^e = 538084), beyond it, 36 s and 1.2 GB
+# a certified lower bound.  Every configuration measured under it took at most 12 s
+# and 0.98 GB (q = 49, D = 49 at N = 1; ramified-r1 at N = 5 takes about 2 s), and
+# unramified-generic at N = 3 (dim I^e = 538084), beyond it, 23 s and 0.82 GB
 SPARSE_FIXED_CAP = 262144
 
 # ring precision the main lemma needs: R₂ sits at level N - 1 = 2, and the
@@ -584,6 +589,15 @@ def truncation_precision(N: int) -> int:
 
 
 def truncated_L(ctx: InductionCtx, N: int, prev: TruncationReport | None = None) -> TruncationReport:
+    """The report on L_N = I^e_{[0,2N]} / T(I^o_{[1,2N-1]}).
+
+    T is injective on I^o, so dim L_N = dim I^e − dim I^o.  Up to
+    SPARSE_FIXED_CAP on dim I^e, dim L_N^U is exact: T is U-equivariant, so
+    T(I^o) is U-stable and U acts on L_N; on the basis of L_N given by T's
+    non-pivot columns, dim L_N^U = dim L_N − rank of the maps u − 1 side by
+    side (fixed_space_system).  Beyond the cap it is the certified lower
+    bound of _certified_fixed_lower_bound, raised to prev's value.
+    """
     if truncation_precision(N) > ctx.ring.N:
         raise PrecisionExhausted(f"need ring precision {truncation_precision(N)}, have {ctx.ring.N}")
     if tplus_block_rank(ctx) != ctx.D:
@@ -598,7 +612,7 @@ def truncated_L(ctx: InductionCtx, N: int, prev: TruncationReport | None = None)
 
     if dim_ie <= SPARSE_FIXED_CAP:
         rows, cols, vals, shape = fixed_space_system(ctx, N)
-        dim_ln_u = shape[0] - _kernels.sparse_rank(rows, cols, vals, shape, ctx.weight.field.kk) - dim_t_io
+        dim_ln_u = dim_ln - _kernels.sparse_rank(rows, cols, vals, shape, ctx.weight.field.kk)
         ln_u_method = "sparse"
     else:
         dim_ln_u = _certified_fixed_lower_bound(ctx, N)
@@ -627,34 +641,63 @@ def truncated_L(ctx: InductionCtx, N: int, prev: TruncationReport | None = None)
 
 
 def fixed_space_system(ctx: InductionCtx, N: int) -> tuple:
-    """(rows, cols, vals, shape): the entries of the matrix A whose kernel gives L_N^U.
+    """(rows, cols, vals, shape): the entries of the dim L_N x g·dim L_N matrix
+    whose rank gives L_N^U = {x ∈ L_N : x(u − 1) = 0 for every generator u}.
 
-    V_N = {x ∈ I^e : x(u − 1) ∈ T(I^o) for every generator u} contains T(I^o),
-    and L_N^U = V_N / T(I^o).  T is injective on I^o (checked here, by rank),
-    so for the unknowns (x, y_1, .., y_g) V_N is the kernel of
-    A = [[U_1−1, .., U_g−1], [−T, 0, ..], .., [0, .., −T]] in the row
-    convention, and dim L_N^U = #unknowns − rank A − dim I^o.  The entries
-    come from translation_entries and hecke_entries.  Column j of I^e in
-    generator k's block is column j·g + k, so the columns rank
-    level-ascending and an elimination that takes the highest first starts
-    on the top level, where T₊ is block-local; interleaving the g blocks
-    rather than stacking them cut time and peak memory by 10–30 % on
-    ramified-r1 at N = 4, 5.
+    One sparse elimination of T (hecke_entries) gives its pivot rows; T is
+    injective on I^o (checked here: one pivot per row), and the non-pivot
+    columns F of I^e are a basis of L_N = I^e / T(I^o).  T is U-equivariant,
+    so T(I^o) is U-stable and each u − 1 induces a map on L_N: row f of it
+    is row f of translation_entries reduced modulo the pivot rows
+    (_kernels.sparse_reduce), read on F.
+
+    T is eliminated with the columns of weight index ≠ 0 before those of
+    weight 0, each group highest first (_elimination_column).  T₊ lands
+    only on weight 0, so the rows with a T₋ part may pivot in their
+    parent's block, which few translation rows meet, instead of on a child
+    on the level above.  When D = q every child is a pivot, and highest
+    first put a T₋ part into the remainder of each: on (7,2,1,(6,6)) at
+    N = 1 that made 13.6M entries, 41 s and 3.4 GB, against 3.9M, 11.5 s
+    and 0.98 GB in this order.  Where D < q it can cost more: unramified
+    (1,0) (q = 9, D = 2) at N = 2 took 0.7 s against 0.4 s highest first.
+
+    Column f of generator k is column f·g + k, so the columns rank
+    level-ascending and the rank's elimination, which takes the highest
+    first, starts on the top level; interleaving the g blocks rather than
+    stacking them cut the rank's time by 20–25 % on ramified-r1 at N = 5
+    and unramified-maximal at N = 3.  dim L_N^U = dim L_N − rank.
     """
     kk = ctx.weight.field.kk
     lr_even, lr_odd = LevelRange("even", 0, 2 * N), LevelRange("odd", 1, 2 * N - 1)
     dim_ie, dim_io = range_dim(ctx, lr_even), range_dim(ctx, lr_odd)
     t_rows, t_cols, t_vals = hecke_entries(ctx, lr_odd, lr_even)
-    if _kernels.sparse_rank(t_rows, t_cols, t_vals, (dim_io, dim_ie), kk) != dim_io:
+    t_cols = _elimination_column(ctx, t_cols, dim_ie)
+    pivot_rows = _kernels.sparse_pivot_rows(t_rows, t_cols, t_vals, (dim_io, 2 * dim_ie), kk)
+    if len(pivot_rows) != dim_io:
         raise CheckFailed("T must be injective on odd levels when the block rank is full")
+    free = np.ones(dim_ie, dtype=bool)
+    free[np.fromiter(pivot_rows, dtype=np.int64, count=dim_io) % dim_ie] = False
+    coord = np.cumsum(free) - 1  # position of each column of F in L_N
     gens = u_generators(ctx, 2 * N)
     g = len(gens)
     parts = []
     for k, c in enumerate(gens):
         rows, cols, vals = translation_entries(ctx, c, lr_even)
-        parts += [(rows, cols * g + k, vals), (t_rows + dim_ie + k * dim_io, t_cols * g + k, kk.NEG[t_vals])]
+        on_f = free[rows]
+        cols = _elimination_column(ctx, cols[on_f], dim_ie)
+        rows, cols, vals = _kernels.sparse_reduce(rows[on_f], cols, vals[on_f], pivot_rows, kk)
+        parts.append((coord[rows], coord[cols % dim_ie] * g + k, vals))
     rows, cols, vals = (np.concatenate(part) for part in zip(*parts))
-    return rows, cols, vals, (dim_ie + g * dim_io, g * dim_ie)
+    dim_ln = dim_ie - dim_io
+    return rows, cols, vals, (dim_ln, g * dim_ln)
+
+
+def _elimination_column(ctx: InductionCtx, j: np.ndarray, dim_ie: int) -> np.ndarray:
+    """Column j of I^e in the elimination of T: j, or j + dim I^e when its weight index is not 0.
+
+    Every level's block starts at a multiple of D, so j mod D is the weight index, and j is j's column mod dim I^e.
+    """
+    return j + dim_ie * (j % ctx.D != 0)
 
 
 def _certified_fixed_lower_bound(ctx: InductionCtx, N: int) -> int:
@@ -664,16 +707,20 @@ def _certified_fixed_lower_bound(ctx: InductionCtx, N: int) -> int:
       - full block rank (checked by truncated_L) makes T₊ injective at every
         level, so an element of T(I^o) supported in levels ≤ 2 already lies
         in T(R₁);
-      - the level-0 vector is exactly U-fixed, g is U-fixed modulo T₊R₁′ ⊆ T(R₁);
+      - the level-0 vector is exactly U-fixed; the pair's second row is zero
+        on level 0, and its level-2 block (read through _offsets) is U-fixed
+        modulo T₊R₁′ ⊆ T(R₁), which is the check g passed;
       - their span meets T(R₁) trivially (small dense computation in R₀ ⊕ R₂).
     """
     kk = ctx.weight.field.kk
+    gens = u_generators(ctx, 2 * N)
     e0 = np.zeros((1, ctx.D), dtype=np.int32)
     e0[0, 0] = 1
-    for c in u_generators(ctx, 2 * N):
+    for c in gens:
         if not np.array_equal(translate_vectors(ctx, c, 0, e0), e0):
             raise CheckFailed("level-0 top vector must be exactly U-fixed")
     lr02 = LevelRange("even", 0, 2)
+    level2 = _offsets(ctx, lr02)[2]
     img = linalg.image(hecke_matrix(ctx, LevelRange("all", 1, 1), lr02), kk)
     v0 = np.zeros(range_dim(ctx, lr02), dtype=np.int32)  # level 0's D entries come first
     v0[0] = 1
@@ -682,6 +729,12 @@ def _certified_fixed_lower_bound(ctx: InductionCtx, N: int) -> int:
         # only the level-0 line is certified
         return 1 if not linalg.member(v0, img) else 0
     g02 = np.concatenate([np.zeros(ctx.D, dtype=np.int32), main.g])
+    spaces = _candidate_spaces(ctx)
+    block = g02[None, level2:]
+    if g02[:level2].any() or not _u_fixed_mod_tplus_r1p(
+        ctx, gens, 1, lambda rows: block[rows], spaces.tplus_r1, spaces.tplus_r1p
+    ):
+        raise CheckFailed("the pair's second row must be g on level 2, U-fixed modulo T₊R₁′ ⊆ T(R₁)")
     pair = linalg.echelon(np.vstack([v0, g02]), kk, ambient=v0.size)
     if pair.dim != 2:
         raise CheckFailed("witness pair must be linearly independent")

@@ -8,11 +8,13 @@ from indgl2.gf import FqElem
 from indgl2.induction import (
     LevelRange,
     flatten,
+    hecke_entries,
     hecke_matrix,
     hecke_T_minus,
     hecke_T_plus,
     operator_matrix,
     range_dim,
+    translation_entries,
     u_act,
 )
 from indgl2.linalg import Subspace
@@ -101,6 +103,34 @@ def dense_fixed_dim(ctx, N):
     assert S.dim == range_dim(ctx, lr_odd), "T must be injective on odd levels"
     maps = analysis.induced_quotient_maps(ctx, analysis.u_generators(ctx, 2 * N), lr_even, S)
     return linalg.fixed_space(maps, kk, S.ambient - S.dim).dim
+
+
+def stacked_fixed_dim(ctx, N):
+    """dim L_N^U by the sparse route that analysis.truncated_L took before it
+    worked on the quotient: no quotient basis, one elimination of a stacked
+    system through _kernels.sparse_rank.
+
+    V_N = {x ∈ I^e : x(u − 1) ∈ T(I^o) for every generator u} contains T(I^o),
+    and L_N^U = V_N / T(I^o).  For the unknowns (x, y_1, .., y_g), V_N is the
+    kernel of A = [[U_1−1, .., U_g−1], [−T, 0, ..], .., [0, .., −T]] in the row
+    convention, so with T injective on I^o (checked by rank),
+    dim L_N^U = #unknowns − rank A − dim I^o.  Column j of I^e in generator
+    k's block is column j·g + k.
+    """
+    kk = ctx.weight.field.kk
+    lr_even, lr_odd = LevelRange("even", 0, 2 * N), LevelRange("odd", 1, 2 * N - 1)
+    dim_ie, dim_io = range_dim(ctx, lr_even), range_dim(ctx, lr_odd)
+    t_rows, t_cols, t_vals = hecke_entries(ctx, lr_odd, lr_even)
+    assert _kernels.sparse_rank(t_rows, t_cols, t_vals, (dim_io, dim_ie), kk) == dim_io, "T must be injective on odd levels"
+    gens = analysis.u_generators(ctx, 2 * N)
+    g = len(gens)
+    parts = []
+    for k, c in enumerate(gens):
+        rows, cols, vals = translation_entries(ctx, c, lr_even)
+        parts += [(rows, cols * g + k, vals), (t_rows + dim_ie + k * dim_io, t_cols * g + k, kk.NEG[t_vals])]
+    rows, cols, vals = (np.concatenate(part) for part in zip(*parts))
+    shape = (dim_ie + g * dim_io, g * dim_ie)
+    return shape[0] - _kernels.sparse_rank(rows, cols, vals, shape, kk) - dim_io
 
 
 def quotient_projection(S):

@@ -5,6 +5,7 @@ structural facts (kernel dimensions, coinvariant counts, flag values) are
 cross-checked against independent dense linear algebra built inline here.
 """
 
+import dataclasses
 import itertools
 import json
 import os
@@ -42,6 +43,7 @@ from oracles import (
     direct_sum,
     embed,
     quotient_projection,
+    stacked_fixed_dim,
     subspace_sum,
     tplus_by_walk,
 )
@@ -775,6 +777,29 @@ class TestTruncatedL:
         ctx = cli.config_from_preset(preset).build()
         assert analysis._certified_fixed_lower_bound(ctx, N) == 2
 
+    @pytest.mark.parametrize("preset", sorted(cli.PRESETS))
+    def test_certified_pair_holds_g_on_level_2(self, preset, monkeypatch):
+        # the U-check reads g itself off the pair's level-2 block (g placed before level 0's
+        # D entries fails here on every preset), and a level-2 row that is not U-fixed
+        # modulo T₊R₁′ is refused
+        ctx = cli.config_from_preset(preset).build()
+        main = analysis.main_lemma_report(ctx)
+        checked = []
+        u_check = analysis._u_fixed_mod_tplus_r1p
+
+        def spy(ctx, gens, count, rows_of, *spaces):
+            checked.append(rows_of(slice(0, count)))
+            return u_check(ctx, gens, count, rows_of, *spaces)
+
+        monkeypatch.setattr(analysis, "_u_fixed_mod_tplus_r1p", spy)
+        assert analysis._certified_fixed_lower_bound(ctx, 1) == 2
+        assert np.array_equal(checked[-1], main.g[None])
+        moved = main.g.copy()
+        moved[ctx.D] = ctx.weight.field.kk.ADD[moved[ctx.D], 1]
+        monkeypatch.setattr(analysis, "main_lemma_report", lambda ctx: dataclasses.replace(main, g=moved))
+        with pytest.raises(CheckFailed, match="on level 2"):
+            analysis._certified_fixed_lower_bound(ctx, 1)
+
     @pytest.mark.parametrize("N", [1, 2])
     @pytest.mark.parametrize("args", [(3, 1, 1, (1,)), (5, 1, 1, (0,)), (2, 1, 1, (1,))])
     def test_certified_lower_bound_without_witness(self, args, N):
@@ -894,6 +919,19 @@ class TestTruncationAgainstDense:
             rep = analysis.truncated_L(ctx, N)
             assert rep.ln_u_method == "sparse"
             assert rep.dim_ln_u == dense_fixed_dim(ctx, N), N
+
+    # ramified-r1, unramified-maximal, q = 5 with D = 3, unramified-stretch, then TWISTED; all but
+    # (5,1,2,(2,)) and unramified-stretch beyond the dense route's dim I^e ≤ 2048
+    BEYOND = [((3, 1, 2, (1,)), {}, 4), ((2, 2, 1, (1, 1)), {}, 3), ((5, 1, 2, (2,)), {}, 2), ((3, 2, 1, (2, 2)), {}, 1)]
+    BEYOND += [(TWISTED[0][0], TWISTED[0][1], 4), (TWISTED[1][0], TWISTED[1][1], 3)]
+
+    @pytest.mark.parametrize("args,kw,N", BEYOND, ids=["r1-N4", "maximal-N3", "q5-D3-N2", "stretch-N1", "twisted-K9-N4", "twisted-q4-N3"])
+    def test_quotient_route_matches_stacked_system(self, args, kw, N):
+        # the rank on L_N's basis F against the stacked system with g copies of −T
+        ctx = analysis.build_ctx(*args, N=analysis.truncation_precision(N), **kw)
+        rep = analysis.truncated_L(ctx, N)
+        assert rep.ln_u_method == "sparse"
+        assert rep.dim_ln_u == stacked_fixed_dim(ctx, N)
 
     @pytest.mark.parametrize("args,N", [(args, N) for args in GRID for N in (1, 2)] + [((3, 2, 1, (0, 0)), 2)])
     def test_t_injective_on_odd_levels(self, args, N):

@@ -417,6 +417,22 @@ def sparse_cases(rng, F):
     }
 
 
+def sparse_pivot_cases(rng, F):
+    """sparse_cases, low-rank matrices and random sparse ones, each as a C-order array."""
+    cases = sparse_cases(rng, F)
+    cases.update({f"low-rank-{i}": rand_low_rank(rng, F, 30, 24, rank) for i, rank in enumerate((0, 7, 19, 24))})
+    cases.update({f"sparse-{i}": rand_sparse_rows(rng, F, 50, 40, 1, 4) for i in range(6)})
+    return {name: np.array(M) for name, M in cases.items()}
+
+
+def dense_rows(pivot_rows, m):
+    """The row dicts of _kernels.sparse_pivot_rows as a dense matrix of width m."""
+    D = np.zeros((len(pivot_rows), m), dtype=np.int32)
+    for i, row in enumerate(pivot_rows.values()):
+        D[i, list(row)] = list(row.values())
+    return D
+
+
 # (p, degree) of F_2, F_3, F_8, F_9, F_25, F_49 and the largest prime field under the table cap
 MATMUL_FIELDS = [(2, 1), (3, 1), (2, 3), (3, 2), (5, 2), (7, 2), (4093, 1)]
 EDGE = _kernels.PLANE_MIN_INNER
@@ -471,12 +487,7 @@ class TestBackends:
     def test_sparse_rank_agrees(self, p, k):
         # over F_3, F_9 and F_25, in descending column order and, with the columns reversed, ascending
         F = FieldCtx(p, k).fq
-        rng = np.random.default_rng(p * 100 + k)
-        cases = sparse_cases(rng, F)
-        cases.update({f"low-rank-{i}": rand_low_rank(rng, F, 30, 24, rank) for i, rank in enumerate((0, 7, 19, 24))})
-        cases.update({f"sparse-{i}": rand_sparse_rows(rng, F, 50, 40, 1, 4) for i in range(6)})
-        for name, M in cases.items():
-            M = np.array(M)
+        for name, M in sparse_pivot_cases(np.random.default_rng(p * 100 + k), F).items():
             rank = len(_rref_loops(M, F)[1])
             rows, cols = np.nonzero(M)
             assert _kernels.sparse_rank(rows, cols, M[rows, cols], M.shape, F) == rank, name
@@ -491,6 +502,53 @@ class TestBackends:
             _kernels.sparse_rank([0, 0], [1, 1], [1, 2], (2, 2), F9)
         with pytest.raises(ValueError):
             _kernels.sparse_rank([0], [2], [1], (2, 2), F9)
+
+    @pytest.mark.parametrize("p,k", [(3, 1), (3, 2)])
+    def test_pivot_rows_echelon_the_matrix(self, p, k):
+        # over F_3 and F_9: as many rows as the rank, each 1 on its pivot and zero above it, spanning M's rows
+        F = FieldCtx(p, k).fq
+        for name, M in sparse_pivot_cases(np.random.default_rng(p * 10 + k + 7), F).items():
+            m = M.shape[1]
+            rows, cols = np.nonzero(M)
+            pivot_rows = _kernels.sparse_pivot_rows(rows, cols, M[rows, cols], M.shape, F)
+            assert len(pivot_rows) == len(_rref_loops(M, F)[1]), name
+            for c, row in pivot_rows.items():
+                assert max(row) == c and row[c] == 1 and all(row.values()), name
+            assert echelon(dense_rows(pivot_rows, m), F, ambient=m) == echelon(M, F, ambient=m), name
+
+    @pytest.mark.parametrize("p,k", [(3, 1), (3, 2)])
+    def test_reduce_leaves_remainders_off_the_pivots(self, p, k):
+        # a remainder is zero on every pivot column, and v minus it lies in the span of M's rows
+        F = FieldCtx(p, k).fq
+        rng = np.random.default_rng(p * 10 + k + 8)
+        for name, M in sparse_pivot_cases(rng, F).items():
+            n, m = M.shape
+            rows, cols = np.nonzero(M)
+            pivot_rows = _kernels.sparse_pivot_rows(rows, cols, M[rows, cols], M.shape, F)
+            V = np.vstack([rand_sparse_rows(rng, F, 20, m, 0, 4), rand_mat(rng, F, 4, m), M])
+            v_rows, v_cols = np.nonzero(V)
+            r_rows, r_cols, r_vals = _kernels.sparse_reduce(v_rows, v_cols, V[v_rows, v_cols], pivot_rows, F)
+            assert np.all(r_vals != 0), name
+            R = np.zeros_like(V)
+            R[r_rows, r_cols] = r_vals
+            assert not R[:, list(pivot_rows)].any(), name
+            span = echelon(M, F, ambient=m)
+            assert all(member(d, span) for d in F.ADD[V, F.NEG[R]]), name
+            assert not R[len(V) - n :].any(), name  # M's own rows reduce to zero
+
+    def test_sparse_elimination_entries(self, F9):
+        # a repeated or outside position is a ValueError; zero entries are dropped
+        for bad in (([0, 0], [1, 1], [1, 2]), ([0], [2], [1]), ([-1], [0], [1]), ([0], [-1], [1])):
+            with pytest.raises(ValueError):
+                _kernels.sparse_pivot_rows(*bad, (2, 2), F9)
+        pivot_rows = _kernels.sparse_pivot_rows([0, 1, 1], [1, 0, 1], [2, 0, 0], (2, 2), F9)
+        assert pivot_rows == {1: {1: 1}}
+        for bad in (([0, 0], [1, 1], [1, 2]), ([0], [-1], [1])):
+            with pytest.raises(ValueError):
+                _kernels.sparse_reduce(*bad, pivot_rows, F9)
+        rest = _kernels.sparse_reduce([0, 0, 1], [0, 1, 1], [3, 2, 0], pivot_rows, F9)
+        assert [a.tolist() for a in rest] == [[0], [0], [3]]
+        assert all(a.size == 0 for a in _kernels.sparse_reduce([], [], [], pivot_rows, F9))
 
     @pytest.mark.parametrize("transpose", [False, True])
     def test_rref_agrees_on_hecke_matrix(self, transpose):
