@@ -36,6 +36,9 @@ dense is ever formed.  `sparse_rank` is the number of those rows.
 modulo the pivot rows, zero on every pivot column: the entries off the
 pivots pass through, and each pivot column met is replaced by the remainder
 of its unit vector, built once from the pivot rows below it.
+`sparse_matmul` multiplies two matrices given by their entry lists.  Both
+it and `sparse_reduce` expand their products into one entry list and sum it
+by position (`_summed_entries`).
 """
 
 import numpy as np
@@ -188,11 +191,7 @@ def _sparse_rows(rows, cols, vals, shape) -> tuple:
     if rows.size and (rows.min() < 0 or rows.max() >= n or cols.min() < 0 or cols.max() >= m):
         raise ValueError(f"entry position outside the {n} x {m} matrix")
     nz = vals != 0
-    rows, cols, vals = rows[nz], cols[nz], vals[nz]
-    order = np.lexsort((cols, rows))
-    rows, cols, vals = rows[order], cols[order], vals[order]
-    if np.any((rows[1:] == rows[:-1]) & (cols[1:] == cols[:-1])):
-        raise ValueError("repeated entry position")
+    rows, cols, vals = _sorted_entries(rows[nz], cols[nz], vals[nz])
     R = [{} for _ in range(n)]
     for r, entries in _groups(rows, np.stack([cols, vals], axis=1)).items():
         R[r] = dict(entries)
@@ -246,12 +245,53 @@ def _eliminate(R: list, holders: dict, field):
                         del row[k]
 
 
+def _sorted_entries(rows, cols, vals) -> tuple:
+    """The entries as int64 arrays sorted by (row, column); a repeated position is a ValueError."""
+    rows, cols, vals = (np.asarray(a, dtype=np.int64).ravel() for a in (rows, cols, vals))
+    order = np.lexsort((cols, rows))
+    rows, cols, vals = rows[order], cols[order], vals[order]
+    if np.any((rows[1:] == rows[:-1]) & (cols[1:] == cols[:-1])):
+        raise ValueError("repeated entry position")
+    return rows, cols, vals
+
+
+def _summed_entries(rows, cols, vals, field) -> tuple:
+    """(rows, cols, vals) of the matrix whose entry at each position is the field sum of the entries
+    there: sorted by (row, column), zeros dropped."""
+    order = np.lexsort((cols, rows))
+    rows, cols, vals = rows[order], cols[order], vals[order]
+    starts = np.flatnonzero(np.diff(rows, prepend=-1) | np.diff(cols, prepend=-1))
+    rows, cols, vals = rows[starts], cols[starts], _sum_runs(vals, starts, field)
+    nz = vals != 0
+    return rows[nz], cols[nz], vals[nz]
+
+
 def _sum_runs(vals: np.ndarray, starts: np.ndarray, field) -> np.ndarray:
     """The field sum of each run vals[starts[i] : starts[i + 1]], digit by digit mod p."""
     p, k = field.p, field.deg
     weights = p ** np.arange(k, dtype=np.int64)
     digits = vals[:, None] // weights % p
     return (np.add.reduceat(digits, starts, axis=0) % p) @ weights
+
+
+def _runs(starts: np.ndarray, sizes: np.ndarray) -> np.ndarray:
+    """starts[j] + i for i < sizes[j], concatenated over j: the positions of runs in a flat array."""
+    return np.arange(sizes.sum()) + np.repeat(starts - (np.cumsum(sizes) - sizes), sizes)
+
+
+def sparse_matmul(a: tuple, b: tuple, field) -> tuple:
+    """(rows, cols, vals) of A @ B, for A and B given by entry lists (rows, cols, vals): sorted by
+    (row, column), zeros dropped.
+
+    Positions must be distinct in each.  Every entry (i, k, x) of A meets the
+    entries (k, j, y) of B's row k, and the products x·y are summed by position.
+    """
+    a_rows, a_cols, a_vals = _sorted_entries(*a)
+    b_rows, b_cols, b_vals = _sorted_entries(*b)
+    lo = np.searchsorted(b_rows, a_cols, side="left")
+    n = np.searchsorted(b_rows, a_cols, side="right") - lo
+    at = _runs(lo, n)
+    return _summed_entries(np.repeat(a_rows, n), b_cols[at], field.MUL[np.repeat(a_vals, n), b_vals[at]], field)
 
 
 def sparse_reduce(rows, cols, vals, pivot_rows: dict, field) -> tuple:
@@ -268,11 +308,7 @@ def sparse_reduce(rows, cols, vals, pivot_rows: dict, field) -> tuple:
     as dicts once for each pivot the entries meet, lower pivots first; the
     products a·rem(c) are then scattered and summed by position in numpy.
     """
-    rows, cols, vals = (np.asarray(a, dtype=np.int64).ravel() for a in (rows, cols, vals))
-    order = np.lexsort((cols, rows))
-    rows, cols, vals = rows[order], cols[order], vals[order]
-    if np.any((rows[1:] == rows[:-1]) & (cols[1:] == cols[:-1])):
-        raise ValueError("repeated entry position")
+    rows, cols, vals = _sorted_entries(rows, cols, vals)
     if rows.size and min(rows[0], cols.min()) < 0:
         raise ValueError("negative entry position")
     is_pivot = np.zeros(1 + max(cols.max(initial=-1), max(pivot_rows, default=-1)), dtype=bool)
@@ -287,16 +323,11 @@ def sparse_reduce(rows, cols, vals, pivot_rows: dict, field) -> tuple:
     which = np.searchsorted(met, cols[on_pivot])
     n = sizes[which]
     # entry i of a·rem(c) reads rem's flat arrays at (start of c) + i
-    at = np.arange(n.sum()) + np.repeat((np.cumsum(sizes) - sizes)[which] - (np.cumsum(n) - n), n)
+    at = _runs((np.cumsum(sizes) - sizes)[which], n)
     rows = np.concatenate([rows[~on_pivot], np.repeat(rows[on_pivot], n)])
     cols = np.concatenate([cols[~on_pivot], rem_cols[at]])
     vals = np.concatenate([vals[~on_pivot], field.MUL[np.repeat(vals[on_pivot], n), rem_vals[at]]])
-    order = np.lexsort((cols, rows))
-    rows, cols, vals = rows[order], cols[order], vals[order]
-    starts = np.flatnonzero(np.diff(rows, prepend=-1) | np.diff(cols, prepend=-1))
-    rows, cols, vals = rows[starts], cols[starts], _sum_runs(vals, starts, field)
-    nz = vals != 0
-    return rows[nz], cols[nz], vals[nz]
+    return _summed_entries(rows, cols, vals, field)
 
 
 def _remainders(columns: list, pivot_rows: dict, field) -> dict:

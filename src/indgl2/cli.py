@@ -19,30 +19,24 @@ from time import perf_counter
 import numpy as np
 
 from . import __version__, analysis
+from ._kernels import sparse_matmul
 from .errors import ConfigError, LevelZeroInput
 from .gf import TABLE_CAP, is_prime, sum_over_field
-from .induction import (
-    InducedElem,
-    alpha_act,
-    hecke_T,
-    hecke_T_minus,
-    hecke_T_plus,
-    singleton,
-    u_act,
-)
+from .induction import LevelRange, _offsets, hecke_entries, translation_entries
 from .localring import (
     RingElem,
     digits,
     from_digits,
     residue,
     teichmuller,
+    translation_table,
     witt_carry,
     witt_carry_closed_form,
     witt_carry_precision,
 )
 
 SUITES = ("arith", "hecke", "mainlemma", "negative", "truncation")
-RANDOM_SUITES = ("arith", "hecke")  # the suites that draw random elements
+RANDOM_SUITES = ("arith",)  # the suites that draw random elements
 
 PRESETS = {
     "ramified-r1": {"p": 3, "f": 1, "e": 2, "r": [1]},
@@ -256,17 +250,6 @@ class Report:
 # -- suites --
 
 
-def _random_element(ctx, rng, levels) -> InducedElem:
-    terms = {}
-    for _ in range(rng.integers(1, 4)):
-        n = int(rng.choice(levels))
-        mu = tuple(int(v) for v in rng.integers(0, ctx.q, size=n))
-        vec = rng.integers(0, ctx.weight.field.kk.order, size=ctx.D).astype(np.int32)
-        if vec.any():
-            terms[(n, mu)] = vec
-    return InducedElem(ctx, terms)
-
-
 def _random_ring(ctx, rng) -> RingElem:
     ring = ctx.ring
     vec = rng.integers(0, ring.pM, size=(ring.e, ring.f)).astype(np.int64)
@@ -319,40 +302,42 @@ def _suite_arith(ctx, cfg, rng):
 
 
 def _suite_hecke(ctx, cfg, rng):
+    """Exact checks on the entry arrays that the certificates read: T from hecke_entries and
+    u - 1 from translation_entries, with T from R_1 + .. + R_{top-1} to R_0 + .. + R_top."""
+    kk = ctx.weight.field.kk
+    top = min(3, ctx.max_level())
+    domain, codomain = LevelRange("all", 1, top - 1), LevelRange("all", 0, top)
+    T = hecke_entries(ctx, domain, codomain)
+    gens = analysis.u_generators(ctx, top)
     recs = []
-    levels = [n for n in (1, 2) if n + 1 <= ctx.max_level()] or [1]
 
     ok = True
-    for _ in range(40):
-        x = _random_element(ctx, rng, levels)
-        ok = ok and hecke_T(x) == hecke_T_plus(x) + hecke_T_minus(x)
-    recs.append(CheckRecord("hecke:composite", "pass" if ok else "fail", {"samples": 40}))
+    for c in gens:
+        after = sparse_matmul(T, translation_entries(ctx, c, codomain), kk)  # x ↦ (u - 1)(Tx)
+        before = sparse_matmul(translation_entries(ctx, c, domain), T, kk)  # x ↦ T((u - 1)x)
+        ok = ok and all(np.array_equal(a, b) for a, b in zip(after, before))
+    recs.append(CheckRecord("hecke:u-equivariance", "pass" if ok else "fail", {"generators": len(gens), "top_level": top}))
 
     ok = True
-    for _ in range(40):
-        x = _random_element(ctx, rng, levels)
-        c = _random_ring(ctx, rng)
-        ok = ok and u_act(c, hecke_T(x)) == hecke_T(u_act(c, x))
-    recs.append(CheckRecord("hecke:u-equivariance", "pass" if ok else "fail", {"samples": 40}))
+    pi = ctx.ring.uniformizer()
+    for n in range(top):
+        for c in gens:
+            perm, twist = translation_table(pi ** (n + 1) * c, n)
+            ok = ok and np.array_equal(perm, np.arange(perm.size)) and not twist.any()
+    recs.append(CheckRecord("hecke:depth-triviality", "pass" if ok else "fail", {"tables": top * len(gens)}))
 
-    ok = True
-    checked = 0
-    for n in range(min(3, ctx.max_level())):
-        pi_pow = ctx.ring.uniformizer() ** (n + 1)
-        for _ in range(5):
-            c = pi_pow * _random_ring(ctx, rng)
-            mu = tuple(int(v) for v in rng.integers(0, ctx.q, size=n))
-            x = singleton(ctx, n, mu, int(rng.integers(0, ctx.D)))
-            ok = ok and u_act(c, x) == x
-            checked += 1
-    recs.append(CheckRecord("hecke:depth-triviality", "pass" if ok else "fail", {"samples": checked}))
+    def positions(entries, row_at=0, col_at=0):
+        rows, cols, vals = entries
+        return dict(zip(zip((rows + row_at).tolist(), (cols + col_at).tolist()), vals.tolist()))
 
-    ok = True
-    for _ in range(30):
-        x = _random_element(ctx, rng, [n for n in levels if n + 1 <= ctx.max_level() - 1] or [1])
-        c = _random_ring(ctx, rng)
-        ok = ok and u_act(ctx.ring.uniformizer() * c, alpha_act(x)) == alpha_act(u_act(c, x))
-    recs.append(CheckRecord("hecke:alpha-intertwine", "pass" if ok else "fail", {"samples": 30}))
+    whole = positions(T)
+    row_at, col_at = _offsets(ctx, domain), _offsets(ctx, codomain)
+    plus, minus = {}, {}
+    for n in domain.levels():
+        for part, m in ((plus, n + 1), (minus, n - 1)):
+            part.update(positions(hecke_entries(ctx, LevelRange("all", n, n), LevelRange("all", m, m)), row_at[n], col_at[m]))
+    ok = len(whole) == T[0].size and plus.keys().isdisjoint(minus) and whole == plus | minus
+    recs.append(CheckRecord("hecke:composite", "pass" if ok else "fail", {"T_plus": len(plus), "T_minus": len(minus)}))
 
     k1 = analysis.tplus_kernel_dim(ctx, 1)
     recs.append(
@@ -360,7 +345,7 @@ def _suite_hecke(ctx, cfg, rng):
     )
 
     try:
-        hecke_T(singleton(ctx, 0, (), 0))
+        hecke_entries(ctx, LevelRange("all", 0, 0), LevelRange("all", 0, 1))
         recs.append(CheckRecord("hecke:level-zero-guard", "fail", detail="level-0 input was accepted"))
     except LevelZeroInput:
         recs.append(CheckRecord("hecke:level-zero-guard", "pass"))

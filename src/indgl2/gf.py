@@ -294,10 +294,6 @@ class PrimeExtField:
     def one(self) -> "FqElem":
         return FqElem(self, 1)
 
-    @property
-    def gen(self) -> "FqElem":
-        return FqElem(self, self.p % self.order)
-
     def __repr__(self):
         return f"PrimeExtField(p={self.p}, deg={self.deg})"
 

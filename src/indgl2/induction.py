@@ -1,5 +1,5 @@
 """The positive part ⊕_{n≥0} R_n(σ) of the compact induction, with the
-upper-unipotent action, the α-shift, and the Hecke operators T = T₊ + T₋.
+upper-unipotent action and the Hecke operators T = T₊ + T₋.
 
 An InducedElem is a finite sum Σ [(ϖⁿ, μ), w] keyed by (level, digit string);
 μ ∈ I_n is the canonical representative of its class and w a weight vector.
@@ -10,17 +10,18 @@ Level ranges export their operators over frozen bases: hecke_entries lists
 the entries of T by index arithmetic from the two local q x D matrices
 (hecke_matrix writes them into a dense matrix), and translation_entries
 lists those of a translation minus the identity from the level tables.
-translate_vectors moves flat vectors of one level by a translation.  Dense
-operators are plain int32 matrices in the row convention (v ↦ v @ M), as in
-linalg.
+These arrays are what the verifier reads.  translate_vectors moves flat
+vectors of one level by a translation.  Dense operators are plain int32
+matrices in the row convention (v ↦ v @ M), as in linalg.  The element
+calculus (InducedElem, u_act, hecke_T_plus, operator_matrix) serves as
+their oracle.
 
 Only positive levels exist here.  The lower coset direction that T would need
-on level 0 is not representable, so T and T₋ reject level-0 support and T₊
-does likewise for uniformity of the level bookkeeping.
+on level 0 is not representable, so hecke_entries rejects level-0 support,
+and T₊ does likewise for uniformity of the level bookkeeping.
 """
 
 import itertools
-import json
 import math
 from dataclasses import dataclass
 
@@ -129,12 +130,6 @@ class InducedElem:
     def support(self):
         return sorted(self.terms.keys())
 
-    def levels(self):
-        return sorted({n for n, _ in self.terms})
-
-    def is_zero(self) -> bool:
-        return not self.terms
-
     def __add__(self, other):
         self._check(other)
         kk = self.ctx.weight.field.kk
@@ -210,17 +205,6 @@ def _unipotent(ctx: InductionCtx, t: int) -> np.ndarray:
     return action_matrix(ctx.weight, [[fq.one, fq.elem(int(t))], [fq.zero, fq.one]])
 
 
-def alpha_act(x: InducedElem) -> InducedElem:
-    """[(ϖⁿ, μ), w] ↦ [(ϖ^{n+1}, ϖμ), w]; prepends a zero digit."""
-    ctx = x.ctx
-    out = {}
-    for (n, mu), v in x.terms.items():
-        if n + 1 > ctx.max_level():
-            raise PrecisionExhausted("no precision headroom for the level shift")
-        out[(n + 1, (0,) + mu)] = v.copy()
-    return InducedElem(ctx, out)
-
-
 # -- Hecke operators --
 
 
@@ -248,33 +232,6 @@ def hecke_T_plus(x: InducedElem) -> InducedElem:
             w[0] = coeff  # multiple of e_{0⃗} = x^{r⃗}
             out[key] = kk.ADD[out[key], w] if key in out else w
     return InducedElem(ctx, out)
-
-
-def hecke_T_minus(x: InducedElem) -> InducedElem:
-    """ν [(ϖ^{n-1}, [μ]_{n-1}), u_{r⃗} ⊗_j (μ_{n-1}^{p^j} x_j + y_j)^{r_j}]."""
-    ctx = x.ctx
-    kk = ctx.weight.field.kk
-    local = ctx.tminus_local()
-    top_index = ctx.weight.index[ctx.weight.rvec]  # e_{r⃗} = y^{r⃗}
-    nu_code = ctx.weight.nu.code
-    out: dict = {}
-    for (n, mu), v in x.terms.items():
-        if n == 0:
-            raise LevelZeroInput("T₋ lowers the level; level 0 has nowhere to go")
-        u_r = int(v[top_index])
-        if u_r == 0:
-            continue
-        scalar = int(kk.MUL[nu_code, u_r])
-        w = kk.MUL[scalar, local[mu[n - 1]]].astype(np.int32)
-        key = (n - 1, mu[: n - 1])
-        out[key] = kk.ADD[out[key], w] if key in out else w
-    return InducedElem(ctx, out)
-
-
-def hecke_T(x: InducedElem) -> InducedElem:
-    if any(n == 0 for n, _ in x.terms):
-        raise LevelZeroInput("T is only defined on levels >= 1 here")
-    return hecke_T_plus(x) + hecke_T_minus(x)
 
 
 # -- level ranges and matrix exports --
@@ -416,7 +373,7 @@ def _nonzero_entries(parts) -> tuple:
 def hecke_matrix(ctx: InductionCtx, domain: LevelRange, codomain: LevelRange) -> np.ndarray:
     """Matrix of T = T₊ + T₋ over the frozen bases, keeping the parts that land
     in codomain: hecke_entries written into a dense matrix.  operator_matrix
-    over hecke_T is its oracle.
+    over the element calculus is its oracle.
     """
     rows, cols, vals = hecke_entries(ctx, domain, codomain)
     M = np.zeros((range_dim(ctx, domain), range_dim(ctx, codomain)), dtype=np.int32)
@@ -478,47 +435,3 @@ def move_keys(ctx: InductionCtx, perm: np.ndarray, twist: np.ndarray, X: np.ndar
         out[:, perm[keys]] = moved.reshape(len(X), len(keys), D)
     return out.reshape(len(X), -1)
 
-
-# -- serialization --
-
-
-def to_records(x: InducedElem):
-    field = x.ctx.weight.field
-    fq, kk = field.fq, field.kk
-    recs = []
-    for n, mu in x.support():
-        v = x.terms[(n, mu)]
-        recs.append(
-            {
-                "level": n,
-                "digits": [list(fq.coords_of(c)) for c in mu],
-                "weight-coefficients": [list(kk.coords_of(int(c))) for c in v],
-            }
-        )
-    return recs
-
-
-def from_records(ctx: InductionCtx, recs) -> InducedElem:
-    field = ctx.weight.field
-    fq, kk = field.fq, field.kk
-    terms = {}
-    for rec in recs:
-        n = int(rec["level"])
-        mu = tuple(fq.code_of(coords) for coords in rec["digits"])
-        wc = rec["weight-coefficients"]
-        if len(wc) != ctx.D:
-            raise ValueError(f"weight coefficient list must have length {ctx.D}")
-        v = np.array([kk.code_of(coords) for coords in wc], dtype=np.int32)
-        key = (n, mu)
-        if key in terms:
-            v = kk.ADD[terms[key], v]
-        terms[key] = v
-    return InducedElem(ctx, terms)
-
-
-def serialize(x: InducedElem) -> str:
-    return json.dumps({"terms": to_records(x)}, sort_keys=True, separators=(",", ":"))
-
-
-def deserialize(ctx: InductionCtx, text: str) -> InducedElem:
-    return from_records(ctx, json.loads(text)["terms"])

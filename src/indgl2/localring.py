@@ -317,10 +317,6 @@ class RingElem:
     def __hash__(self):
         return hash((id(self.ctx), self.prec, self.vec.tobytes()))
 
-    def is_zero(self, prec: int | None = None) -> bool:
-        n = self.prec if prec is None else min(prec, self.prec)
-        return not np.any(self.ctx.canon(self.vec, n))
-
     def at_precision(self, n: int) -> "RingElem":
         if n > self.prec:
             raise PrecisionExhausted(f"cannot raise precision {self.prec} to {n}")
@@ -346,10 +342,6 @@ class DigitString:
     def __iter__(self):
         fq = self.ctx.field.fq
         return (fq.elem(c) for c in self.codes)
-
-    @property
-    def digits(self):
-        return tuple(self)
 
 
 # -- Teichmüller lifts --

@@ -1,16 +1,17 @@
-"""Helpers shared by the dense oracles of the test suite."""
+"""Helpers shared by the dense oracles of the test suite, and the parts of
+the element calculus that only the tests use: the α-shift, T₋ and T."""
 
 import numpy as np
 
 from indgl2 import _kernels, analysis, linalg
-from indgl2.errors import DimensionMismatch
+from indgl2.errors import DimensionMismatch, LevelZeroInput, PrecisionExhausted
 from indgl2.gf import FqElem
 from indgl2.induction import (
+    InducedElem,
     LevelRange,
     flatten,
     hecke_entries,
     hecke_matrix,
-    hecke_T_minus,
     hecke_T_plus,
     operator_matrix,
     range_dim,
@@ -20,6 +21,56 @@ from indgl2.induction import (
 from indgl2.linalg import Subspace
 from indgl2.localring import DigitString, teichmuller
 from indgl2.weight import action_matrix
+
+
+def alpha_act(x: InducedElem) -> InducedElem:
+    """[(ϖⁿ, μ), w] ↦ [(ϖ^{n+1}, ϖμ), w]; prepends a zero digit."""
+    ctx = x.ctx
+    out = {}
+    for (n, mu), v in x.terms.items():
+        if n + 1 > ctx.max_level():
+            raise PrecisionExhausted("no precision headroom for the level shift")
+        out[(n + 1, (0,) + mu)] = v.copy()
+    return InducedElem(ctx, out)
+
+
+def hecke_T_minus(x: InducedElem) -> InducedElem:
+    """ν [(ϖ^{n-1}, [μ]_{n-1}), u_{r⃗} ⊗_j (μ_{n-1}^{p^j} x_j + y_j)^{r_j}]."""
+    ctx = x.ctx
+    kk = ctx.weight.field.kk
+    local = ctx.tminus_local()
+    top_index = ctx.weight.index[ctx.weight.rvec]  # e_{r⃗} = y^{r⃗}
+    nu_code = ctx.weight.nu.code
+    out: dict = {}
+    for (n, mu), v in x.terms.items():
+        if n == 0:
+            raise LevelZeroInput("T₋ lowers the level; level 0 has nowhere to go")
+        u_r = int(v[top_index])
+        if u_r == 0:
+            continue
+        scalar = int(kk.MUL[nu_code, u_r])
+        w = kk.MUL[scalar, local[mu[n - 1]]].astype(np.int32)
+        key = (n - 1, mu[: n - 1])
+        out[key] = kk.ADD[out[key], w] if key in out else w
+    return InducedElem(ctx, out)
+
+
+def hecke_T(x: InducedElem) -> InducedElem:
+    if any(n == 0 for n, _ in x.terms):
+        raise LevelZeroInput("T is only defined on levels >= 1 here")
+    return hecke_T_plus(x) + hecke_T_minus(x)
+
+
+def random_element(ctx, rng, levels) -> InducedElem:
+    """A sum of one to three random terms on the given levels, drawn from the numpy generator rng."""
+    terms = {}
+    for _ in range(rng.integers(1, 4)):
+        n = int(rng.choice(levels))
+        mu = tuple(int(v) for v in rng.integers(0, ctx.q, size=n))
+        vec = rng.integers(0, ctx.weight.field.kk.order, size=ctx.D).astype(np.int32)
+        if vec.any():
+            terms[(n, mu)] = vec
+    return InducedElem(ctx, terms)
 
 
 def all_translations(ctx, n):

@@ -10,10 +10,10 @@ import numpy as np
 
 from indgl2 import analysis, cli, linalg
 from indgl2.gf import FieldCtx, sum_over_field
-from indgl2.induction import InducedElem, hecke_T, hecke_T_minus, hecke_T_plus, singleton, u_act
+from indgl2.induction import hecke_T_plus, singleton, u_act
 from indgl2.localring import LocalRingCtx, RingElem, teichmuller, witt_carry, witt_carry_closed_form
 from indgl2.weight import WeightCtx
-from oracles import u_invariants
+from oracles import hecke_T, hecke_T_minus, random_element, u_invariants
 
 
 def announce(n: int, ok: bool, detail: str, elapsed: float):
@@ -62,17 +62,6 @@ def test_criterion_2_witt_carry_identity():
     assert elapsed < 1.0
 
 
-def _random_element(ctx, rng, levels):
-    terms = {}
-    for _ in range(int(rng.integers(1, 3))):
-        n = int(rng.choice(levels))
-        mu = tuple(int(v) for v in rng.integers(0, ctx.q, size=n))
-        vec = rng.integers(0, ctx.weight.field.kk.order, size=ctx.D).astype(np.int32)
-        if vec.any():
-            terms[(n, mu)] = vec
-    return InducedElem(ctx, terms)
-
-
 def test_criterion_3_hecke_u_integration():
     t0 = time.perf_counter()
     ok = True
@@ -82,7 +71,7 @@ def test_criterion_3_hecke_u_integration():
         ctx = analysis.build_ctx(p, f, e, rvec, N=6)
         ring = ctx.ring
         for _ in range(200):
-            x = _random_element(ctx, rng, (1, 2, 3))
+            x = random_element(ctx, rng, (1, 2, 3))
             c = RingElem(ring, rng.integers(0, ring.pM, size=(ring.e, ring.f)).astype(np.int64), ring.N)
             ok = ok and u_act(c, hecke_T(x)) == hecke_T(u_act(c, x))
             ok = ok and hecke_T(x) == hecke_T_plus(x) + hecke_T_minus(x)
@@ -205,14 +194,20 @@ def test_criterion_7_negative_control():
 # method=sparse" (was "dense"), and unramified-generic (N_max = 2) reaches
 # dim L_2^U = 5 exactly (was the certified lower bound 3): its sequence is
 # [3, 5] (was [3, 3]), truncation:fixed-dim-at-least-2 reads 5, and neither
-# carries a lower-bound detail (was "certified lower bound at N=2").  A change
-# that alters any report byte must update these on purpose
+# carries a lower-bound detail (was "certified lower bound at N=2").  Since the
+# hecke suite checks the entry arrays exactly and draws nothing at random, three
+# of its records carry new dims: hecke:u-equivariance {generators, top_level}
+# (was {samples: 40}), hecke:depth-triviality {tables} (was {samples: 15}) and
+# hecke:composite {T_plus, T_minus}, T's entry counts (was {samples: 40}); no
+# detail changed, and hecke:alpha-intertwine is gone from the reports (it checked
+# the element calculus alone and is a test now).  A change that alters any report
+# byte must update these on purpose
 PRESET_REPORT_SHA256 = {
-    "ramified-r0": "52dd08ea73a8228a01c2cd7436a324f25321765e8293a3538252cb546cfe1595",
-    "ramified-r1": "d45fd6415da2a3eabb12bd12fc5699cff9e00eeac18250e6c52d2be3cfe53d2b",
-    "unramified-generic": "3a1ac974fdc4d54ccafc68707329c8c465bc779ecb922fa9b3a9c08e3c3efdb4",
-    "unramified-maximal": "04c9d89be30e7fa10e654d2a4355d53edbaf632a1a8ca936e6b6438e9b96c1bf",
-    "unramified-stretch": "6585d1c6b45d1287ec1cb824047cc67d752e9f9c731db9e11f8a0b296c43722c",
+    "ramified-r0": "fc235a1bf97a288ddfcc3f3ea13913923a46681c71f1ce7c8f0bad708d2ea402",
+    "ramified-r1": "4b7e2b914ed7d3f10bdbdfad1d481724dc6455345f3e78430af98ffb0900708c",
+    "unramified-generic": "211716cf8e0517f7f4bee6401486fbe9a77c2768949b7d56e41009f26404624b",
+    "unramified-maximal": "66218cd9cc65c557b069e1f4a8d125592d40c25e30a79cfcbf5ebbc32aa2808d",
+    "unramified-stretch": "bc61f446163678f0673e5a1d712798a0a2e007e619780e2185ce6575acf56db8",
 }
 
 

@@ -23,8 +23,6 @@ from indgl2.induction import (
     LevelRange,
     flatten,
     hecke_matrix,
-    hecke_T,
-    hecke_T_minus,
     hecke_T_plus,
     operator_matrix,
     range_dim,
@@ -42,6 +40,8 @@ from oracles import (
     dense_fixed_dim,
     direct_sum,
     embed,
+    hecke_T,
+    hecke_T_minus,
     quotient_projection,
     stacked_fixed_dim,
     subspace_sum,

@@ -12,12 +12,13 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
 from indgl2 import analysis, cli
 from indgl2.errors import ConfigError
-from indgl2.induction import LevelRange
+from indgl2.induction import LevelRange, hecke_entries
 
 README = Path(__file__).resolve().parent.parent / "README.md"
 
@@ -212,6 +213,72 @@ class TestRun:
         assert "truncation:monotone-fixed-dims" in names
         assert "truncation:fixed-dim-at-least-2" in names
         assert rep.verdict == "pass"
+
+
+class TestHeckeSuite:
+    """The hecke suite checks the entry arrays of induction, which the certificates read."""
+
+    @staticmethod
+    def ranges(preset):
+        ctx = cli.config_from_preset(preset).build()
+        top = min(3, ctx.max_level())
+        return ctx, LevelRange("all", 1, top - 1), LevelRange("all", 0, top)
+
+    @staticmethod
+    def hecke_statuses(argv_preset, capsys):
+        code = cli.main(["verify", "--preset", argv_preset, "--suites", "hecke", "--format", "json"])
+        records = json.loads(capsys.readouterr().out)["records"]
+        return code, {r["name"]: r["status"] for r in records}
+
+    @pytest.mark.parametrize("preset", sorted(cli.PRESETS))
+    def test_records(self, preset):
+        rep = cli.run(dataclasses.replace(cli.config_from_preset(preset), suites=["hecke"]))
+        names = ["composite", "depth-triviality", "level-zero-guard", "tplus-kernel-R1", "u-equivariance"]
+        assert [r.name for r in rep.records] == [f"hecke:{n}" for n in names]
+        assert rep.verdict == "pass"
+        ctx, domain, codomain = self.ranges(preset)
+        composite = rep.records[0].dims
+        assert composite["T_plus"] + composite["T_minus"] == hecke_entries(ctx, domain, codomain)[0].size
+        assert rep.records[-1].dims == {"generators": len(analysis.u_generators(ctx, 3)), "top_level": 3}
+
+    @pytest.mark.parametrize("preset", sorted(cli.PRESETS))
+    def test_corrupted_translation_entry_fails(self, preset, monkeypatch, capsys):
+        # one value of u - 1 on the codomain, on a row that T's image reaches
+        ctx, domain, codomain = self.ranges(preset)
+        reached = np.unique(hecke_entries(ctx, domain, codomain)[1])
+        real = cli.translation_entries
+
+        def corrupted(ctx, c, lr):
+            rows, cols, vals = real(ctx, c, lr)
+            if lr == codomain:
+                k = np.flatnonzero(np.isin(rows, reached))[0]
+                vals = vals.copy()
+                vals[k] = ctx.weight.field.kk.ADD[vals[k], 1]
+            return rows, cols, vals
+
+        monkeypatch.setattr(cli, "translation_entries", corrupted)
+        code, statuses = self.hecke_statuses(preset, capsys)
+        assert code == 1 and statuses["hecke:u-equivariance"] == "fail"
+
+    @pytest.mark.parametrize("preset", sorted(cli.PRESETS))
+    def test_corrupted_hecke_entry_fails(self, preset, monkeypatch, capsys):
+        real = cli.hecke_entries
+
+        def corrupted(ctx, domain, codomain):
+            rows, cols, vals = real(ctx, domain, codomain)
+            vals = vals.copy()
+            vals[0] = ctx.weight.field.kk.ADD[vals[0], 1]
+            return rows, cols, vals
+
+        monkeypatch.setattr(cli, "hecke_entries", corrupted)
+        code, statuses = self.hecke_statuses(preset, capsys)
+        assert code == 1 and statuses["hecke:u-equivariance"] == "fail"
+
+    def test_level_zero_guard_fails_when_level_0_is_accepted(self, monkeypatch, capsys):
+        real = cli.hecke_entries
+        monkeypatch.setattr(cli, "hecke_entries", lambda ctx, d, c: real(ctx, d, c) if d.lo > 0 else (np.zeros(0),) * 3)
+        code, statuses = self.hecke_statuses("ramified-r1", capsys)
+        assert code == 1 and statuses["hecke:level-zero-guard"] == "fail"
 
 
 class TestEmit:
@@ -430,11 +497,11 @@ class TestMain:
         assert done.stdout.splitlines()[-1] == "False"
 
     def test_run_without_random_suites_does_not_import_numpy_random(self):
-        # only arith and hecke draw random elements; importing numpy.random costs 10-16 ms and 6 MB
+        # only arith draws random elements; importing numpy.random costs 10-16 ms and 6 MB
         src = Path(cli.__file__).resolve().parent.parent
         code = (
             "import dataclasses, sys; from indgl2 import cli; "
-            "rep = cli.run(dataclasses.replace(cli.config_from_preset('ramified-r1'), suites=['mainlemma', 'truncation'])); "
+            "rep = cli.run(dataclasses.replace(cli.config_from_preset('ramified-r1'), suites=['hecke', 'mainlemma', 'truncation'])); "
             "print(rep.verdict, 'numpy.random' in sys.modules)"
         )
         done = subprocess.run(

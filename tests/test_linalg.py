@@ -536,6 +536,39 @@ class TestBackends:
             assert all(member(d, span) for d in F.ADD[V, F.NEG[R]]), name
             assert not R[len(V) - n :].any(), name  # M's own rows reduce to zero
 
+    @pytest.mark.parametrize("p,k", [(3, 1), (3, 2)])
+    def test_sparse_matmul_agrees(self, p, k):
+        # over F_3 and F_9, against the scalar loops: the product's nonzero entries, sorted by (row, column)
+        F = FieldCtx(p, k).fq
+        rng = np.random.default_rng(p * 10 + k + 9)
+        for n, inner, m in [(1, 1, 1), (7, 12, 5), (30, 40, 20), (40, 16, 40), (5, 60, 1)]:
+            for low, high in [(0, 1), (1, 3), (2, 8)]:
+                A = rand_sparse_rows(rng, F, n, inner, min(low, inner), min(high, inner))
+                B = rand_sparse_rows(rng, F, inner, m, min(low, m), min(high, m))
+                a_rows, a_cols = np.nonzero(A)
+                b_rows, b_cols = np.nonzero(B)
+                shuffle = rng.permutation(a_rows.size)  # the entries need not come sorted
+                a = (a_rows[shuffle], a_cols[shuffle], A[a_rows, a_cols][shuffle])
+                rows, cols, vals = _kernels.sparse_matmul(a, (b_rows, b_cols, B[b_rows, b_cols]), F)
+                C = _matmul_loops(A, B, F)
+                c_rows, c_cols = np.nonzero(C)
+                assert rows.tolist() == c_rows.tolist() and cols.tolist() == c_cols.tolist()
+                assert vals.tolist() == C[c_rows, c_cols].tolist()
+
+    def test_sparse_matmul_entries(self, F9):
+        # a repeated position on either side is a ValueError; zero entries and zero sums are dropped
+        one = ([0], [0], [1])
+        for bad in (([0, 0], [1, 1], [1, 2]), ([2, 2, 0], [0, 0, 0], [1, 1, 1])):
+            with pytest.raises(ValueError):
+                _kernels.sparse_matmul(bad, one, F9)
+            with pytest.raises(ValueError):
+                _kernels.sparse_matmul(one, bad, F9)
+        # [1 1] @ [[1], [2]] over F_9: 1 + 2 = 0 in characteristic 3
+        zero_sum = _kernels.sparse_matmul(([0, 0], [0, 1], [1, 1]), ([0, 1], [0, 0], [1, 2]), F9)
+        assert all(a.size == 0 for a in zero_sum)
+        assert all(a.size == 0 for a in _kernels.sparse_matmul(([0], [0], [0]), one, F9))
+        assert all(a.size == 0 for a in _kernels.sparse_matmul(([], [], []), one, F9))
+
     def test_sparse_elimination_entries(self, F9):
         # a repeated or outside position is a ValueError; zero entries are dropped
         for bad in (([0, 0], [1, 1], [1, 2]), ([0], [2], [1]), ([-1], [0], [1]), ([0], [-1], [1])):

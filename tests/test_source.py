@@ -5,20 +5,69 @@ from pathlib import Path
 
 import pytest
 
-SRC = Path(__file__).resolve().parent.parent / "src" / "indgl2"
+ROOT = Path(__file__).resolve().parent.parent
+SRC = ROOT / "src" / "indgl2"
+TRACER = ROOT / "perfbench" / "tracing.py"
+MODULES = {path.stem: ast.parse(path.read_text(encoding="utf-8"), filename=str(path)) for path in sorted(SRC.glob("*.py"))}
 
 
 @pytest.mark.parametrize("path", sorted(SRC.glob("*.py")), ids=lambda p: p.name)
 def test_no_assert_statements(path):
     # `python -O` compiles asserts out, so a check that backs a pass or a build must raise explicitly
-    tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
-    lines = [node.lineno for node in ast.walk(tree) if isinstance(node, ast.Assert)]
+    lines = [node.lineno for node in ast.walk(MODULES[path.stem]) if isinstance(node, ast.Assert)]
     assert lines == [], f"{path.name} has assert statements on lines {lines}"
 
 
 def test_analysis_runs_on_coordinates():
-    # the verifier decides everything on coordinates; the element calculus stays in the hecke suite and the test oracles
-    path = SRC / "analysis.py"
-    tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
-    imported = {alias.name for node in ast.walk(tree) if isinstance(node, ast.ImportFrom) for alias in node.names}
-    assert imported.isdisjoint({"InducedElem", "flatten", "unflatten", "singleton", "u_act"}), imported
+    # the verifier and the run decide everything on coordinates; the element calculus serves the tests and the tracer
+    calculus = {"InducedElem", "flatten", "unflatten", "singleton", "u_act", "hecke_T_plus", "operator_matrix"}
+    for module in ("analysis", "cli"):
+        tree = MODULES[module]
+        imported = {alias.name for node in ast.walk(tree) if isinstance(node, ast.ImportFrom) for alias in node.names}
+        assert imported.isdisjoint(calculus), (module, imported & calculus)
+
+
+def _tracer_names() -> set:
+    """The "module.name" of every function or method that perfbench/tracing.py requires, read from its
+    FUNCTIONS, LINALG_TIMED, PROBES and METHODS."""
+    consts = {}
+    for node in ast.parse(TRACER.read_text(encoding="utf-8")).body:
+        if isinstance(node, ast.Assign) and isinstance(node.targets[0], ast.Name):
+            consts[node.targets[0].id] = node.value
+    names = {f"{layer}.{fn}" for layer, fns in ast.literal_eval(consts["FUNCTIONS"]).items() for fn in fns}
+    names |= {f"linalg.{fn}" for fn in ast.literal_eval(consts["LINALG_TIMED"])}
+    names |= {ast.literal_eval(key) for key in consts["PROBES"].keys}
+    names |= {".".join(entry) for entry in ast.literal_eval(consts["METHODS"])}
+    return names
+
+
+def _public_defs():
+    """(module, qualified name, node) of every public module-level function and class method in src."""
+    for module, tree in MODULES.items():
+        for node in tree.body:
+            if isinstance(node, ast.FunctionDef) and not node.name.startswith("_"):
+                yield module, node.name, node
+            if isinstance(node, ast.ClassDef):
+                for sub in node.body:
+                    if isinstance(sub, ast.FunctionDef) and not sub.name.startswith("_"):
+                        yield module, f"{node.name}.{sub.name}", sub
+
+
+def test_every_public_function_has_a_caller_in_src():
+    # a function that only the tests call belongs in the tests; the allowlist is what the benchmark's tracer
+    # requires, and the console entry point.  A reference is any name or attribute spelled like the function,
+    # in src code outside the function's own definition.
+    refs = {}  # name -> [(module, line)]
+    for module, tree in MODULES.items():
+        for node in ast.walk(tree):
+            name = node.id if isinstance(node, ast.Name) else node.attr if isinstance(node, ast.Attribute) else None
+            if name is not None:
+                refs.setdefault(name, []).append((module, node.lineno))
+    allowed = _tracer_names() | {"cli.main"}
+    unused = [
+        f"{module}.{qualname}"
+        for module, qualname, node in _public_defs()
+        if f"{module}.{qualname}" not in allowed
+        and all(other == module and node.lineno <= line <= node.end_lineno for other, line in refs.get(node.name, ()))
+    ]
+    assert unused == [], f"public functions with no caller in src: {unused}"

@@ -11,8 +11,8 @@ from sympy.polys.matrices import DomainMatrix  # noqa: E402
 
 from indgl2 import _kernels, analysis, linalg  # noqa: E402
 from indgl2.gf import FieldCtx  # noqa: E402
-from indgl2.induction import LevelRange, hecke_T_minus, hecke_T_plus, operator_matrix, u_act  # noqa: E402
-from oracles import all_translations, dense_candidates  # noqa: E402
+from indgl2.induction import LevelRange, hecke_T_plus, operator_matrix, u_act  # noqa: E402
+from oracles import all_translations, dense_candidates, hecke_T_minus  # noqa: E402
 
 
 def to_dm(A, p):
