@@ -1,10 +1,17 @@
 """Timings for the finite-field kernels and the translation tables.
 
-Times matmul, rref and linalg.kernel at one square size, rref of a sparse
+Times matmul, rref and linalg.kernel at one square size, Subspace.reduce of
+size rows against a near-full subspace (dimension size − 4, so the product
+runs over the few non-pivot columns), rref of a sparse
 matrix, an end-to-end truncated_L(N=2) computation, and the level-2
 translation tables of every u_generators(ctx, 2) at q = 25 and q = 243.
 The kernel's matrix repeats its first size/30 columns at the end, so its
-rank falls short of the size and the kernel is not zero.  The sparse matrix
+rank falls short of the size and the kernel is not zero.  induction.move_keys
+is timed at the main-lemma shapes q = 25, D = 4 and q = 49, D = 16, on
+REVERIFY_ROWS basis rows of V embedded in R₂ (one nonzero per key, as the
+run meets them) and on 8 dense random rows of R₂, with the (permutation,
+twist) table of the first level-2 generator; V is built outside the timed
+part.  The sparse matrix
 is T(I^o) -> I^e of ramified-r1 at N = 3 over F_3 (546 x 1640, 1820
 nonzeros, 729 zero columns), the echelon the truncation suite builds.  Each
 end-to-end repeat builds a fresh context (inside the timed call), so results
@@ -51,6 +58,25 @@ def best_tables(args, repeat: int) -> float:
     return best
 
 
+def move_keys_times(args, repeat: int) -> str:
+    """Best times of move_keys on V's first REVERIFY_ROWS rows in R₂ and on 8 dense random rows of R₂."""
+    from indgl2 import analysis
+    from indgl2.induction import move_keys
+    from indgl2.localring import translation_table
+
+    ctx = analysis.build_ctx(*args, N=analysis.MAIN_LEMMA_PRECISION)
+    spaces = analysis._candidate_spaces(ctx)
+    perm, twist = translation_table(analysis.u_generators(ctx, 2)[0], 2)
+    rows = spaces.vp.vectors(spaces.V.rows[: analysis.REVERIFY_ROWS])
+    dense = np.random.default_rng(1).integers(0, ctx.weight.field.kk.order, size=(8, rows.shape[1])).astype(np.int32)
+    t_rows = best_of(lambda: move_keys(ctx, perm, twist, rows), repeat)
+    t_dense = best_of(lambda: move_keys(ctx, perm, twist, dense), repeat)
+    return (
+        f"move_keys q={ctx.q} D={ctx.D} V rows {rows.shape[0]}x{rows.shape[1]}: {t_rows * 1e3:8.2f} ms   "
+        f"dense 8x{rows.shape[1]}: {t_dense * 1e3:8.2f} ms   "
+    )
+
+
 def main():
     ap = argparse.ArgumentParser(description=__doc__)
     ap.add_argument("--size", type=int, default=400, help="square matrix size")
@@ -74,6 +100,8 @@ def main():
     K = A.copy()
     K[:, n - n // 30 :] = K[:, : n // 30]
     t_ker = best_of(lambda: linalg.kernel(K, field), args.repeat)
+    near_full = linalg.echelon(A[: n - 4], field, ambient=n)
+    t_red = best_of(lambda: near_full.reduce(B), args.repeat)
     ctx = analysis.build_ctx(3, 1, 2, (1,), N=7)
     T = hecke_matrix(ctx, LevelRange("odd", 1, 5), LevelRange("even", 0, 6))
     t_sp = best_of(lambda: _kernels.rref(T, ctx.weight.field.kk), args.repeat)
@@ -95,13 +123,15 @@ def main():
             f"pivot rows T {shape[0]}x{shape[1]} (N={N}): {t_piv * 1e3:8.1f} ms   "
             f"sparse_rank quotient {r}x{c} (N={N}): {t_rank * 1e3:8.1f} ms   "
         )
+    moves = move_keys_times((5, 2, 1, (1, 1)), args.repeat) + move_keys_times((7, 2, 1, (3, 3)), args.repeat)
     t_q25 = best_tables((5, 2, 1, (1, 1)), args.repeat)
     t_q243 = best_tables((3, 5, 1, (0,) * 5), args.repeat)
     print(
         f"matmul {n}x{n}: {t_mm * 1e3:8.1f} ms   "
         f"rref {n}x{n}: {t_rr * 1e3:8.1f} ms   kernel {n}x{n}: {t_ker * 1e3:8.1f} ms   "
+        f"reduce {n} rows mod dim {near_full.dim}: {t_red * 1e3:8.1f} ms   "
         f"sparse rref {T.shape[0]}x{T.shape[1]}: {t_sp * 1e3:8.1f} ms   "
-        f"truncated_L(N=2): {t_e2e * 1e3:8.1f} ms   {ranks}"
+        f"truncated_L(N=2): {t_e2e * 1e3:8.1f} ms   {ranks}{moves}"
         f"tables q=25: {t_q25 * 1e3:8.1f} ms   tables q=243: {t_q243 * 1e3:8.1f} ms"
     )
 

@@ -2,7 +2,8 @@
 
 Matrices are int32 arrays of field codes (the code of Σ_j c_j x^j is
 Σ_j c_j p^j).  `matmul` of an r × n matrix A by an n × c matrix B over
-F_{p^k} takes one of two routes, chosen by the shapes of both operands:
+F_{p^k} takes one of three routes, chosen by the shapes of both operands
+alone:
 
 - coefficient planes, when n ≥ PLANE_MIN_INNER and r ≥ k², that is when the
   k²·n·c entries of B's digit matrix are no more than the r·n·c table
@@ -16,8 +17,17 @@ F_{p^k} takes one of two routes, chosen by the shapes of both operands:
   takes one slice.  Every partial sum is an integer at most n·k·(p−1)² <
   2^53, so the product is exact whatever order or thread count BLAS sums
   in; a larger inner dimension is a ValueError;
+- the gather otherwise, for few output cells over a long inner dimension
+  (GATHER_MAX_CELLS, GATHER_MIN_INNER, GATHER_MAX_PRODUCTS): every nonzero
+  A[i, l] times row l of B in one MUL lookup, and the products of each row
+  of A summed by `_sum_runs`;
 - the table loop otherwise: one vectorised lookup in the field's MUL and ADD
   tables per inner index.
+
+`_sum_runs` sums runs of codes, or of rows of codes, digit by digit: a run
+of m codes sums each digit to at most m·(p − 1), so where the k digit slots
+of a code fit in 63 bits a row's codes are packed into int64 words and one
+reduceat sums them; a run of one code is its own sum.
 
 `rref` is Gauss–Jordan elimination through the tables on one C-order working
 copy, in proportion to the nonzeros (the first step of structured Gaussian
@@ -38,16 +48,24 @@ pivots pass through, and each pivot column met is replaced by the remainder
 of its unit vector, built once from the pivot rows below it.
 `sparse_matmul` multiplies two matrices given by their entry lists.  Both
 it and `sparse_reduce` expand their products into one entry list and sum it
-by position (`_summed_entries`).
+by position (`_summed_entries`, through `_sum_runs`).
 """
 
 import numpy as np
 
 # Inner dimension from which matmul may multiply coefficient planes.  Below it
-# the table loop wins: converting B to float64 digits costs more than the few
-# lookups of the narrow, very sparse translation products (inner dimension
-# ≤ 100).
+# converting B to float64 digits costs more than the lookups of the gather or
+# the table loop.
 PLANE_MIN_INNER = 256
+
+# An r x n by n x c product with few output cells (r·c ≤ GATHER_MAX_CELLS) over a long inner
+# dimension (n ≥ GATHER_MIN_INNER) is gathered at once instead of looped over n, when its
+# r·n·c terms are no more than GATHER_MAX_PRODUCTS.  Timed against the table loop over F_3,
+# F_25 and F_64, the gather was faster from n = 32 on up to 32 x 32 output cells, and slower
+# at n ≤ 16 or from 64 x 64 cells on; the product bound keeps its arrays to a few MB.
+GATHER_MAX_CELLS = 1024
+GATHER_MIN_INNER = 32
+GATHER_MAX_PRODUCTS = 2**18
 
 # Largest integer up to which float64 arithmetic is exact.
 _EXACT_FLOAT = 2**53
@@ -62,6 +80,9 @@ def matmul(A: np.ndarray, B: np.ndarray, field) -> np.ndarray:
     # B's digit matrix has k²·n·c entries, the table loop makes up to r·n·c lookups
     if n >= PLANE_MIN_INNER and r >= field.deg**2:
         return _matmul_planes(A, B, field)
+    cells = r * B.shape[1]
+    if n >= GATHER_MIN_INNER and cells <= GATHER_MAX_CELLS and cells * n <= GATHER_MAX_PRODUCTS:
+        return _matmul_gather(A, B, field)
     ADD, MUL = field.ADD, field.MUL
     C = np.zeros((A.shape[0], B.shape[1]), dtype=np.int32)
     for k in range(A.shape[1]):
@@ -71,6 +92,16 @@ def matmul(A: np.ndarray, B: np.ndarray, field) -> np.ndarray:
             continue
         prod = MUL[col[nz][:, None], B[k][None, :]]
         C[nz] = ADD[C[nz], prod]
+    return C
+
+
+def _matmul_gather(A: np.ndarray, B: np.ndarray, field) -> np.ndarray:
+    """A @ B from A's nonzero entries: each A[i, l] times row l of B in one MUL lookup, summed per row of A."""
+    at = np.flatnonzero(A)  # row-major, so the entries of a row are one run
+    rows, inner = np.divmod(at, A.shape[1])
+    starts = np.flatnonzero(np.diff(rows, prepend=-1))
+    C = np.zeros((A.shape[0], B.shape[1]), dtype=np.int32)
+    C[rows[starts]] = _sum_runs(field.MUL[A.ravel()[at][:, None], B[inner]], starts, field)
     return C
 
 
@@ -267,11 +298,44 @@ def _summed_entries(rows, cols, vals, field) -> tuple:
 
 
 def _sum_runs(vals: np.ndarray, starts: np.ndarray, field) -> np.ndarray:
-    """The field sum of each run vals[starts[i] : starts[i + 1]], digit by digit mod p."""
+    """The field sum of each run vals[starts[i] : starts[i + 1]] of codes, or of rows of
+    codes when vals is 2-D, in vals' dtype.
+
+    When every run is a single code or row, vals is its own answer and is
+    returned as it is.  Otherwise digit d of the codes is summed as an integer
+    and reduced mod p; over a prime field the code is its digit.  Over an
+    extension field a run of m codes sums each digit to at most m·(p − 1),
+    so a digit takes a slot of that many bits.  Where the k slots of a code fit
+    in 63 bits, a row's codes are packed into int64 words, as many to a word
+    as fit, and one reduceat sums all of them; otherwise the digits are summed
+    unpacked.
+    """
     p, k = field.p, field.deg
+    codes = vals if vals.ndim == 2 else vals[:, None]
+    m, w = codes.shape
+    longest = int(np.diff(starts, append=m).max(initial=0))
+    if longest <= 1:
+        return vals
+    shape = (len(starts),) + vals.shape[1:]
+    if k == 1:  # a code is its own digit
+        return (np.add.reduceat(codes, starts, axis=0, dtype=np.int64) % p).astype(vals.dtype).reshape(shape)
     weights = p ** np.arange(k, dtype=np.int64)
-    digits = vals[:, None] // weights % p
-    return (np.add.reduceat(digits, starts, axis=0) % p) @ weights
+    bits = (longest * (p - 1)).bit_length()
+    per_word = min(w, 63 // (k * bits))
+    if per_word == 0:
+        digits = np.add.reduceat(codes[:, :, None] // weights % p, starts, axis=0)
+        return (digits % p @ weights).astype(vals.dtype).reshape(shape)
+    # a code's k digits in k slots of `bits` bits, and a row's codes side by side, per_word to a word
+    code_slots = (np.arange(field.order, dtype=np.int64)[:, None] // weights % p) @ (1 << bits * np.arange(k))
+    shifts = k * bits * (np.arange(w) % per_word)
+    packed = code_slots[codes]
+    packed <<= shifts
+    sums = np.add.reduceat(np.add.reduceat(packed, np.arange(0, w, per_word), axis=1), starts, axis=0)
+    fields = sums[:, np.arange(w) // per_word] >> shifts
+    out = np.zeros(fields.shape, dtype=np.int64)
+    for j in range(k):
+        out += ((fields >> (bits * j)) & ((1 << bits) - 1)) % p * int(weights[j])
+    return out.astype(vals.dtype).reshape(shape)
 
 
 def _runs(starts: np.ndarray, sizes: np.ndarray) -> np.ndarray:

@@ -298,10 +298,11 @@ def _u_fixed_mod_tplus_r1p(ctx: InductionCtx, gens, count: int, rows_of,
     time, so no count x q²D array is held.  Each block keeps only its
     entries on T₊R₁'s pivots, q·dim B₀ wide, and after the loop those of the
     rows and of each generator's translates are reduced mod T₊R₁′, one call
-    each.  That reduction rebuilds T₊R₁′'s digit planes on every call, so one
-    call per block would cost more time; one call for all of them together
-    would hold (1 + #generators)·count rows of digit planes at once (50 MB
-    more at q = 49, D = 16).
+    each.  A call multiplies the rows' entries on T₊R₁′'s pivots by T₊R₁′'s
+    rows on their few non-pivot columns (linalg.Subspace.reduce), so little
+    of T₊R₁′ is rebuilt per call; one call for all of them together would
+    hold the digit planes of (1 + #generators)·count rows at once (18 MB
+    more peak RSS at q = 49, D = 16, and no faster).
     """
     pivots = tplus_r1.pivots
     coords = np.empty((1 + len(gens), count, len(pivots)), dtype=np.int32)  # the rows', then each u's translates'

@@ -49,6 +49,7 @@ class InductionCtx:
         self.ring = ring
         self._tplus_local = None
         self._tminus_local = None
+        self._unipotents = None
         self._memo: dict = {}  # analysis results, built on first use
 
     @property
@@ -94,6 +95,15 @@ class InductionCtx:
                     M[t, idx] = field.embed_code(acc) if field.m > 1 else acc
             self._tminus_local = M
         return self._tminus_local
+
+    def unipotents(self) -> np.ndarray:
+        """q x D x D stack over K: entry t is the action matrix of [[1, t], [0, 1]], t an F_q code."""
+        if self._unipotents is None:
+            fq = self.weight.field.fq
+            self._unipotents = np.stack(
+                [action_matrix(self.weight, [[fq.one, fq.elem(t)], [fq.zero, fq.one]]) for t in range(self.q)]
+            )
+        return self._unipotents
 
     def __repr__(self):
         return f"InductionCtx(q={self.q}, r={self.weight.rvec}, e={self.ring.e}, N={self.ring.N})"
@@ -193,16 +203,10 @@ def u_act(c: RingElem, x: InducedElem) -> InducedElem:
     out: dict = {}
     for (n, mu), v in x.terms.items():
         mu2, t = translate_digits(c, mu)
-        w = v if t == 0 else _kernels.vec_mat(v, _unipotent(ctx, t), kk)
+        w = v if t == 0 else _kernels.vec_mat(v, ctx.unipotents()[t], kk)
         key = (n, mu2)
         out[key] = kk.ADD[out[key], w] if key in out else w.astype(np.int32)
     return InducedElem(ctx, out)
-
-
-def _unipotent(ctx: InductionCtx, t: int) -> np.ndarray:
-    """D x D action matrix over K of [[1, t], [0, 1]], t an F_q code."""
-    fq = ctx.weight.field.fq
-    return action_matrix(ctx.weight, [[fq.one, fq.elem(int(t))], [fq.zero, fq.one]])
 
 
 # -- Hecke operators --
@@ -392,7 +396,7 @@ def translation_entries(ctx: InductionCtx, c: RingElem, lr: LevelRange) -> tuple
     kk = ctx.weight.field.kk
     D = ctx.D
     minus_one = kk.NEG[1]
-    unipotent = np.stack([_unipotent(ctx, t) for t in range(ctx.q)])
+    unipotent = ctx.unipotents()
     i = np.arange(D)
     parts = []
     for n, base in _offsets(ctx, lr).items():
@@ -419,19 +423,21 @@ def move_keys(ctx: InductionCtx, perm: np.ndarray, twist: np.ndarray, X: np.ndar
     of key j multiplied by the twist [[1, twist[j]], [0, 1]] and moved to key perm[j].
 
     With (perm, twist) from translation_table this is the translation of a
-    level.  The keys whose twist is the identity (twist 0, or every key when
-    D = 1) are scattered as they are, and one product is made per other
-    twist value that occurs.
+    level.  The work follows X's nonzero entries: each entry (row, key, i)
+    times row i of its key's twist matrix (ctx.unipotents) is one MUL
+    lookup, the products of one (row, key) are summed by digits
+    (_kernels._sum_runs), and the sums land on (row, perm[key]).  perm is a
+    permutation, so no two sums land on the same block.
     """
     kk = ctx.weight.field.kk
-    D = ctx.D
-    blocks = np.asarray(X, dtype=np.int32).reshape(len(X), len(perm), D)
-    out = np.empty_like(blocks)
-    identity = (twist == 0) | (D == 1)
-    out[:, perm[identity]] = blocks[:, identity]
-    for t in np.flatnonzero(np.bincount(twist[~identity])):  # the other twist values that occur
-        keys = np.flatnonzero(twist == t)
-        moved = _kernels.matmul(blocks[:, keys].reshape(-1, D), _unipotent(ctx, t), kk)
-        out[:, perm[keys]] = moved.reshape(len(X), len(keys), D)
-    return out.reshape(len(X), -1)
-
+    D, keys = ctx.D, len(perm)
+    X = np.asarray(X, dtype=np.int32)
+    at = np.flatnonzero(X)  # row-major: the entries of one (row, key) block are one run
+    block = at // D
+    starts = np.flatnonzero(np.diff(block, prepend=-1))
+    twist_rows = ctx.unipotents().reshape(-1, D)[twist[block % keys] * D + at % D]
+    products = kk.MUL[X.ravel()[at][:, None], twist_rows]
+    src = block[starts]  # row·keys + key of each run's block
+    out = np.zeros((len(X) * keys, D), dtype=np.int32)
+    out[src + (perm - np.arange(keys))[src % keys]] = _kernels._sum_runs(products, starts, kk)
+    return out.reshape(len(X), keys * D)

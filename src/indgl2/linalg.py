@@ -28,7 +28,7 @@ class Subspace:
             raise ValueError("use echelon() to build subspaces")
         self.rows = rows
         self.pivots = pivots
-        self._support = None  # (columns where some row is nonzero, rows on those columns)
+        self._support = None  # (non-pivot columns where some row is nonzero, rows on those columns)
 
     @property
     def dim(self) -> int:
@@ -55,8 +55,10 @@ class Subspace:
         pivot coordinates; zero iff v is a member.
 
         The rows are in reduced echelon form, so the remainder is
-        v - v[pivots] @ rows in a single product, taken only over the
-        columns where some row is nonzero.
+        v - v[pivots] @ rows in a single product.  That is zero on every
+        pivot (row i is 1 on its pivot and 0 on the others), so the product
+        is taken only over the non-pivot columns where some row is nonzero,
+        and the pivots are written as zero.
         """
         F = self.field
         out = np.asarray(v, dtype=np.int32)
@@ -64,11 +66,13 @@ class Subspace:
             raise DimensionMismatch(f"vector length {out.shape} vs ambient {self.ambient}")
         if self._support is None:
             cols = np.flatnonzero(self.rows.any(axis=0))
+            cols = cols[~np.isin(cols, self.pivots)]
             self._support = cols, np.ascontiguousarray(self.rows[:, cols])
         cols, rows = self._support
         stack = out if out.ndim == 2 else out[None]
         cleared = _kernels.matmul(stack[:, self.pivots], rows, F)
         rem = stack.copy()
+        rem[:, self.pivots] = 0
         rem[:, cols] = F.ADD[stack[:, cols], F.NEG[cleared]]
         return rem if out.ndim == 2 else rem[0]
 
@@ -175,21 +179,24 @@ def _matrix(M) -> np.ndarray:
 
 
 def kernel(M, field: PrimeExtField) -> Subspace:
-    """{v : v @ M = 0}, read off R = rref(Mᵀ).
+    """{v : v @ M = 0}, read off R = rref(Mᵀ) with Mᵀ's columns in reverse order.
 
     v @ M = 0 says Mᵀ vᵀ = 0, so every free column j of R gives the kernel
-    vector e_j − Σ_i R[i, j]·e_{piv_i}; these span the kernel and go through
-    `echelon` for the canonical basis.  The row reduction is only as wide as
-    the domain, with no identity block beside M.
+    vector e_j − Σ_i R[i, j]·e_{piv_i}, whose other entries sit on pivots
+    left of j (R[i, j] = 0 unless piv_i < j).  In the original order they lie
+    right of the free column, so these vectors, by increasing original
+    column, are already the reduced echelon basis with the free columns as
+    pivots, and no second elimination is made.  The row reduction is only as
+    wide as the domain, with no identity block beside M.
     """
     M = _matrix(M)
     n = M.shape[0]
-    R, piv = _kernels.rref(M.T, field)
-    free = non_pivots(piv, n)
+    R, piv = _kernels.rref(M.T[:, ::-1], field)
+    free = non_pivots(piv, n)[::-1]  # decreasing reversed position: increasing original column
     null_rows = np.zeros((free.size, n), dtype=np.int32)
     null_rows[np.arange(free.size), free] = 1
     null_rows[:, piv] = field.NEG[R[: len(piv)][:, free]].T
-    return echelon(null_rows, field, ambient=n)
+    return Subspace(field, n, np.ascontiguousarray(null_rows[:, ::-1]), n - 1 - free, _canonical=True)
 
 
 def image(M, field: PrimeExtField) -> Subspace:

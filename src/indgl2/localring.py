@@ -168,11 +168,6 @@ class LocalRingCtx:
         vec[0, 0] = 1
         return RingElem(self, vec, prec or self.N)
 
-    def from_int(self, n: int, prec: int | None = None) -> "RingElem":
-        vec = np.zeros((self.e, self.f), dtype=np.int64)
-        vec[0, 0] = n % self.pM
-        return RingElem(self, vec, prec or self.N)
-
     def uniformizer(self, prec: int | None = None) -> "RingElem":
         vec = np.zeros((self.e, self.f), dtype=np.int64)
         if self.e == 1:

@@ -19,8 +19,15 @@ from indgl2.induction import (
     u_act,
 )
 from indgl2.linalg import Subspace
-from indgl2.localring import DigitString, teichmuller
+from indgl2.localring import DigitString, LocalRingCtx, RingElem, teichmuller
 from indgl2.weight import action_matrix
+
+
+def ring_int(ctx: LocalRingCtx, n: int) -> RingElem:
+    """The integer n in O/ϖ^N: n mod p^M as the constant coefficient."""
+    vec = np.zeros((ctx.e, ctx.f), dtype=np.int64)
+    vec[0, 0] = n % ctx.pM
+    return RingElem(ctx, vec, ctx.N)
 
 
 def alpha_act(x: InducedElem) -> InducedElem:

@@ -711,8 +711,8 @@ class TestTranslationMatrices:
 
     @pytest.mark.parametrize("name", ["q3_r0", "ram_r1", "unram_gen"])
     def test_translate_vectors_identity_twists(self, name, request, monkeypatch):
-        # keys whose twist is the identity are scattered, not multiplied: every key when
-        # D = 1 (q3_r0), the twist-0 keys beside the others when D > 1
+        # keys with the identity twist beside the others, every key's twist the identity when D = 1
+        # (q3_r0): move_keys follows the nonzero entries through the MUL table and makes no matmul call
         ctx = request.getfixturevalue(name)
         lr2 = LevelRange("all", 2, 2)
         rng = np.random.default_rng(23)
@@ -723,11 +723,34 @@ class TestTranslationMatrices:
         gens = all_translations(ctx, 2)
         twists = [translation_table(c, 2)[1] for c in gens]
         assert any(np.any(t == 0) and np.any(t) for t in twists)
-        for c, twist in zip(gens, twists):
+        for c in gens:
             want = np.array([flatten(u_act(c, unflatten(ctx, lr2, row)), lr2) for row in X])
             products.clear()
             assert np.array_equal(translate_vectors(ctx, c, 2, X), want)
-            assert len(products) == (0 if ctx.D == 1 else np.count_nonzero(np.bincount(twist)[1:]))
+            assert products == []
+
+    @pytest.mark.parametrize("name", ["q3_r0", "unram_gen", "f64"])
+    def test_translate_vectors_matches_u_act_on_sparse_and_zero_rows(self, name, request):
+        # D = 1 (q3_r0), D > 1 (unram_gen) and F_64 (D = 4, where a block's digit sums take two packed
+        # words): dense rows, rows with one nonzero key, an all-zero stack and an empty one
+        ctx = request.getfixturevalue(name) if name != "f64" else analysis.build_ctx(2, 6, 1, (1, 1, 0, 0, 0, 0), N=3)
+        kk = ctx.weight.field.kk
+        rng = np.random.default_rng(29)
+        for n in (1, 2):
+            lr = LevelRange("all", n, n)
+            dim = range_dim(ctx, lr)
+            dense = rng.integers(0, kk.order, size=(3, dim)).astype(np.int32)
+            if dim > 4096:  # the element calculus walks every nonzero key; keep the F_64 level-2 rows short
+                dense[rng.random(dense.shape) < 0.99] = 0
+            one_key = np.zeros((2, dim), dtype=np.int32)
+            one_key[:, ctx.D : 2 * ctx.D] = rng.integers(1, kk.order, size=(2, ctx.D))
+            for c in all_translations(ctx, n)[:3]:
+                for X in (dense, one_key):
+                    want = np.array([flatten(u_act(c, unflatten(ctx, lr, row)), lr) for row in X])
+                    assert np.array_equal(translate_vectors(ctx, c, n, X), want)
+                for X in (np.zeros((3, dim), dtype=np.int32), np.zeros((0, dim), dtype=np.int32)):
+                    got = translate_vectors(ctx, c, n, X)
+                    assert got.shape == X.shape and got.dtype == np.int32 and not got.any()
 
     def test_translate_vectors_matches_u_act(self, unram_gen):
         lr2 = LevelRange("all", 2, 2)

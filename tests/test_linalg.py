@@ -1,3 +1,4 @@
+import functools
 from types import SimpleNamespace
 
 import numpy as np
@@ -92,6 +93,22 @@ def test_reduce_narrow_support(F9):
     assert np.array_equal(S.reduce(V), want)
     assert np.array_equal(S.reduce(V)[:, [0, 2, 5, 6, 7, 11]], V[:, [0, 2, 5, 6, 7, 11]])
     assert all(np.array_equal(S.reduce(v), w) for v, w in zip(V, want))
+
+
+@pytest.mark.parametrize("p,k", [(3, 2), (5, 2), (2, 6)])
+@pytest.mark.parametrize("ambient", [12, 64])
+def test_reduce_matches_full_support_formula(p, k, ambient):
+    # oracle: v − v[pivots] @ rows on every column, for subspaces from zero to near-full and full,
+    # where reduce computes only the non-pivot columns of the rows' support
+    F = FieldCtx(p, k).fq
+    rng = np.random.default_rng(p * k + ambient)
+    V = rand_mat(rng, F, 7, ambient)
+    for dim in (0, 1, ambient // 2, ambient - 4, ambient - 1, ambient):
+        S = echelon(rand_mat(rng, F, dim, ambient), F, ambient=ambient)
+        want = F.ADD[V, F.NEG[_matmul_loops(V[:, S.pivots], S.rows, F)]]
+        assert np.array_equal(S.reduce(V), want)
+        assert np.array_equal(S.reduce(V[2]), want[2])
+        assert not S.reduce(S.rows).any()
 
 
 def test_direct_sum_is_echelon_of_blocks(F9):
@@ -378,6 +395,19 @@ def _kernel_augmented(M, F):
     return echelon(null_rows, F, ambient=n)
 
 
+def _kernel_by_null_rows(M, F):
+    """{v : v @ M = 0} as the echelon form of e_j − Σ_i R[i, j]·e_{piv_i} over the free columns j of
+    R = rref(Mᵀ) by the scalar loops: the oracle for the null rows linalg.kernel reads off directly."""
+    n = M.shape[0]
+    R, piv = _rref_loops(np.array(M.T, dtype=np.int32), F)
+    free = [j for j in range(n) if j not in set(piv.tolist())]
+    null_rows = np.zeros((len(free), n), dtype=np.int32)
+    for a, j in enumerate(free):
+        null_rows[a, j] = 1
+        null_rows[a, piv] = F.NEG[R[: len(piv), j]]
+    return echelon(null_rows, F, ambient=n)
+
+
 def rand_low_rank(rng, F, n, m, rank):
     return _kernels.matmul(rand_mat(rng, F, n, rank), rand_mat(rng, F, rank, m), F)
 
@@ -436,6 +466,12 @@ def dense_rows(pivot_rows, m):
 # (p, degree) of F_2, F_3, F_8, F_9, F_25, F_49 and the largest prime field under the table cap
 MATMUL_FIELDS = [(2, 1), (3, 1), (2, 3), (3, 2), (5, 2), (7, 2), (4093, 1)]
 EDGE = _kernels.PLANE_MIN_INNER
+GATHER_MIN = _kernels.GATHER_MIN_INNER
+
+
+def _gather_bounds_hold(r, inner, c):
+    """Whether an r x inner by inner x c product has the output cells and terms the gather takes."""
+    return r * c <= _kernels.GATHER_MAX_CELLS and r * inner * c <= _kernels.GATHER_MAX_PRODUCTS
 
 
 class _Recording:
@@ -632,35 +668,96 @@ class TestBackends:
     def test_matmul_route_rule(self, p, k, monkeypatch):
         # planes exactly when the inner dimension reaches EDGE and r ≥ k², i.e. when B's
         # k²·n·c digits are no more than the r·n·c lookups; B's digits go a slice of
-        # c // k² columns at a time, so no slice has more entries than B
+        # c // k² columns at a time, so no slice has more entries than B.  Otherwise the gather
+        # when n ≥ GATHER_MIN_INNER and the r·c output cells and r·n·c terms are within their
+        # bounds, and the table loop when not
         F = FieldCtx(p, k).fq
         rng = np.random.default_rng(p * 10 + k)
         gathered = []
-        traced = SimpleNamespace(p=F.p, deg=F.deg, ADD=F.ADD, MUL=F.MUL, AXJ_DIGITS=_Recording(F.AXJ_DIGITS, gathered))
-        planes = []
-        real = _kernels._matmul_planes
+        traced = SimpleNamespace(
+            p=F.p, deg=F.deg, order=F.order, ADD=F.ADD, MUL=F.MUL, AXJ_DIGITS=_Recording(F.AXJ_DIGITS, gathered)
+        )
+        planes, gathers = [], []
+        real, real_gather = _kernels._matmul_planes, _kernels._matmul_gather
         monkeypatch.setattr(_kernels, "_matmul_planes", lambda A, B, field: planes.append(A.shape) or real(A, B, field))
+        monkeypatch.setattr(
+            _kernels, "_matmul_gather", lambda A, B, field: gathers.append(A.shape) or real_gather(A, B, field)
+        )
         c = 2 * k * k + 3  # slices of c // k² columns, the last one ragged
-        for inner in (EDGE - 1, EDGE, EDGE + 9):
+        for inner in (GATHER_MIN - 1, GATHER_MIN, EDGE - 1, EDGE, EDGE + 9):
             for r in sorted({1, k * k - 1, k * k, k * k + 1} - {0}):
                 A, B = rand_mat(rng, F, r, inner), rand_mat(rng, F, inner, c)
                 A[rng.random(A.shape) < 0.75] = 0  # sparse, so the scalar oracle stays quick
                 planes.clear()
+                gathers.clear()
                 gathered.clear()
                 assert np.array_equal(_kernels.matmul(A, B, traced), _matmul_loops(A, B, F))
-                assert planes == ([(r, inner)] if inner >= EDGE and r >= k * k else [])
+                to_planes = inner >= EDGE and r >= k * k
+                to_gather = not to_planes and inner >= GATHER_MIN and _gather_bounds_hold(r, inner, c)
+                assert planes == ([(r, inner)] if to_planes else [])
+                assert gathers == ([(r, inner)] if to_gather else [])
                 assert all(size <= B.size for size in gathered)
                 if planes and k > 1:
                     assert sum(gathered) == B.size and len(gathered) == -(-c // (c // (k * k)))
 
+    def test_matmul_gather_bounds(self, monkeypatch):
+        # one row over F_25 (r < k², so never planes) on either side of the cell and term bounds
+        F = FieldCtx(5, 2).fq
+        rng = np.random.default_rng(25)
+        gathers = []
+        real_gather = _kernels._matmul_gather
+        monkeypatch.setattr(
+            _kernels, "_matmul_gather", lambda A, B, field: gathers.append(A.shape) or real_gather(A, B, field)
+        )
+        cells, terms = _kernels.GATHER_MAX_CELLS, _kernels.GATHER_MAX_PRODUCTS
+        shapes = [(GATHER_MIN, cells), (GATHER_MIN, cells + 1), (terms // cells, cells), (terms // cells + 1, cells)]
+        for inner, c in shapes:
+            A, B = rand_mat(rng, F, 1, inner), rand_mat(rng, F, inner, c)
+            A[rng.random(A.shape) < 0.9] = 0
+            gathers.clear()
+            assert np.array_equal(_kernels.matmul(A, B, F), _matmul_loops(A, B, F))
+            assert gathers == ([(1, inner)] if _gather_bounds_hold(1, inner, c) else [])
+
+    @pytest.mark.parametrize("p,k", MATMUL_FIELDS)
+    def test_matmul_gather_largest_codes(self, p, k):
+        # every code the largest one, on a dense A: each digit sum of a row is as large as it gets
+        F = FieldCtx(p, k).fq
+        for r, inner, c in [(1, GATHER_MIN, 3), (4, 200, 5), (3, 3 * GATHER_MIN, 11)]:
+            A = np.full((r, inner), F.order - 1, dtype=np.int32)
+            B = np.full((inner, c), F.order - 1, dtype=np.int32)
+            assert np.array_equal(_kernels._matmul_gather(A, B, F), _matmul_loops(A, B, F))
+
     def test_matmul_one_row_over_f64_takes_the_table_loop(self, monkeypatch):
-        # a single row against a wide B over F_64 would convert all of B to 36 times its size
+        # a single row against a wide B over F_64 would convert all of B to 36 times its size, and has
+        # more output cells than the gather takes
         F = FieldCtx(2, 6).fq
         rng = np.random.default_rng(64)
         monkeypatch.setattr(_kernels, "_matmul_planes", None)
+        monkeypatch.setattr(_kernels, "_matmul_gather", None)
         for inner in (EDGE, 2 * EDGE):
-            A, B = rand_mat(rng, F, 1, inner), rand_mat(rng, F, inner, 40)
+            A, B = rand_mat(rng, F, 1, inner), rand_mat(rng, F, inner, _kernels.GATHER_MAX_CELLS + 1)
+            A[rng.random(A.shape) < 0.9] = 0  # sparse, so the scalar oracle stays quick
             assert np.array_equal(_kernels.matmul(A, B, F), _matmul_loops(A, B, F))
+
+    @pytest.mark.parametrize("p,k,past_budget", [(2, 6, True), (3, 5, True), (7, 2, False), (3, 1, False)])
+    def test_sum_runs_matches_table_sums(self, p, k, past_budget):
+        # runs of one code pass through; longer ones are summed by digits, packed several codes to an
+        # int64 word, and a run so long that a code's k digit slots pass 63 bits is summed unpacked.
+        # The largest code everywhere makes every digit sum as large as it gets
+        F = FieldCtx(p, k).fq
+        rng = np.random.default_rng(p * k)
+        longest = 2**11 + 1
+        for lengths in ([1, 1, 1], [1, 3, 2, 4], [1, longest, 2]):
+            starts = np.cumsum([0] + lengths[:-1])
+            for width in (None, 1, 4, 9):
+                shape = (sum(lengths),) if width is None else (sum(lengths), width)
+                for vals in (rng.integers(0, F.order, size=shape), np.full(shape, F.order - 1)):
+                    vals = vals.astype(np.int32)
+                    runs = (vals[a : a + n] for a, n in zip(starts, lengths))
+                    want = np.array([functools.reduce(lambda x, y: F.ADD[x, y], run) for run in runs])
+                    got = _kernels._sum_runs(vals, starts, F)
+                    assert got.dtype == vals.dtype and np.array_equal(got, want), (lengths, width)
+        assert (k * (longest * (p - 1)).bit_length() > 63) == past_budget
 
     def test_matmul_exactness_bound(self):
         # an inner dimension whose partial sums could pass 2^53 is refused, not rounded
@@ -689,6 +786,21 @@ class TestKernelAgainstAugmented:
         got = kernel(M, F)
         assert got == _kernel_augmented(M, F)
         assert got == Subspace(F, n, np.eye(n, dtype=np.int32), np.arange(n, dtype=np.int64), _canonical=True)
+
+    @pytest.mark.parametrize("p,k", [(3, 2), (5, 2)])
+    def test_reversed_columns_match_echelon_of_null_rows(self, p, k):
+        # the null rows of rref(Mᵀ) with Mᵀ's columns in order, put through a second echelon: the basis the
+        # reversed elimination must give as it is, on zero, full-rank, low-rank and empty maps
+        F = FieldCtx(p, k).fq
+        rng = np.random.default_rng(p * k + 31)
+        cases = [np.zeros((6, 4), dtype=np.int32), rand_mat(rng, F, 5, 9), rand_mat(rng, F, 9, 5)]
+        cases += [rand_low_rank(rng, F, n, m, rank) for n, m, rank in [(15, 15, 6), (12, 20, 1), (20, 7, 3)]]
+        cases += [np.zeros(shape, dtype=np.int32) for shape in [(0, 5), (5, 0), (0, 0)]]
+        for M in cases:
+            got = kernel(M, F)
+            assert got == _kernel_by_null_rows(M, F), M.shape
+            assert got.rows.dtype == np.int32 and got.rows.flags.c_contiguous and got.pivots.dtype == np.int64
+            assert np.array_equal(got.pivots, [int(np.flatnonzero(row)[0]) for row in got.rows])
 
     @pytest.mark.parametrize("p,k", [(3, 2), (5, 2)])
     def test_invertible_map(self, p, k):
