@@ -22,13 +22,22 @@ N = 4 it times the two sparse eliminations truncated_L makes for dim L_N^U:
 _kernels.sparse_pivot_rows on the entries of T (dim I^o x dim I^e, in the
 column order of analysis.fixed_space_system), and the rank of the
 dim L_N x g·dim L_N quotient system that fixed_space_system builds.  Both
-sets of entries are built outside the timed part.
+sets of entries are built outside the timed part.  Beside them it times the
+reduction of that system: the remainder matrix of every column the
+generators' translation rows meet (_kernels.remainder_matrix) and one
+sparse_matmul per generator, with the rows gathered and T's pivot rows
+built outside the timed part.  First of all, it times the certified lower
+bound of dim L_2^U (analysis._certified_fixed_lower_bound: one sparse rank
+of T from R₁ stacked with the witness pair) on (3,4,1,(1,1,0,0)), q = 81,
+D = 4, with the main lemma built outside the timed part, and prints the
+process's ru_maxrss before and after it.
 Run from the repository root:
 
     python3 benchmarks/bench_linalg.py --size 400 --repeat 3
 """
 
 import argparse
+import resource
 import time
 
 import numpy as np
@@ -77,6 +86,46 @@ def move_keys_times(args, repeat: int) -> str:
     )
 
 
+def certified_bound_time(args, repeat: int) -> str:
+    """Best time of _certified_fixed_lower_bound at N = 2, and ru_maxrss before and after its calls."""
+    from indgl2 import analysis
+
+    ctx = analysis.build_ctx(*args, N=analysis.truncation_precision(2))
+    analysis.main_lemma_report(ctx)
+    before = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024
+    t = best_of(lambda: analysis._certified_fixed_lower_bound(ctx, 2), repeat)
+    after = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024
+    return (
+        f"certified bound q={ctx.q} D={ctx.D} (N=2): {t * 1e3:8.1f} ms   "
+        f"ru_maxrss {before:.1f} -> {after:.1f} MB   "
+    )
+
+
+def reduction_time(ctx, N: int, pivot_rows: dict, repeat: int) -> float:
+    """Best time of the remainder matrix of one fixed_space_system and its product with each generator's rows."""
+    from indgl2 import _kernels, analysis
+    from indgl2.induction import LevelRange, range_dim, translation_entries
+
+    kk = ctx.weight.field.kk
+    lr_even = LevelRange("even", 0, 2 * N)
+    dim_ie = range_dim(ctx, lr_even)
+    free = np.ones(dim_ie, dtype=bool)
+    free[np.fromiter(pivot_rows, dtype=np.int64, count=len(pivot_rows)) % dim_ie] = False
+    blocks = []
+    for c in analysis.u_generators(ctx, 2 * N):
+        rows, cols, vals = translation_entries(ctx, c, lr_even)
+        on_f = free[rows]
+        blocks.append((rows[on_f], analysis._elimination_column(ctx, cols[on_f], dim_ie), vals[on_f]))
+    cols = np.concatenate([block[1] for block in blocks])
+
+    def reduce():
+        R = _kernels.remainder_matrix(cols, pivot_rows, kk)
+        for block in blocks:
+            _kernels.sparse_matmul(block, R, kk)
+
+    return best_of(reduce, repeat)
+
+
 def main():
     ap = argparse.ArgumentParser(description=__doc__)
     ap.add_argument("--size", type=int, default=400, help="square matrix size")
@@ -89,6 +138,7 @@ def main():
     from indgl2.gf import FieldCtx
     from indgl2.induction import LevelRange, hecke_entries, hecke_matrix, range_dim
 
+    certified = certified_bound_time((3, 4, 1, (1, 1, 0, 0)), args.repeat)
     field = FieldCtx(args.p, args.f).fq
     rng = np.random.default_rng(0)
     n = args.size
@@ -117,17 +167,20 @@ def main():
         t_piv = best_of(
             lambda: _kernels.sparse_pivot_rows(t_rows, t_cols, t_vals, (shape[0], 2 * shape[1]), kk), args.repeat
         )
+        pivot_rows = _kernels.sparse_pivot_rows(t_rows, t_cols, t_vals, (shape[0], 2 * shape[1]), kk)
+        t_reduce = reduction_time(ctx, N, pivot_rows, args.repeat)
         rows, cols, vals, (r, c) = analysis.fixed_space_system(ctx, N)
         t_rank = best_of(lambda: _kernels.sparse_rank(rows, cols, vals, (r, c), kk), args.repeat)
         ranks += (
             f"pivot rows T {shape[0]}x{shape[1]} (N={N}): {t_piv * 1e3:8.1f} ms   "
+            f"remainders + products (N={N}): {t_reduce * 1e3:8.1f} ms   "
             f"sparse_rank quotient {r}x{c} (N={N}): {t_rank * 1e3:8.1f} ms   "
         )
     moves = move_keys_times((5, 2, 1, (1, 1)), args.repeat) + move_keys_times((7, 2, 1, (3, 3)), args.repeat)
     t_q25 = best_tables((5, 2, 1, (1, 1)), args.repeat)
     t_q243 = best_tables((3, 5, 1, (0,) * 5), args.repeat)
     print(
-        f"matmul {n}x{n}: {t_mm * 1e3:8.1f} ms   "
+        f"{certified}matmul {n}x{n}: {t_mm * 1e3:8.1f} ms   "
         f"rref {n}x{n}: {t_rr * 1e3:8.1f} ms   kernel {n}x{n}: {t_ker * 1e3:8.1f} ms   "
         f"reduce {n} rows mod dim {near_full.dim}: {t_red * 1e3:8.1f} ms   "
         f"sparse rref {T.shape[0]}x{T.shape[1]}: {t_sp * 1e3:8.1f} ms   "

@@ -42,13 +42,16 @@ dict per row through the field's tables: columns are taken from the highest
 down, each with the shortest live row holding it as pivot, and the pivot row
 then leaves, scaled to 1 on its pivot and with nothing above it, so nothing
 dense is ever formed.  `sparse_rank` is the number of those rows.
-`sparse_reduce` takes the entries of another matrix to their remainders
-modulo the pivot rows, zero on every pivot column: the entries off the
-pivots pass through, and each pivot column met is replaced by the remainder
-of its unit vector, built once from the pivot rows below it.
-`sparse_matmul` multiplies two matrices given by their entry lists.  Both
-it and `sparse_reduce` expand their products into one entry list and sum it
-by position (`_summed_entries`, through `_sum_runs`).
+`remainder_matrix` lists the entries of the matrix R whose row c is the
+remainder of e_c modulo the pivot rows, zero on every pivot column: e_c
+itself off the pivots, and on a pivot the remainder built once from the
+pivot rows below it.  For an X whose columns are among those c, X·R holds
+the remainder of each row of X.  `sparse_matmul` multiplies two matrices
+given by their entry lists: it reads B's rows through a CSR row pointer,
+expands the products into one entry list and sums it by position
+(`_summed_entries`, through `_sum_runs`).  Entry lists are put in (row,
+column) order by one stable argsort of row·width + column
+(`_position_order`), which passes quickly over runs already in order.
 """
 
 import numpy as np
@@ -277,19 +280,30 @@ def _eliminate(R: list, holders: dict, field):
 
 
 def _sorted_entries(rows, cols, vals) -> tuple:
-    """The entries as int64 arrays sorted by (row, column); a repeated position is a ValueError."""
+    """The entries as int64 arrays sorted by (row, column); a repeated or negative position is a ValueError."""
     rows, cols, vals = (np.asarray(a, dtype=np.int64).ravel() for a in (rows, cols, vals))
-    order = np.lexsort((cols, rows))
+    if rows.size and min(rows.min(), cols.min()) < 0:
+        raise ValueError("negative entry position")
+    order = _position_order(rows, cols)
     rows, cols, vals = rows[order], cols[order], vals[order]
     if np.any((rows[1:] == rows[:-1]) & (cols[1:] == cols[:-1])):
         raise ValueError("repeated entry position")
     return rows, cols, vals
 
 
+def _position_order(rows, cols) -> np.ndarray:
+    """The stable order of non-negative positions by (row, column): one timsort of row·width + column, which passes
+    over runs already in order (180k products of ramified-r1 at N = 5: 0.7 ms, against 7 ms by np.lexsort)."""
+    width = int(cols.max(initial=0)) + 1
+    if int(rows.max(initial=0)) >= np.iinfo(np.int64).max // width:
+        raise ValueError("entry positions too large to order")
+    return np.argsort(rows * width + cols, kind="stable")
+
+
 def _summed_entries(rows, cols, vals, field) -> tuple:
     """(rows, cols, vals) of the matrix whose entry at each position is the field sum of the entries
     there: sorted by (row, column), zeros dropped."""
-    order = np.lexsort((cols, rows))
+    order = _position_order(rows, cols)
     rows, cols, vals = rows[order], cols[order], vals[order]
     starts = np.flatnonzero(np.diff(rows, prepend=-1) | np.diff(cols, prepend=-1))
     rows, cols, vals = rows[starts], cols[starts], _sum_runs(vals, starts, field)
@@ -338,60 +352,43 @@ def _sum_runs(vals: np.ndarray, starts: np.ndarray, field) -> np.ndarray:
     return out.astype(vals.dtype).reshape(shape)
 
 
-def _runs(starts: np.ndarray, sizes: np.ndarray) -> np.ndarray:
-    """starts[j] + i for i < sizes[j], concatenated over j: the positions of runs in a flat array."""
-    return np.arange(sizes.sum()) + np.repeat(starts - (np.cumsum(sizes) - sizes), sizes)
-
-
 def sparse_matmul(a: tuple, b: tuple, field) -> tuple:
     """(rows, cols, vals) of A @ B, for A and B given by entry lists (rows, cols, vals): sorted by
     (row, column), zeros dropped.
 
-    Positions must be distinct in each.  Every entry (i, k, x) of A meets the
-    entries (k, j, y) of B's row k, and the products x·y are summed by position.
+    Positions must be distinct and non-negative in each.  Every entry (i, k, x)
+    of A meets the entries (k, j, y) of B's row k, the run of count[k] entries
+    from ptr[k] (B's row pointer, as in CSR), and the products x·y are summed
+    by position.
     """
     a_rows, a_cols, a_vals = _sorted_entries(*a)
     b_rows, b_cols, b_vals = _sorted_entries(*b)
-    lo = np.searchsorted(b_rows, a_cols, side="left")
-    n = np.searchsorted(b_rows, a_cols, side="right") - lo
-    at = _runs(lo, n)
+    count = np.bincount(b_rows, minlength=1 + int(a_cols.max(initial=-1)))
+    ptr, n = (np.cumsum(count) - count)[a_cols], count[a_cols]
+    at = np.arange(n.sum()) + np.repeat(ptr - (np.cumsum(n) - n), n)  # the runs A's entries meet, end to end
     return _summed_entries(np.repeat(a_rows, n), b_cols[at], field.MUL[np.repeat(a_vals, n), b_vals[at]], field)
 
 
-def sparse_reduce(rows, cols, vals, pivot_rows: dict, field) -> tuple:
-    """(rows, cols, vals): the remainder of each row of the matrix with entry
-    vals[k] at (rows[k], cols[k]) modulo the pivot rows of sparse_pivot_rows.
+def remainder_matrix(columns, pivot_rows: dict, field) -> tuple:
+    """(rows, cols, vals) of the matrix R whose row c, for each c in columns, is the remainder of e_c modulo the
+    pivot rows of sparse_pivot_rows: e_c itself off the pivots, and built once by _remainders on each pivot met.
 
-    The remainder is zero on every pivot column, and a row minus its
-    remainder lies in the span of the pivot rows.  Positions must be
-    distinct.  A row is the sum of its entries off the pivot columns, which
-    pass through, and of a·rem(c) for its entry a on a pivot column c, where
-    rem(c) is the remainder of the unit vector e_c: e_c minus its pivot row
-    is supported below c, so rem(c) = −Σ_k P_c[k]·rem(k) over the columns
-    k < c of that row, with rem(k) = e_k off the pivot columns.  rem is built
-    as dicts once for each pivot the entries meet, lower pivots first; the
-    products a·rem(c) are then scattered and summed by position in numpy.
+    Every row of R is zero on the pivot columns, so X @ R (sparse_matmul) is the remainder of each row of an X
+    whose columns are among these.  Repeated columns make one row; a negative column is a ValueError.
     """
-    rows, cols, vals = _sorted_entries(rows, cols, vals)
-    if rows.size and min(rows[0], cols.min()) < 0:
+    cols = np.sort(np.asarray(columns, dtype=np.int64).ravel())
+    if cols.size and cols[0] < 0:
         raise ValueError("negative entry position")
+    cols = cols[np.diff(cols, prepend=-1) != 0]
     is_pivot = np.zeros(1 + max(cols.max(initial=-1), max(pivot_rows, default=-1)), dtype=bool)
     is_pivot[list(pivot_rows)] = True
-    on_pivot = is_pivot[cols]
-    met = np.flatnonzero(np.bincount(cols[on_pivot]))
-    rem = _remainders(met.tolist(), pivot_rows, field)
-    rems = [rem[c] for c in met.tolist()]
-    sizes = np.array([len(r) for r in rems], dtype=np.int64)
-    rem_cols = np.fromiter((k for r in rems for k in r), dtype=np.int64, count=int(sizes.sum()))
-    rem_vals = np.fromiter((v for r in rems for v in r.values()), dtype=np.int64, count=rem_cols.size)
-    which = np.searchsorted(met, cols[on_pivot])
-    n = sizes[which]
-    # entry i of a·rem(c) reads rem's flat arrays at (start of c) + i
-    at = _runs((np.cumsum(sizes) - sizes)[which], n)
-    rows = np.concatenate([rows[~on_pivot], np.repeat(rows[on_pivot], n)])
-    cols = np.concatenate([cols[~on_pivot], rem_cols[at]])
-    vals = np.concatenate([vals[~on_pivot], field.MUL[np.repeat(vals[on_pivot], n), rem_vals[at]]])
-    return _summed_entries(rows, cols, vals, field)
+    free, met = cols[~is_pivot[cols]], cols[is_pivot[cols]].tolist()
+    rem = _remainders(met, pivot_rows, field)
+    sizes = np.fromiter((len(rem[c]) for c in met), dtype=np.int64, count=len(met))
+    rem_cols = np.fromiter((k for c in met for k in rem[c]), dtype=np.int64, count=int(sizes.sum()))
+    rem_vals = np.fromiter((v for c in met for v in rem[c].values()), dtype=np.int64, count=rem_cols.size)
+    rows = np.concatenate([free, np.repeat(np.array(met, dtype=np.int64), sizes)])
+    return rows, np.concatenate([free, rem_cols]), np.concatenate([np.ones_like(free), rem_vals])
 
 
 def _remainders(columns: list, pivot_rows: dict, field) -> dict:

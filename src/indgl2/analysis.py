@@ -30,10 +30,12 @@ level.  dim L_N^U is exact by sparse elimination on the entry lists of T and
 of the translations u - 1 (induction.hecke_entries,
 induction.translation_entries): T is eliminated once
 (_kernels.sparse_pivot_rows), its non-pivot columns are a basis of L_N, each
-u - 1 is reduced onto that basis (_kernels.sparse_reduce), and the rank of
-the maps side by side (_kernels.sparse_rank) gives dim L_N^U.  No dense
-quotient matrix, dense rref or fixed space is formed, and beyond
-SPARSE_FIXED_CAP it is a certified lower bound.
+u - 1 is reduced onto that basis by one product with the remainder matrix
+of the system (_kernels.remainder_matrix, built once), and the rank of the
+maps side by side (_kernels.sparse_rank) gives dim L_N^U.  No dense quotient
+matrix, dense rref or fixed space is formed.  Beyond SPARSE_FIXED_CAP it is
+a certified lower bound, whose witness pair is certified by one more sparse
+rank: T from R₁ stacked with the pair.
 
 A witness g of the main existence statement is any element of V outside W;
 its classes together with x^{r⃗} at level 0 span a 2-dimensional piece of
@@ -649,8 +651,10 @@ def fixed_space_system(ctx: InductionCtx, N: int) -> tuple:
     injective on I^o (checked here: one pivot per row), and the non-pivot
     columns F of I^e are a basis of L_N = I^e / T(I^o).  T is U-equivariant,
     so T(I^o) is U-stable and each u − 1 induces a map on L_N: row f of it
-    is row f of translation_entries reduced modulo the pivot rows
-    (_kernels.sparse_reduce), read on F.
+    is row f of translation_entries reduced modulo the pivot rows, read on
+    F.  The reduction is one product per generator with the remainder
+    matrix of every column those rows meet (_kernels.remainder_matrix,
+    built once for the system, then _kernels.sparse_matmul).
 
     T is eliminated with the columns of weight index ≠ 0 before those of
     weight 0, each group highest first (_elimination_column).  T₊ lands
@@ -681,12 +685,15 @@ def fixed_space_system(ctx: InductionCtx, N: int) -> tuple:
     coord = np.cumsum(free) - 1  # position of each column of F in L_N
     gens = u_generators(ctx, 2 * N)
     g = len(gens)
-    parts = []
-    for k, c in enumerate(gens):
+    blocks = []
+    for c in gens:
         rows, cols, vals = translation_entries(ctx, c, lr_even)
         on_f = free[rows]
-        cols = _elimination_column(ctx, cols[on_f], dim_ie)
-        rows, cols, vals = _kernels.sparse_reduce(rows[on_f], cols, vals[on_f], pivot_rows, kk)
+        blocks.append((rows[on_f], _elimination_column(ctx, cols[on_f], dim_ie), vals[on_f]))
+    R = _kernels.remainder_matrix(np.concatenate([block[1] for block in blocks]), pivot_rows, kk)
+    parts = []
+    for k, block in enumerate(blocks):
+        rows, cols, vals = _kernels.sparse_matmul(block, R, kk)
         parts.append((coord[rows], coord[cols % dim_ie] * g + k, vals))
     rows, cols, vals = (np.concatenate(part) for part in zip(*parts))
     dim_ln = dim_ie - dim_io
@@ -711,7 +718,11 @@ def _certified_fixed_lower_bound(ctx: InductionCtx, N: int) -> int:
       - the level-0 vector is exactly U-fixed; the pair's second row is zero
         on level 0, and its level-2 block (read through _offsets) is U-fixed
         modulo T₊R₁′ ⊆ T(R₁), which is the check g passed;
-      - their span meets T(R₁) trivially (small dense computation in R₀ ⊕ R₂).
+      - T is injective on R₁ and the pair independent modulo T(R₁): T from
+        R₁ to R₀ ⊕ R₂ (hecke_entries) stacked with the pair has rank q·D + 2.
+
+    Without a certified witness the pair is x^{r⃗} alone, and the bound is 1
+    when that stack has rank q·D + 1, else 0.
     """
     kk = ctx.weight.field.kk
     gens = u_generators(ctx, 2 * N)
@@ -722,26 +733,26 @@ def _certified_fixed_lower_bound(ctx: InductionCtx, N: int) -> int:
             raise CheckFailed("level-0 top vector must be exactly U-fixed")
     lr02 = LevelRange("even", 0, 2)
     level2 = _offsets(ctx, lr02)[2]
-    img = linalg.image(hecke_matrix(ctx, LevelRange("all", 1, 1), lr02), kk)
-    v0 = np.zeros(range_dim(ctx, lr02), dtype=np.int32)  # level 0's D entries come first
-    v0[0] = 1
     main = main_lemma_report(ctx)
-    if not (main.found and main.certificate):
-        # only the level-0 line is certified
-        return 1 if not linalg.member(v0, img) else 0
-    g02 = np.concatenate([np.zeros(ctx.D, dtype=np.int32), main.g])
-    spaces = _candidate_spaces(ctx)
-    block = g02[None, level2:]
-    if g02[:level2].any() or not _u_fixed_mod_tplus_r1p(
-        ctx, gens, 1, lambda rows: block[rows], spaces.tplus_r1, spaces.tplus_r1p
-    ):
-        raise CheckFailed("the pair's second row must be g on level 2, U-fixed modulo T₊R₁′ ⊆ T(R₁)")
-    pair = linalg.echelon(np.vstack([v0, g02]), kk, ambient=v0.size)
-    if pair.dim != 2:
-        raise CheckFailed("witness pair must be linearly independent")
-    if linalg.intersect(pair, img).dim != 0:
-        raise CheckFailed("witness pair must avoid T(R₁)")
-    return 2
+    witness = main.found and main.certificate
+    pair = np.zeros((1 + witness, range_dim(ctx, lr02)), dtype=np.int32)
+    pair[0, 0] = 1  # x^{r⃗}: level 0's D entries come first
+    if witness:
+        pair[1, ctx.D :] = main.g
+        spaces = _candidate_spaces(ctx)
+        if pair[1, :level2].any() or not _u_fixed_mod_tplus_r1p(
+            ctx, gens, 1, lambda rows: pair[1:, level2:][rows], spaces.tplus_r1, spaces.tplus_r1p
+        ):
+            raise CheckFailed("the pair's second row must be g on level 2, U-fixed modulo T₊R₁′ ⊆ T(R₁)")
+    qD, k = ctx.q * ctx.D, len(pair)
+    t_rows, t_cols, t_vals = hecke_entries(ctx, LevelRange("all", 1, 1), lr02)
+    p_rows, p_cols = np.nonzero(pair)
+    entries = (np.concatenate(a) for a in ((t_rows, qD + p_rows), (t_cols, p_cols), (t_vals, pair[p_rows, p_cols])))
+    if _kernels.sparse_rank(*entries, (qD + k, pair.shape[1]), kk) == qD + k:
+        return k
+    if witness:
+        raise CheckFailed("witness pair must be independent modulo T(R₁), with T injective on R₁")
+    return 0
 
 
 def negative_control(p: int, N: int = 6):

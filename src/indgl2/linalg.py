@@ -199,15 +199,10 @@ def kernel(M, field: PrimeExtField) -> Subspace:
     return Subspace(field, n, np.ascontiguousarray(null_rows[:, ::-1]), n - 1 - free, _canonical=True)
 
 
-def image(M, field: PrimeExtField) -> Subspace:
-    """{v @ M}: the row span of M."""
-    M = _matrix(M)
-    return echelon(M, field, ambient=M.shape[1])
-
-
 def intersect(S: Subspace, T: Subspace) -> Subspace:
     """Zassenhaus: reduce [[S|S],[T|0]]; rows with zero left half span S ∩ T on the right."""
-    _same_ambient(S, T)
+    if S.field is not T.field or S.ambient != T.ambient:
+        raise DimensionMismatch("subspaces live in different ambients")
     F = S.field
     n = S.ambient
     if S.dim == 0 or T.dim == 0:
@@ -226,11 +221,6 @@ def preimage(M, S: Subspace) -> Subspace:
     if S.ambient != M.shape[1]:
         raise DimensionMismatch(f"subspace ambient {S.ambient} vs map codomain {M.shape[1]}")
     return kernel(S.reduce(M), S.field)
-
-
-def _same_ambient(S: Subspace, T: Subspace):
-    if S.field is not T.field or S.ambient != T.ambient:
-        raise DimensionMismatch("subspaces live in different ambients")
 
 
 def _minus_identity(u, field: PrimeExtField, n: int) -> np.ndarray:

@@ -120,6 +120,30 @@ def embed(S, Z):
     return Subspace(Z.field, Z.ambient, rows, Z.pivots[S.pivots], _canonical=True)
 
 
+def image(M, field):
+    """{v @ M}: the row span of the matrix M."""
+    M = np.asarray(M, dtype=np.int32)
+    return linalg.echelon(M, field, ambient=M.shape[1])
+
+
+def dense_certified_lower_bound(ctx, N):
+    """analysis._certified_fixed_lower_bound by the dense route it took before one sparse rank:
+    the Hecke image of R₁ in R₀ ⊕ R₂ as a subspace, the pair's echelon form and its
+    Zassenhaus intersection with that image.  Returns 2 when the witness pair is independent
+    and meets the image in 0, 1 or 0 for the level-0 line alone when there is no certified
+    witness, and None when the pair fails either test."""
+    kk = ctx.weight.field.kk
+    lr02 = LevelRange("even", 0, 2)
+    img = image(hecke_matrix(ctx, LevelRange("all", 1, 1), lr02), kk)
+    v0 = np.zeros(range_dim(ctx, lr02), dtype=np.int32)  # level 0's D entries come first
+    v0[0] = 1
+    main = analysis.main_lemma_report(ctx)
+    if not (main.found and main.certificate):
+        return 1 if not linalg.member(v0, img) else 0
+    pair = linalg.echelon(np.vstack([v0, np.concatenate([np.zeros(ctx.D, dtype=np.int32), main.g])]), kk, ambient=v0.size)
+    return 2 if pair.dim == 2 and linalg.intersect(pair, img).dim == 0 else None
+
+
 def tplus_by_walk(ctx):
     """(R₁′, the dense T₊|R₁ matrix, T₊R₁, T₊R₁′), each from the per-basis-vector walk."""
     kk = ctx.weight.field.kk
@@ -127,7 +151,7 @@ def tplus_by_walk(ctx):
     r1p = linalg.kernel(operator_matrix(ctx, hecke_T_minus, r1, LevelRange("all", 0, 0)), kk)
     Mplus = operator_matrix(ctx, hecke_T_plus, r1, r2)
     tplus_r1p = linalg.echelon(_kernels.matmul(r1p.rows, Mplus, kk), kk, ambient=Mplus.shape[1])
-    return r1p, Mplus, linalg.image(Mplus, kk), tplus_r1p
+    return r1p, Mplus, image(Mplus, kk), tplus_r1p
 
 
 def dense_candidates(ctx):
@@ -157,7 +181,7 @@ def dense_fixed_dim(ctx, N):
     I^e/T(I^o) (analysis.induced_quotient_maps), then linalg.fixed_space."""
     kk = ctx.weight.field.kk
     lr_even, lr_odd = LevelRange("even", 0, 2 * N), LevelRange("odd", 1, 2 * N - 1)
-    S = linalg.image(hecke_matrix(ctx, lr_odd, lr_even), kk)
+    S = image(hecke_matrix(ctx, lr_odd, lr_even), kk)
     assert S.dim == range_dim(ctx, lr_odd), "T must be injective on odd levels"
     maps = analysis.induced_quotient_maps(ctx, analysis.u_generators(ctx, 2 * N), lr_even, S)
     return linalg.fixed_space(maps, kk, S.ambient - S.dim).dim

@@ -37,11 +37,13 @@ from oracles import (
     all_translations,
     candidate_checks_by_u_act,
     dense_candidates,
+    dense_certified_lower_bound,
     dense_fixed_dim,
     direct_sum,
     embed,
     hecke_T,
     hecke_T_minus,
+    image,
     quotient_projection,
     stacked_fixed_dim,
     subspace_sum,
@@ -671,7 +673,7 @@ class TestTranslationMatrices:
     def _subspace(self, ctx, lr):
         if lr == LevelRange("all", 2, 2):
             return dense_candidates(ctx)[0]
-        return linalg.image(operator_matrix(ctx, hecke_T, LevelRange("odd", 1, lr.hi - 1), lr), ctx.weight.field.kk)
+        return image(operator_matrix(ctx, hecke_T, LevelRange("odd", 1, lr.hi - 1), lr), ctx.weight.field.kk)
 
     @pytest.mark.parametrize(
         "name,lr",
@@ -798,7 +800,7 @@ class TestTruncatedL:
         # the bound's own value: truncated_L takes its maximum with the previous N, so the
         # sequence records do not pin it
         ctx = cli.config_from_preset(preset).build()
-        assert analysis._certified_fixed_lower_bound(ctx, N) == 2
+        assert analysis._certified_fixed_lower_bound(ctx, N) == dense_certified_lower_bound(ctx, N) == 2
 
     @pytest.mark.parametrize("preset", sorted(cli.PRESETS))
     def test_certified_pair_holds_g_on_level_2(self, preset, monkeypatch):
@@ -828,7 +830,21 @@ class TestTruncatedL:
     def test_certified_lower_bound_without_witness(self, args, N):
         # e = f = 1 has no witness g, so only the level-0 line is certified
         ctx = analysis.build_ctx(*args, N=analysis.truncation_precision(N))
-        assert analysis._certified_fixed_lower_bound(ctx, N) == 1
+        assert analysis._certified_fixed_lower_bound(ctx, N) == dense_certified_lower_bound(ctx, N) == 1
+
+    @pytest.mark.parametrize("preset", sorted(cli.PRESETS))
+    def test_certified_pair_in_t_r1_is_refused(self, preset, monkeypatch):
+        # a second row that passes the U-check but lies in T(R₁) + span(x^{r⃗}): zero, and a row of
+        # T₊R₁′, which is T of a row of R₁′ (T₋ kills it); the dense oracle refuses both too
+        ctx = cli.config_from_preset(preset).build()
+        main = analysis.main_lemma_report(ctx)
+        spaces = analysis._candidate_spaces(ctx)
+        assert spaces.tplus_r1p.dim > 0
+        for g in (np.zeros_like(main.g), spaces.tplus_r1.vectors(spaces.tplus_r1p.rows[:1])[0]):
+            monkeypatch.setattr(analysis, "main_lemma_report", lambda ctx: dataclasses.replace(main, g=g))
+            assert dense_certified_lower_bound(ctx, 1) is None
+            with pytest.raises(CheckFailed, match="independent modulo T"):
+                analysis._certified_fixed_lower_bound(ctx, 1)
 
     @pytest.mark.parametrize("args,N,dim", [((3, 1, 2, (1,)), 4, 9), ((2, 2, 1, (1, 1)), 3, 7)], ids=["ramified-r1", "unramified-maximal"])
     def test_exact_beyond_the_old_dense_cap(self, args, N, dim):
@@ -836,6 +852,22 @@ class TestTruncatedL:
         rep = analysis.truncated_L(analysis.build_ctx(*args, N=analysis.truncation_precision(N)), N)
         assert rep.dim_ie > 2048
         assert (rep.ln_u_method, rep.dim_ln_u) == ("sparse", dim)
+
+    @pytest.mark.parametrize("args,N", [((3, 1, 2, (1,)), 2), ((2, 3, 1, (1, 1, 1)), 1)], ids=["ramified-r1", "q8-D8"])
+    def test_remainders_built_once_per_system(self, args, N, monkeypatch):
+        # one remainder matrix serves every generator's block, so its remainders are built in one call
+        ctx = analysis.build_ctx(*args, N=analysis.truncation_precision(N))
+        calls = []
+        real = _kernels._remainders
+
+        def spy(columns, pivot_rows, field):
+            calls.append(len(columns))
+            return real(columns, pivot_rows, field)
+
+        monkeypatch.setattr(_kernels, "_remainders", spy)
+        analysis.fixed_space_system(ctx, N)
+        assert len(analysis.u_generators(ctx, 2 * N)) > 1
+        assert len(calls) == 1 and calls[0] > 0
 
     def test_precision_guard(self):
         ctx = analysis.build_ctx(3, 1, 1, (1,), N=4)
@@ -874,12 +906,12 @@ class TestCollapseAgainstDense:
             Cdn = linalg.coinvariant_complement(
                 [operator_matrix(ctx, lambda x, c=c: u_act(c, x), lr_dn, lr_dn) for c in gens], kk, range_dim(ctx, lr_dn)
             )
-            img_dn = linalg.image(operator_matrix(ctx, hecke_T_minus, LevelRange("all", n, n), lr_dn), kk)
+            img_dn = image(operator_matrix(ctx, hecke_T_minus, LevelRange("all", n, n), lr_dn), kk)
             tm.append(subspace_sum(img_dn, Cdn).dim == range_dim(ctx, lr_dn))
             Cup = linalg.coinvariant_complement(
                 [operator_matrix(ctx, lambda x, c=c: u_act(c, x), lr_up, lr_up) for c in gens], kk, range_dim(ctx, lr_up)
             )
-            img_up = linalg.image(operator_matrix(ctx, hecke_T_plus, LevelRange("all", n, n), lr_up), kk)
+            img_up = image(operator_matrix(ctx, hecke_T_plus, LevelRange("all", n, n), lr_up), kk)
             tp.append(all(linalg.member(r, Cup) for r in img_up.rows))
         return coinv, tuple(tm), tuple(tp)
 
@@ -917,7 +949,7 @@ class TestTruncationAgainstDense:
         ctx = analysis.build_ctx(*args, N=analysis.truncation_precision(N))
         kk = ctx.weight.field.kk
         lr_even, lr_odd = LevelRange("even", 0, 2 * N), LevelRange("odd", 1, 2 * N - 1)
-        S = linalg.image(operator_matrix(ctx, hecke_T, lr_odd, lr_even), kk)
+        S = image(operator_matrix(ctx, hecke_T, lr_odd, lr_even), kk)
         eye = np.eye(S.ambient, dtype=np.int32)
         deltas = [
             S.reduce(kk.ADD[operator_matrix(ctx, lambda x, c=c: u_act(c, x), lr_even, lr_even), kk.NEG[eye]])
@@ -961,8 +993,8 @@ class TestTruncationAgainstDense:
         # dim T(I^o) = dim I^o, which truncated_L reads off the full block rank
         ctx = analysis.build_ctx(*args, N=analysis.truncation_precision(N))
         lr_odd = LevelRange("odd", 1, 2 * N - 1)
-        image = linalg.image(hecke_matrix(ctx, lr_odd, LevelRange("even", 0, 2 * N)), ctx.weight.field.kk)
-        assert image.dim == range_dim(ctx, lr_odd) == analysis.truncated_L(ctx, N).dim_t_io
+        T_io = image(hecke_matrix(ctx, lr_odd, LevelRange("even", 0, 2 * N)), ctx.weight.field.kk)
+        assert T_io.dim == range_dim(ctx, lr_odd) == analysis.truncated_L(ctx, N).dim_t_io
 
 
 class TestWeightFunctional:

@@ -240,6 +240,7 @@ class TestHeckeSuite:
         composite = rep.records[0].dims
         assert composite["T_plus"] + composite["T_minus"] == hecke_entries(ctx, domain, codomain)[0].size
         assert rep.records[-1].dims == {"generators": len(analysis.u_generators(ctx, 3)), "top_level": 3}
+        assert rep.records[1].dims == {"tables": 3}  # one translation table per level below the top
 
     @pytest.mark.parametrize("preset", sorted(cli.PRESETS))
     def test_corrupted_translation_entry_fails(self, preset, monkeypatch, capsys):
@@ -483,18 +484,25 @@ class TestMain:
         assert "N_max >= 1" in captured.err and "verdict" not in captured.out
 
     def test_mainlemma_run_does_not_import_numpy_ma(self):
-        # the first np.unique of a process imports numpy.ma, 14-15 ms of a short run
+        # the first np.unique of a process imports numpy.ma, 14-15 ms of a short run; checked on the
+        # main lemma, on the exact truncation route and on the certified one
         src = Path(cli.__file__).resolve().parent.parent
-        code = (
-            "import sys; from indgl2 import cli; "
-            "code = cli.main(['verify', '--preset', 'unramified-generic', '--suites', 'mainlemma']); "
-            "print('numpy.ma' in sys.modules); sys.exit(code)"
-        )
-        done = subprocess.run(
-            [sys.executable, "-c", code], env={**os.environ, "PYTHONPATH": str(src)}, capture_output=True, text=True, timeout=120
-        )
-        assert done.returncode == 0
-        assert done.stdout.splitlines()[-1] == "False"
+        runs = [
+            ["--preset", "unramified-generic", "--suites", "mainlemma"],
+            ["--preset", "ramified-r1", "--suites", "truncation", "--trunc", "3"],
+            ["--preset", "unramified-generic", "--suites", "mainlemma,truncation", "--trunc", "3"],
+        ]
+        for args in runs:
+            code = (
+                "import sys; from indgl2 import cli; "
+                f"code = cli.main(['verify', *{args!r}]); "
+                "print('numpy.ma' in sys.modules); sys.exit(code)"
+            )
+            done = subprocess.run(
+                [sys.executable, "-c", code], env={**os.environ, "PYTHONPATH": str(src)}, capture_output=True, text=True, timeout=120
+            )
+            assert done.returncode == 0, args
+            assert done.stdout.splitlines()[-1] == "False", args
 
     def test_run_without_random_suites_does_not_import_numpy_random(self):
         # only arith draws random elements; importing numpy.random costs 10-16 ms and 6 MB
