@@ -10,7 +10,6 @@ from .errors import (
     DivisionByZero,
     IndGL2Error,
     LevelZeroInput,
-    LevelZeroUnsupported,
     MixedFieldContexts,
     NonConvergence,
     NotDivisible,

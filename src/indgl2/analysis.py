@@ -64,7 +64,7 @@ from .induction import (
     translation_entries,
 )
 from .localring import LocalRingCtx, RingElem, teichmuller, translation_table
-from .weight import WeightCtx, action_matrix
+from .weight import WeightCtx
 
 # largest dim I^e whose L_N^U is computed exactly, by sparse elimination; beyond it
 # a certified lower bound.  Every configuration measured under it took at most 12 s
@@ -190,14 +190,11 @@ def tplus_kernel_dim(ctx: InductionCtx, n: int) -> int:
 @_per_ctx
 def weight_coinvariant_functional(ctx: InductionCtx):
     """(complement Cσ = Σ(u-1)σ, functional φ: K^D → K with ker φ ⊇ Cσ, φ ≠ 0)."""
-    w = ctx.weight
-    kk = w.field.kk
-    one, zero = w.field.fq.one, w.field.fq.zero
-    ops = [action_matrix(w, [[one, lam], [zero, one]]) for lam in w.field.enumerate_field("Fq") if lam]
-    C = linalg.coinvariant_complement(ops, kk, w.D)
-    if C.dim != w.D - 1:
+    D = ctx.D
+    C = linalg.coinvariant_complement(ctx.unipotents()[1:], ctx.weight.field.kk, D)  # every λ ≠ 0
+    if C.dim != D - 1:
         raise CheckFailed("weight coinvariants are one-dimensional")
-    free = int(linalg.non_pivots(C.pivots, w.D)[0])
+    free = int(linalg.non_pivots(C.pivots, D)[0])
 
     def phi(vec: np.ndarray) -> int:
         return int(C.reduce(np.asarray(vec, dtype=np.int32))[free])

@@ -37,10 +37,6 @@ class DimensionMismatch(IndGL2Error):
     pass
 
 
-class LevelZeroUnsupported(IndGL2Error):
-    pass
-
-
 class LevelZeroInput(IndGL2Error):
     pass
 

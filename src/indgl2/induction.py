@@ -31,7 +31,6 @@ from . import _kernels
 from .errors import (
     DimensionMismatch,
     LevelZeroInput,
-    LevelZeroUnsupported,
     PrecisionExhausted,
 )
 from .gf import monomial_exp
@@ -220,7 +219,7 @@ def hecke_T_plus(x: InducedElem) -> InducedElem:
     out: dict = {}
     for (n, mu), v in x.terms.items():
         if n == 0:
-            raise LevelZeroUnsupported("the lower coset needed at level 0 is not representable")
+            raise LevelZeroInput("the lower coset needed at level 0 is not representable")
         if n + 1 > ctx.max_level():
             raise PrecisionExhausted("no precision headroom for the level raise")
         for lam in range(ctx.q):

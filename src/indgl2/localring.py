@@ -14,13 +14,13 @@ f·(p^M - 1)² < 2^63; a larger precision is rejected when the ctx is built.
 The batched products below sum at most f terms before they reduce, so the
 same bound covers them.
 
-Translations [μ] + c = [μ″] + ϖⁿ[t] are computed two ways.  translate_digits
-carries one digit string at a time in RingElem arithmetic; it serves sparse
-elements at any level and is the oracle of the tests.  translation_table
-carries all qⁿ strings of a level at once, as int64 stacks of shape (K, e, f),
-with the Teichmüller lifts, the division by ϖ and the multiplication by ϖ
-precomputed as small arrays per ctx.  Every whole-level table is verified
-forward on every key before it is memoised.
+Digits, their values and the translations [μ] + c = [μ″] + ϖⁿ[t] all run on
+one carry engine: int64 stacks of shape (K, e, f), with the Teichmüller lifts,
+the division by ϖ and the multiplication by ϖ precomputed as small arrays per
+ctx (_arrays).  translation_table carries all qⁿ strings of a level at once;
+divide_by_uniformizer, digits, from_digits and translate_digits are one-row
+calls of the same kernels.  Every whole-level table is verified forward on
+every key, through the multiplication by ϖ alone, before it is memoised.
 """
 
 import math
@@ -69,7 +69,6 @@ class LocalRingCtx:
         self._ypow_hi = self._build_ypow()
         self._u0_inv = None  # lazy: inverse of E[0]/p in GR
         self._teich = None  # lazy: (q, f) Teichmüller lifts of every residue code
-        self._carries: dict = {}  # (prec, c mod ϖ^prec, λ) -> _carry_step result
         self._translations: dict = {}  # (n, c mod ϖ^{n+1}) -> translation_table result
         self._level_arrays = None  # lazy: (teich, W matrix, ϖ matrix) of the batched tables
 
@@ -123,15 +122,10 @@ class LocalRingCtx:
     # -- Galois ring coefficient arithmetic (vectors length f mod p^M) --
 
     def gr_mul(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
-        f, pM = self.f, self.pM
-        conv = np.convolve(a, b) % pM
-        out = conv[:f]
-        for k in range(f, len(conv)):
-            out = (out + conv[k] * self._ypow_hi[k - f]) % pM
-        return out
+        return self._gr_mul_rows(a[None], b[None])[0]
 
     def _gr_mul_rows(self, A: np.ndarray, B: np.ndarray) -> np.ndarray:
-        """gr_mul row by row on two stacks (K, f) of coefficient vectors."""
+        """Products in GR(p^M, f) row by row on two stacks (K, f) of coefficient vectors."""
         f, pM = self.f, self.pM
         conv = np.zeros((len(A), 2 * f - 1), dtype=np.int64)
         for i in range(f):
@@ -328,16 +322,6 @@ class DigitString:
     ctx: LocalRingCtx
     codes: tuple
 
-    def __len__(self):
-        return len(self.codes)
-
-    def __getitem__(self, i) -> FqElem:
-        return self.ctx.field.fq.elem(self.codes[i])
-
-    def __iter__(self):
-        fq = self.ctx.field.fq
-        return (fq.elem(c) for c in self.codes)
-
 
 # -- Teichmüller lifts --
 
@@ -382,24 +366,13 @@ def teichmuller(lam: FqElem, ctx: LocalRingCtx) -> RingElem:
 
 def divide_by_uniformizer(a: RingElem) -> RingElem:
     """Exact division by ϖ; requires a ≡ 0 mod ϖ, drops one unit of precision."""
-    ctx = a.ctx
     if a.prec - 1 < 1:
         raise PrecisionExhausted("quotient would have precision < 1")
-    res = residue(a)
-    if res:
+    if residue(a):
         raise NotDivisible("element is a unit mod ϖ")
-    a0 = a.vec[0]
-    if np.any(a0 % ctx.p):
+    if np.any(a.vec[0] % a.ctx.p):
         raise NotDivisible("constant coefficient not divisible by p")
-    # a = p·(a0/p) + Σ_{i≥1} a_i ϖ^i and p = ϖ·W
-    shifted = np.zeros((ctx.e, ctx.f), dtype=np.int64)
-    if ctx.e > 1:
-        shifted[: ctx.e - 1] = a.vec[1:]
-    part = RingElem(ctx, shifted, a.prec)
-    head_vec = np.zeros((ctx.e, ctx.f), dtype=np.int64)
-    head_vec[0] = a0 // ctx.p
-    out = RingElem(ctx, head_vec, a.prec) * ctx._pi_w() + part
-    return RingElem(ctx, out.vec, a.prec - 1)
+    return RingElem(a.ctx, _div_pi(a.ctx, a.vec[None])[0], a.prec - 1)
 
 
 def residue(a: RingElem) -> FqElem:
@@ -409,46 +382,22 @@ def residue(a: RingElem) -> FqElem:
 
 def digits(a: RingElem, n: int) -> DigitString:
     """Greedy I_n expansion: λ_i = residue(a), a ← (a - [λ_i])/ϖ."""
-    ctx = a.ctx
     if n > a.prec:
         raise PrecisionExhausted(f"need precision {n}, have {a.prec}")
-    out = []
-    cur = a
-    for i in range(n):
-        lam = residue(cur)
-        out.append(lam.code)
-        if i + 1 < n:
-            cur = divide_by_uniformizer(cur - teichmuller(lam, ctx))
-    return DigitString(ctx, tuple(out))
+    out, R = [], a.vec[None]
+    for _ in range(n):
+        s, R = _carry_steps(a.ctx, R)
+        out.append(int(s[0]))
+    return DigitString(a.ctx, tuple(out))
 
 
 def from_digits(s: DigitString, prec: int | None = None) -> RingElem:
-    ctx = s.ctx
-    acc = ctx.zero(prec)
-    pi = ctx.uniformizer(prec)
-    for lam_code in reversed(s.codes):
-        acc = acc * pi + teichmuller(ctx.field.fq.elem(lam_code), ctx).at_precision(acc.prec)
-    return acc
+    """Σ ϖ^i [λ_i]; the empty string is 0."""
+    columns = np.array(s.codes or (0,), dtype=np.int64)[:, None]
+    return RingElem(s.ctx, _horner(s.ctx, columns)[0], prec or s.ctx.N)
 
 
 # -- translation of digit strings --
-
-
-def _carry_step(c: RingElem, lam: int) -> tuple:
-    """(s, c′) with [λ] + c = [s] + ϖ·c′; c′ carries one unit less precision.
-
-    Memoised on the ctx by (precision, c mod ϖ^precision, λ): translate_digits
-    moves digit strings one at a time, and the strings that u_act moves by one
-    c share their prefixes, so they share their first steps.
-    """
-    ctx = c.ctx
-    key = (c.prec, ctx.canon(c.vec, c.prec).tobytes(), lam)
-    hit = ctx._carries.get(key)
-    if hit is None:
-        r = teichmuller(ctx.field.fq.elem(lam), ctx) + c
-        s = residue(r)
-        hit = ctx._carries[key] = (s.code, divide_by_uniformizer(r - teichmuller(s, ctx)))
-    return hit
 
 
 def _translation_precision(c: RingElem, n: int) -> RingElem:
@@ -459,12 +408,14 @@ def _translation_precision(c: RingElem, n: int) -> RingElem:
 
 def translate_digits(c: RingElem, mu: tuple) -> tuple:
     """(μ″, t) with [μ] + c = [μ″] + ϖⁿ[t] mod ϖ^{n+1}, where n = len(μ)."""
-    c = _translation_precision(c, len(mu))
+    ctx = c.ctx
+    teich = ctx._arrays()[0]
+    carry = _translation_precision(c, len(mu)).vec[None]
     out = []
     for lam in mu:
-        s, c = _carry_step(c, lam)
-        out.append(s)
-    return tuple(out), residue(c).code
+        s, carry = _carry_steps(ctx, carry + teich[lam])
+        out.append(int(s[0]))
+    return tuple(out), int(_residue_codes(ctx, carry)[0])
 
 
 def _residue_codes(ctx: LocalRingCtx, R: np.ndarray) -> np.ndarray:
@@ -472,19 +423,22 @@ def _residue_codes(ctx: LocalRingCtx, R: np.ndarray) -> np.ndarray:
     return (R[:, 0] % ctx.p) @ ctx.p ** np.arange(ctx.f, dtype=np.int64)
 
 
-def _carry_steps(ctx: LocalRingCtx, R: np.ndarray) -> tuple:
-    """_carry_step on a stack: (s, C) with R = [s] + ϖ·C row by row, R = [λ] + c.
+def _div_pi(ctx: LocalRingCtx, R: np.ndarray) -> np.ndarray:
+    """x/ϖ for each x of the stack R (K, e, f), whose entries lie in [0, p^M) and
+    whose ϖ⁰ coefficients a₀ are divisible by p.
 
-    R - [s] has its ϖ⁰ coefficient a₀ divisible by p, so dividing by ϖ gives
-    (a₀/p)·W plus the higher coefficients moved down one place.
+    p = ϖ·W, so x/ϖ is (a₀/p)·W plus the higher coefficients moved down one place.
     """
-    teich, W, _ = ctx._arrays()
-    p, e, f, pM = ctx.p, ctx.e, ctx.f, ctx.pM
+    W = ctx._arrays()[1]
+    out = ctx._matmul_mod(R[:, 0] // ctx.p, W).reshape(-1, ctx.e, ctx.f)
+    out[:, : ctx.e - 1] += R[:, 1:]
+    return out % ctx.pM
+
+
+def _carry_steps(ctx: LocalRingCtx, R: np.ndarray) -> tuple:
+    """(s, C) with R = [s] + ϖ·C row by row, for a stack R (K, e, f) of nonnegative entries."""
     s = _residue_codes(ctx, R)
-    R = (R - teich[s]) % pM
-    out = ctx._matmul_mod(R[:, 0] // p, W).reshape(-1, e, f)
-    out[:, : e - 1] += R[:, 1:]
-    return s, out % pM
+    return s, _div_pi(ctx, (R - ctx._arrays()[0][s]) % ctx.pM)
 
 
 def _horner(ctx: LocalRingCtx, digit_columns) -> np.ndarray:
@@ -497,7 +451,7 @@ def _horner(ctx: LocalRingCtx, digit_columns) -> np.ndarray:
     return acc
 
 
-def _check_translation_table(c: RingElem, n: int, perm: np.ndarray, twist: np.ndarray) -> None:
+def check_translation_table(c: RingElem, n: int, perm: np.ndarray, twist: np.ndarray) -> None:
     """Raise CheckFailed unless (perm, twist) is the translation table of c on level n.
 
     perm must permute range(qⁿ), and Σ ϖ^i [μ_i] + c ≡ Σ ϖ^i [μ″_i] + ϖⁿ[t]
@@ -528,7 +482,7 @@ def translation_table(c: RingElem, n: int) -> tuple:
     at once: after i digits the carries of the qⁱ prefixes form one stack,
     and each step adds every [λ] to every carry and divides by ϖ in a few
     array operations.  Every table is checked forward on every key by
-    _check_translation_table before it is memoised on the ctx by
+    check_translation_table before it is memoised on the ctx by
     (n, c mod ϖ^{n+1}).
     """
     ctx = c.ctx
@@ -543,7 +497,7 @@ def translation_table(c: RingElem, n: int) -> tuple:
             s, carry = _carry_steps(ctx, (carry[:, None] + teich).reshape(-1, e, f))
             perm = np.repeat(perm * q, q) + s
         hit = (perm, _residue_codes(ctx, carry))
-        _check_translation_table(c, n, *hit)
+        check_translation_table(c, n, *hit)
         ctx._translations[key] = hit
     return hit
 

@@ -34,7 +34,6 @@ class WeightCtx:
         # lex order on i⃗, first factor most significant
         self.basis = list(itertools.product(*[range(r + 1) for r in self.rvec]))
         self.index = {iv: n for n, iv in enumerate(self.basis)}
-        self._action_cache: dict = {}
 
     def __repr__(self):
         return f"WeightCtx(r={self.rvec}, chi_c={self.chi_c}, nu={self.nu.code}, D={self.D})"
@@ -91,12 +90,7 @@ def action_matrix(ctx: WeightCtx, g) -> np.ndarray:
     """D x D matrix over K of the twisted Sym^r⃗ action; row i⃗ is the image of e_{i⃗}."""
     field = ctx.field
     fq = field.fq
-    codes = _as_codes(g, field)
-    key = codes
-    cached = ctx._action_cache.get(key)
-    if cached is not None:
-        return cached
-    a, b, c, d = codes
+    a, b, c, d = _as_codes(g, field)
     det = fq.sub_code(fq.mul_code(a, d), fq.mul_code(b, c))
     if det == 0:
         raise SingularMatrix("matrix is not invertible over F_q")
@@ -110,6 +104,4 @@ def action_matrix(ctx: WeightCtx, g) -> np.ndarray:
     twist = kk.pow_code(field.embed_code(det), ctx.chi_c)
     if twist != 1:
         out = kk.MUL[twist, out].astype(np.int32)
-    out = np.ascontiguousarray(out)
-    ctx._action_cache[key] = out
-    return out
+    return np.ascontiguousarray(out)

@@ -19,7 +19,7 @@ from indgl2.induction import (
     u_act,
 )
 from indgl2.linalg import Subspace
-from indgl2.localring import DigitString, LocalRingCtx, RingElem, teichmuller
+from indgl2.localring import DigitString, LocalRingCtx, RingElem, residue, teichmuller
 from indgl2.weight import action_matrix
 
 
@@ -235,6 +235,31 @@ def subspace_sum(S, T):
     if S.field is not T.field or S.ambient != T.ambient:
         raise DimensionMismatch("subspaces live in different ambients")
     return linalg.echelon(np.vstack([S.rows, T.rows]), S.field, ambient=S.ambient)
+
+
+def scalar_digits(a: RingElem, n: int) -> tuple:
+    """The first n digit codes of a by the greedy expansion λ_i = residue(a), a ← (a − [λ_i])/ϖ, in
+    RingElem arithmetic alone: a/ϖ = (a₀/p)·W + Σ_{i≥1} a_i ϖ^{i−1} with the element W = p/ϖ, not the
+    stack kernels of localring and their W and Π matrices."""
+    ctx = a.ctx
+    w = ctx._pi_w()
+    out = []
+    for _ in range(n):
+        lam = residue(a)
+        out.append(lam.code)
+        r = (a - teichmuller(lam, ctx)).vec
+        head, shifted = np.zeros_like(r), np.zeros_like(r)
+        head[0], shifted[:-1] = r[0] // ctx.p, r[1:]
+        a = RingElem(ctx, head, ctx.N) * w + RingElem(ctx, shifted, ctx.N)
+    return tuple(out)
+
+
+def scalar_value(ctx: LocalRingCtx, codes) -> RingElem:
+    """Σ ϖ^i [λ_i] for the digit codes λ_i, by Horner in RingElem arithmetic."""
+    acc, pi = ctx.zero(), ctx.uniformizer()
+    for code in reversed(codes):
+        acc = acc * pi + teichmuller(ctx.field.fq.elem(code), ctx)
+    return acc
 
 
 def make_digits(ctx, values):

@@ -202,15 +202,18 @@ def test_criterion_7_negative_control():
 # detail changed, and hecke:alpha-intertwine is gone from the reports (it checked
 # the element calculus alone and is a test now).  Since hecke:depth-triviality
 # counts the translation tables it reads, one per level, its dims are {tables: 3}
-# (was {tables: 6}, two generators per level reading the same memoised table);
-# that is the only change in the last re-pin.  A change that alters any report
-# byte must update these on purpose
+# (was {tables: 6}, two generators per level reading the same memoised table).
+# Since hecke:depth-triviality checks the identity table forward for ϖ^{n+1}·c,
+# for every level n below the top and every U generator c, its dims are
+# {tables: 6} again (top · generators); that is the only change in the last
+# re-pin, and it restores the digests pinned before {tables: 3}.  A change that
+# alters any report byte must update these on purpose
 PRESET_REPORT_SHA256 = {
-    "ramified-r0": "68e0ac91b65743ba7b7db86886921387e1f0576d25282433f384cd3651175d10",
-    "ramified-r1": "bdcd6b584c1309e2aba1aeaca8d8fb8f175f6a33f4a9ebb8dbbad1c46a63b4d0",
-    "unramified-generic": "4a65200e0b8cd700dbfa770f6155955414534f86275b8ecffad813c048548510",
-    "unramified-maximal": "a934b24f7a86f7f5ed7a07bb9ff41da43f13c29f3e5bf6cd4c15ca6be67d6936",
-    "unramified-stretch": "9654f7ca745a91bb0383cd95fb2f66cd4a71ab07d1efefcfb54c9d098c13df14",
+    "ramified-r0": "fc235a1bf97a288ddfcc3f3ea13913923a46681c71f1ce7c8f0bad708d2ea402",
+    "ramified-r1": "4b7e2b914ed7d3f10bdbdfad1d481724dc6455345f3e78430af98ffb0900708c",
+    "unramified-generic": "211716cf8e0517f7f4bee6401486fbe9a77c2768949b7d56e41009f26404624b",
+    "unramified-maximal": "66218cd9cc65c557b069e1f4a8d125592d40c25e30a79cfcbf5ebbc32aa2808d",
+    "unramified-stretch": "bc61f446163678f0673e5a1d712798a0a2e007e619780e2185ce6575acf56db8",
 }
 
 

@@ -19,6 +19,7 @@ from hypothesis import HealthCheck, given, settings, strategies as st
 from indgl2 import analysis, cli
 from indgl2.errors import ConfigError
 from indgl2.induction import LevelRange, hecke_entries
+from indgl2.localring import LocalRingCtx
 
 README = Path(__file__).resolve().parent.parent / "README.md"
 
@@ -240,7 +241,8 @@ class TestHeckeSuite:
         composite = rep.records[0].dims
         assert composite["T_plus"] + composite["T_minus"] == hecke_entries(ctx, domain, codomain)[0].size
         assert rep.records[-1].dims == {"generators": len(analysis.u_generators(ctx, 3)), "top_level": 3}
-        assert rep.records[1].dims == {"tables": 3}  # one translation table per level below the top
+        # the identity table checked for ϖ^{n+1}·c, each level n below the top and each generator c
+        assert rep.records[1].dims == {"tables": 3 * len(analysis.u_generators(ctx, 3))}
 
     @pytest.mark.parametrize("preset", sorted(cli.PRESETS))
     def test_corrupted_translation_entry_fails(self, preset, monkeypatch, capsys):
@@ -280,6 +282,31 @@ class TestHeckeSuite:
         monkeypatch.setattr(cli, "hecke_entries", lambda ctx, d, c: real(ctx, d, c) if d.lo > 0 else (np.zeros(0),) * 3)
         code, statuses = self.hecke_statuses("ramified-r1", capsys)
         assert code == 1 and statuses["hecke:level-zero-guard"] == "fail"
+
+
+class TestArithSuite:
+    """The arith suite runs the ring's digit arithmetic on the carry kernels that the translation tables use."""
+
+    @pytest.mark.parametrize("preset", sorted(cli.PRESETS))
+    @pytest.mark.parametrize(
+        "which, failing",
+        [(1, ["arith:digit-roundtrip", "arith:witt-carry"]), (2, ["arith:digit-roundtrip"])],
+        ids=["W", "Pi"],
+    )
+    def test_corrupted_table_kernel_fails(self, preset, which, failing, monkeypatch, capsys):
+        # one entry of W (the division by ϖ) or of Π (the multiplication by ϖ) held by the ring's _arrays
+        real = LocalRingCtx._arrays
+
+        def corrupted(ring):
+            arrays = list(real(ring))
+            M = arrays[which] = arrays[which].copy()
+            M[0, 0] = (M[0, 0] + 1) % ring.pM
+            return tuple(arrays)
+
+        monkeypatch.setattr(LocalRingCtx, "_arrays", corrupted)
+        code = cli.main(["verify", "--preset", preset, "--suites", "arith", "--format", "json"])
+        records = json.loads(capsys.readouterr().out)["records"]
+        assert code == 1 and [r["name"] for r in records if r["status"] == "fail"] == failing
 
 
 class TestEmit:

@@ -9,7 +9,6 @@ from indgl2._kernels import vec_mat
 from indgl2.errors import (
     DimensionMismatch,
     LevelZeroInput,
-    LevelZeroUnsupported,
     PrecisionExhausted,
 )
 from indgl2.induction import (
@@ -239,7 +238,7 @@ class TestHeckePlus:
                     assert not np.any(v[1:])
 
     def test_level_zero_rejected(self, steinberg3):
-        with pytest.raises(LevelZeroUnsupported):
+        with pytest.raises(LevelZeroInput):
             hecke_T_plus(singleton(steinberg3, 0, (), (0,)))
 
     @pytest.mark.parametrize("n", [1, 2, 3])

@@ -10,7 +10,7 @@ from indgl2.localring import (
     DigitString,
     LocalRingCtx,
     RingElem,
-    _check_translation_table,
+    check_translation_table,
     digits,
     divide_by_uniformizer,
     from_digits,
@@ -21,7 +21,7 @@ from indgl2.localring import (
     witt_carry,
     witt_carry_closed_form,
 )
-from oracles import make_digits, ring_int
+from oracles import make_digits, ring_int, scalar_digits, scalar_value
 
 
 @pytest.fixture(scope="module")
@@ -185,6 +185,20 @@ class TestDigits:
             for n in range(N + 1):
                 assert from_digits(digits(a, n)).at_precision(n) == a.at_precision(n)
 
+    @pytest.mark.parametrize("p,f,e,N", [(3, 1, 2, 5), (2, 2, 2, 5), (3, 2, 1, 3), (2, 3, 3, 6), (5, 1, 1, 4)])
+    def test_kernels_match_scalar_oracle(self, p, f, e, N):
+        # digits, from_digits and divide_by_uniformizer run on the stack kernels with the W and Π
+        # matrices; the oracle divides by the element W = p/ϖ and multiplies by ϖ in RingElem arithmetic
+        rng = np.random.default_rng(11)
+        ctx = LocalRingCtx(p, f, e, N=N)
+        pi = ctx.uniformizer()
+        for _ in range(20):
+            a = RingElem(ctx, rng.integers(0, ctx.pM, size=(e, f)), N)
+            want = scalar_digits(a, N)
+            assert digits(a, N).codes == want
+            assert from_digits(make_digits(ctx, want)) == scalar_value(ctx, want)
+            assert divide_by_uniformizer(a * pi) == a.at_precision(N - 1)
+
     def test_unique_representative(self, ram3):
         # distinct digit strings name distinct classes mod ϖ^n
         seen = {}
@@ -212,14 +226,14 @@ def _check_against_digit_expansion(ctx, c, n):
     q = ctx.q
     for rank in _sampled_ranks(q, n):
         mu = tuple(int(rank) // q ** (n - 1 - i) % q for i in range(n))
-        want = digits(from_digits(make_digits(ctx, mu)) + c, n + 1).codes
+        want = scalar_digits(scalar_value(ctx, mu) + c, n + 1)
         assert translate_digits(c, mu) == (want[:n], want[n])
         assert perm[rank] == sum(d * q ** (n - 1 - i) for i, d in enumerate(want[:n]))
         assert twist[rank] == want[n]
 
 
 class TestTranslation:
-    """[μ] + c = [μ″] + ϖⁿ[t] mod ϖ^{n+1}, against the greedy digit expansion."""
+    """[μ] + c = [μ″] + ϖⁿ[t] mod ϖ^{n+1}, against the greedy digit expansion in RingElem arithmetic."""
 
     @pytest.mark.parametrize(
         "p,f,e",
@@ -267,7 +281,7 @@ class TestTranslation:
     def test_forward_check_rejects_a_corrupted_table(self, unram9, where):
         c = teichmuller(unram9.field.fq.elem(5), unram9) + unram9.uniformizer()
         perm, twist = (a.copy() for a in translation_table(c, 2))
-        _check_translation_table(c, 2, perm, twist)  # the true table passes
+        check_translation_table(c, 2, perm, twist)  # the true table passes
         if where == "perm":
             perm[[3, 7]] = perm[[7, 3]]  # still a permutation
         elif where == "twist":
@@ -275,7 +289,20 @@ class TestTranslation:
         else:
             perm[0] = perm[1]
         with pytest.raises(CheckFailed):
-            _check_translation_table(c, 2, perm, twist)
+            check_translation_table(c, 2, perm, twist)
+
+    @pytest.mark.parametrize("p,f,e", [(3, 1, 2), (3, 2, 1), (2, 2, 2)])
+    def test_deep_translations_act_trivially(self, p, f, e):
+        # ϖ^{n+1}·c moves no key of level n and leaves no twist, whatever c is
+        ctx = LocalRingCtx(p, f, e, N=5)
+        rng = np.random.default_rng(2)
+        pi = ctx.uniformizer()
+        for n in range(1, 4):
+            keys = ctx.q**n
+            c = pi ** (n + 1) * RingElem(ctx, rng.integers(0, ctx.pM, size=(e, f)), ctx.N)
+            check_translation_table(c, n, np.arange(keys), np.zeros(keys, dtype=np.int64))
+            with pytest.raises(CheckFailed):
+                check_translation_table(c, n, np.arange(keys)[::-1], np.zeros(keys, dtype=np.int64))
 
     def test_precision_guard(self, ram3):
         c = ram3.one().at_precision(2)

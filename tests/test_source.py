@@ -41,33 +41,44 @@ def _tracer_names() -> set:
     return names
 
 
-def _public_defs():
-    """(module, qualified name, node) of every public module-level function and class method in src."""
+def _defs(private: bool):
+    """(module, qualified name, node) of every module-level function and class method in src that is
+    private (one leading underscore, not a dunder) or public."""
     for module, tree in MODULES.items():
         for node in tree.body:
-            if isinstance(node, ast.FunctionDef) and not node.name.startswith("_"):
-                yield module, node.name, node
+            subs = [(node.name, node)] if isinstance(node, ast.FunctionDef) else []
             if isinstance(node, ast.ClassDef):
-                for sub in node.body:
-                    if isinstance(sub, ast.FunctionDef) and not sub.name.startswith("_"):
-                        yield module, f"{node.name}.{sub.name}", sub
+                subs = [(f"{node.name}.{sub.name}", sub) for sub in node.body if isinstance(sub, ast.FunctionDef)]
+            for qualname, sub in subs:
+                if sub.name.startswith("_") == private and not sub.name.startswith("__"):
+                    yield module, qualname, sub
 
 
-def test_every_public_function_has_a_caller_in_src():
-    # a function that only the tests call belongs in the tests; the allowlist is what the benchmark's tracer
-    # requires, and the console entry point.  A reference is any name or attribute spelled like the function,
-    # in src code outside the function's own definition.
+def _unreferenced(defs) -> list:
+    """The defs with no reference in src outside their own definition.  A reference is any name or
+    attribute spelled like the function."""
     refs = {}  # name -> [(module, line)]
     for module, tree in MODULES.items():
         for node in ast.walk(tree):
             name = node.id if isinstance(node, ast.Name) else node.attr if isinstance(node, ast.Attribute) else None
             if name is not None:
                 refs.setdefault(name, []).append((module, node.lineno))
-    allowed = _tracer_names() | {"cli.main"}
-    unused = [
+    return [
         f"{module}.{qualname}"
-        for module, qualname, node in _public_defs()
-        if f"{module}.{qualname}" not in allowed
-        and all(other == module and node.lineno <= line <= node.end_lineno for other, line in refs.get(node.name, ()))
+        for module, qualname, node in defs
+        if all(other == module and node.lineno <= line <= node.end_lineno for other, line in refs.get(node.name, ()))
     ]
+
+
+def test_every_public_function_has_a_caller_in_src():
+    # a function that only the tests call belongs in the tests; the allowlist is what the benchmark's tracer
+    # requires, and the console entry point
+    allowed = _tracer_names() | {"cli.main"}
+    unused = [name for name in _unreferenced(_defs(private=False)) if name not in allowed]
     assert unused == [], f"public functions with no caller in src: {unused}"
+
+
+def test_every_private_function_has_a_caller_in_src():
+    # a private helper that nothing in src reaches is dead code, whatever the tests do with it
+    unused = _unreferenced(_defs(private=True))
+    assert unused == [], f"private functions with no caller in src: {unused}"
