@@ -27,13 +27,16 @@ SRC = Path(__file__).resolve().parent.parent / "src"
 THREAD_VARS = ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS")
 
 # (p, f, e, r): frontier-q25 first, then the configurations whose re-verification of V held
-# the largest dim V x q²D arrays
+# the largest dim V x q²D arrays, then two D = q weights, whose products have operands below
+# 1 % nonzero
 LADDER = [
     (5, 2, 1, (1, 1)),  # q = 25, D = 4
     (7, 2, 1, (3, 3)),  # q = 49, D = 16
     (2, 6, 1, (1, 1, 0, 0, 0, 0)),  # q = 64, D = 4
     (3, 4, 1, (1, 1, 0, 0)),  # q = 81, D = 4
     (3, 5, 1, (0, 0, 0, 0, 0)),  # q = 243, D = 1
+    (2, 5, 1, (1, 1, 1, 1, 1)),  # q = 32, D = 32
+    (7, 2, 1, (6, 6)),  # q = 49, D = 49
 ]
 
 # (p, f, e, r, N_max): the truncation suite, exact at every N up to N_max

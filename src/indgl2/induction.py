@@ -424,7 +424,7 @@ def move_keys(ctx: InductionCtx, perm: np.ndarray, twist: np.ndarray, X: np.ndar
     With (perm, twist) from translation_table this is the translation of a
     level.  The work follows X's nonzero entries: each entry (row, key, i)
     times row i of its key's twist matrix (ctx.unipotents) is one MUL
-    lookup, the products of one (row, key) are summed by digits
+    lookup, the products of one (row, key) are summed
     (_kernels._sum_runs), and the sums land on (row, perm[key]).  perm is a
     permutation, so no two sums land on the same block.
     """

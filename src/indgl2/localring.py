@@ -370,8 +370,6 @@ def divide_by_uniformizer(a: RingElem) -> RingElem:
         raise PrecisionExhausted("quotient would have precision < 1")
     if residue(a):
         raise NotDivisible("element is a unit mod ϖ")
-    if np.any(a.vec[0] % a.ctx.p):
-        raise NotDivisible("constant coefficient not divisible by p")
     return RingElem(a.ctx, _div_pi(a.ctx, a.vec[None])[0], a.prec - 1)
 
 

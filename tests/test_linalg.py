@@ -1,4 +1,5 @@
 import functools
+import itertools
 from types import SimpleNamespace
 
 import numpy as np
@@ -464,12 +465,27 @@ def dense_rows(pivot_rows, m):
 # (p, degree) of F_2, F_3, F_8, F_9, F_25, F_49 and the largest prime field under the table cap
 MATMUL_FIELDS = [(2, 1), (3, 1), (2, 3), (3, 2), (5, 2), (7, 2), (4093, 1)]
 EDGE = _kernels.PLANE_MIN_INNER
-GATHER_MIN = _kernels.GATHER_MIN_INNER
 
 
-def _gather_bounds_hold(r, inner, c):
-    """Whether an r x inner by inner x c product has the output cells and terms the gather takes."""
-    return r * c <= _kernels.GATHER_MAX_CELLS and r * inner * c <= _kernels.GATHER_MAX_PRODUCTS
+def with_nonzeros(rng, F, shape, count):
+    """A matrix of the shape with exactly count nonzero codes, at random positions."""
+    M = np.zeros(shape, dtype=np.int32)
+    M.flat[rng.choice(M.size, size=count, replace=False)] = rng.integers(1, F.order, size=count)
+    return M
+
+
+def _recording_routes(monkeypatch):
+    """The list of routes matmul takes, "planes", "entries" or "gather", one a call, with the real routes run."""
+    taken = []
+    for route, name in (("planes", "_matmul_planes"), ("entries", "sparse_matmul"), ("gather", "_matmul_gather")):
+        real = getattr(_kernels, name)
+
+        def recorded(a, b, field, real=real, route=route):
+            taken.append(route)
+            return real(a, b, field)
+
+        monkeypatch.setattr(_kernels, name, recorded)
+    return taken
 
 
 class _Recording:
@@ -663,7 +679,9 @@ class TestBackends:
         # the largest code everywhere makes every partial sum of digits as large as it gets
         top = np.full((2, inner), F.order - 1, dtype=np.int32)
         for X, Y in ((A, B), (top, np.full((inner, 3), F.order - 1, dtype=np.int32))):
-            assert np.array_equal(_kernels.matmul(X, Y, F), _matmul_loops(X, Y, F))
+            want = _matmul_loops(X, Y, F)
+            assert np.array_equal(_kernels.matmul(X, Y, F), want)
+            assert np.array_equal(_kernels.matmul(np.asfortranarray(X), Y, F), want)  # a transposed view, as is
 
     @pytest.mark.parametrize("p,k", [(2, 1), (3, 2), (7, 2)])
     @pytest.mark.parametrize("shape", [(0, EDGE, 4), (3, EDGE, 0), (0, EDGE, 0), (3, 0, 4), (0, 0, 0), (3, 4, 0)])
@@ -675,84 +693,119 @@ class TestBackends:
 
     @pytest.mark.parametrize("p,k", [(3, 1), (3, 2), (2, 3), (2, 6)])
     def test_matmul_route_rule(self, p, k, monkeypatch):
-        # planes exactly when the inner dimension reaches EDGE and r ≥ k², i.e. when B's
-        # k²·n·c digits are no more than the r·n·c lookups; B's digits go a slice of
-        # c // k² columns at a time, so no slice has more entries than B.  Otherwise the gather
-        # when n ≥ GATHER_MIN_INNER and the r·c output cells and r·n·c terms are within their
-        # bounds, and the table loop when not
+        # planes exactly when A is dense (more than an eighth nonzero), the inner dimension reaches EDGE
+        # and r ≥ k², i.e. when B's k²·n·c digits are no more than the r·n·c lookups; B's digits go a slice
+        # of c // k² columns at a time, so no slice has more entries than B.  Otherwise the entry lists
+        # when B is sparse (at most an eighth nonzero), and the gather when not.  Each operand sits on
+        # either side of the eighth
         F = FieldCtx(p, k).fq
         rng = np.random.default_rng(p * 10 + k)
         gathered = []
         traced = SimpleNamespace(
             p=F.p, deg=F.deg, order=F.order, ADD=F.ADD, MUL=F.MUL, AXJ_DIGITS=_Recording(F.AXJ_DIGITS, gathered)
         )
-        planes, gathers = [], []
-        real, real_gather = _kernels._matmul_planes, _kernels._matmul_gather
-        monkeypatch.setattr(_kernels, "_matmul_planes", lambda A, B, field: planes.append(A.shape) or real(A, B, field))
-        monkeypatch.setattr(
-            _kernels, "_matmul_gather", lambda A, B, field: gathers.append(A.shape) or real_gather(A, B, field)
-        )
+        taken = _recording_routes(monkeypatch)
         c = 2 * k * k + 3  # slices of c // k² columns, the last one ragged
-        for inner in (GATHER_MIN - 1, GATHER_MIN, EDGE - 1, EDGE, EDGE + 9):
+        for inner in (EDGE - 1, EDGE, EDGE + 9):
             for r in sorted({1, k * k - 1, k * k, k * k + 1} - {0}):
-                A, B = rand_mat(rng, F, r, inner), rand_mat(rng, F, inner, c)
-                A[rng.random(A.shape) < 0.75] = 0  # sparse, so the scalar oracle stays quick
-                planes.clear()
-                gathers.clear()
-                gathered.clear()
-                assert np.array_equal(_kernels.matmul(A, B, traced), _matmul_loops(A, B, F))
-                to_planes = inner >= EDGE and r >= k * k
-                to_gather = not to_planes and inner >= GATHER_MIN and _gather_bounds_hold(r, inner, c)
-                assert planes == ([(r, inner)] if to_planes else [])
-                assert gathers == ([(r, inner)] if to_gather else [])
-                assert all(size <= B.size for size in gathered)
-                if planes and k > 1:
-                    assert sum(gathered) == B.size and len(gathered) == -(-c // (c // (k * k)))
+                for a_dense, b_dense in itertools.product((False, True), repeat=2):
+                    A = with_nonzeros(rng, F, (r, inner), r * inner // 8 + a_dense)
+                    B = with_nonzeros(rng, F, (inner, c), inner * c // 8 + b_dense)
+                    taken.clear()
+                    gathered.clear()
+                    assert np.array_equal(_kernels.matmul(A, B, traced), _matmul_loops(A, B, F))
+                    to_planes = a_dense and inner >= EDGE and r >= k * k
+                    route = "planes" if to_planes else "gather" if b_dense else "entries"
+                    assert taken == [route]
+                    assert all(size <= B.size for size in gathered)
+                    if to_planes and k > 1:
+                        assert sum(gathered) == B.size and len(gathered) == -(-c // (c // (k * k)))
 
     def test_matmul_gather_bounds(self, monkeypatch):
-        # one row over F_25 (r < k², so never planes) on either side of the cell and term bounds
+        # a dense row over F_25 (r < k², so never planes) against a dense B: one chunk at GATHER_MAX_PRODUCTS
+        # products, two past it, and no chunk holds more
         F = FieldCtx(5, 2).fq
         rng = np.random.default_rng(25)
-        gathers = []
-        real_gather = _kernels._matmul_gather
+        chunks = []
+        real_sum_runs = _kernels._sum_runs
         monkeypatch.setattr(
-            _kernels, "_matmul_gather", lambda A, B, field: gathers.append(A.shape) or real_gather(A, B, field)
+            _kernels, "_sum_runs", lambda vals, starts, F: chunks.append(vals.size) or real_sum_runs(vals, starts, F)
         )
-        cells, terms = _kernels.GATHER_MAX_CELLS, _kernels.GATHER_MAX_PRODUCTS
-        shapes = [(GATHER_MIN, cells), (GATHER_MIN, cells + 1), (terms // cells, cells), (terms // cells + 1, cells)]
-        for inner, c in shapes:
-            A, B = rand_mat(rng, F, 1, inner), rand_mat(rng, F, inner, c)
-            A[rng.random(A.shape) < 0.9] = 0
-            gathers.clear()
+        taken = _recording_routes(monkeypatch)
+        c = 1024
+        per_chunk = _kernels.GATHER_MAX_PRODUCTS // c
+        for inner, count in ((per_chunk, 1), (per_chunk + 1, 2)):
+            A, B = with_nonzeros(rng, F, (1, inner), inner), with_nonzeros(rng, F, (inner, c), inner * c)
+            chunks.clear()
+            taken.clear()
             assert np.array_equal(_kernels.matmul(A, B, F), _matmul_loops(A, B, F))
-            assert gathers == ([(1, inner)] if _gather_bounds_hold(1, inner, c) else [])
+            assert taken == ["gather"]
+            assert len(chunks) == count and max(chunks) <= _kernels.GATHER_MAX_PRODUCTS
 
     @pytest.mark.parametrize("p,k", MATMUL_FIELDS)
     def test_matmul_gather_largest_codes(self, p, k):
         # every code the largest one, on a dense A: each digit sum of a row is as large as it gets
         F = FieldCtx(p, k).fq
-        for r, inner, c in [(1, GATHER_MIN, 3), (4, 200, 5), (3, 3 * GATHER_MIN, 11)]:
+        for r, inner, c in [(1, 32, 3), (4, 200, 5), (3, 96, 11)]:
             A = np.full((r, inner), F.order - 1, dtype=np.int32)
             B = np.full((inner, c), F.order - 1, dtype=np.int32)
             assert np.array_equal(_kernels._matmul_gather(A, B, F), _matmul_loops(A, B, F))
 
-    def test_matmul_one_row_over_f64_takes_the_table_loop(self, monkeypatch):
-        # a single row against a wide B over F_64 would convert all of B to 36 times its size, and has
-        # more output cells than the gather takes
+    @pytest.mark.parametrize("p,k", [(3, 1), (3, 2), (2, 6)])
+    def test_matmul_gather_chunks(self, p, k, monkeypatch):
+        # with room for 7 product rows a chunk, rows of 0 to 20 nonzeros straddle the chunk starts, some
+        # across several chunks; the largest codes make every partial and carried sum as large as it gets
+        F = FieldCtx(p, k).fq
+        rng = np.random.default_rng(p * k + 26)
+        c = 5
+        monkeypatch.setattr(_kernels, "GATHER_MAX_PRODUCTS", 7 * c + 2)
+        A = rand_sparse_rows(rng, F, 30, 40, 0, 20)
+        B = rand_mat(rng, F, 40, c)
+        cuts, rows = np.arange(7, np.count_nonzero(A), 7), np.nonzero(A)[0]
+        assert np.any(rows[cuts] == rows[cuts - 1]) and np.bincount(rows).max() >= 15
+        top = np.where(A != 0, F.order - 1, 0).astype(np.int32)
+        for X, Y in ((A, B), (np.asfortranarray(A), B), (top, np.full_like(B, F.order - 1))):
+            assert np.array_equal(_kernels._matmul_gather(X, Y, F), _matmul_loops(X, Y, F))
+
+    @pytest.mark.parametrize("p,k", [(2, 6), (3, 5)])
+    def test_matmul_entry_lists(self, p, k, monkeypatch):
+        # over F_64 and F_243, both operands sparse: the product is taken on their entry lists, the rows
+        # of A dense or empty alike, and a zero sum leaves no entry
+        F = FieldCtx(p, k).fq
+        rng = np.random.default_rng(p * k + 27)
+        taken = _recording_routes(monkeypatch)
+        for r, inner, c in [(1, 300, 40), (40, 300, 60), (300, 40, 300)]:
+            A = rand_sparse_rows(rng, F, r, inner, 0, max(1, inner // 10))
+            B = rand_sparse_rows(rng, F, inner, c, 0, max(1, c // 10))
+            A[0, :] = 0
+            A[-1, : inner // 8] = rng.integers(1, F.order, size=inner // 8)
+            taken.clear()
+            want = _matmul_loops(A, B, F)
+            assert np.array_equal(_kernels.matmul(A, B, F), want)
+            assert np.array_equal(_kernels.matmul(np.asfortranarray(A), B, F), want)  # a transposed view, as is
+            assert taken == ["entries", "entries"]
+        x = np.array([[1, 1]], dtype=np.int32)
+        minus = np.array([[1], [F.NEG[1]]], dtype=np.int32)
+        assert not _kernels.matmul(x, minus, F).any()
+
+    def test_matmul_one_row_over_f64_takes_the_gather(self, monkeypatch):
+        # a single row against a wide dense B over F_64 would convert all of B to 36 times its size: it is
+        # gathered, however long the row or wide the product
         F = FieldCtx(2, 6).fq
         rng = np.random.default_rng(64)
         monkeypatch.setattr(_kernels, "_matmul_planes", None)
-        monkeypatch.setattr(_kernels, "_matmul_gather", None)
+        monkeypatch.setattr(_kernels, "sparse_matmul", None)
         for inner in (EDGE, 2 * EDGE):
-            A, B = rand_mat(rng, F, 1, inner), rand_mat(rng, F, inner, _kernels.GATHER_MAX_CELLS + 1)
+            A, B = rand_mat(rng, F, 1, inner), rand_mat(rng, F, inner, 1025)
             A[rng.random(A.shape) < 0.9] = 0  # sparse, so the scalar oracle stays quick
             assert np.array_equal(_kernels.matmul(A, B, F), _matmul_loops(A, B, F))
 
     @pytest.mark.parametrize("p,k,past_budget", [(2, 6, True), (3, 5, True), (7, 2, False), (3, 1, False)])
     def test_sum_runs_matches_table_sums(self, p, k, past_budget):
-        # runs of one code pass through; longer ones are summed by digits, packed several codes to an
-        # int64 word, and a run so long that a code's k digit slots pass 63 bits is summed unpacked.
-        # The largest code everywhere makes every digit sum as large as it gets
+        # runs of one code pass through; longer ones are summed as integers over F_3 and folded in pairs
+        # through ADD over the extension fields, up to a run of 2^11 + 1 codes (one fold past a power of
+        # two; over F_64 and F_243, past_budget, its k digit sums would not fit one int64 word).  The
+        # largest code everywhere makes every sum as large as it gets
         F = FieldCtx(p, k).fq
         rng = np.random.default_rng(p * k)
         longest = 2**11 + 1
@@ -769,10 +822,11 @@ class TestBackends:
         assert (k * (longest * (p - 1)).bit_length() > 63) == past_budget
 
     def test_matmul_exactness_bound(self):
-        # an inner dimension whose partial sums could pass 2^53 is refused, not rounded
+        # an inner dimension whose partial sums could pass 2^53 is refused, not rounded; A is dense, so that
+        # the product reaches the planes
         huge = SimpleNamespace(p=2**27 + 29, deg=1)
         with pytest.raises(ValueError, match="exact"):
-            _kernels.matmul(np.zeros((1, EDGE), dtype=np.int32), np.zeros((EDGE, 1), dtype=np.int32), huge)
+            _kernels.matmul(np.ones((1, EDGE), dtype=np.int32), np.zeros((EDGE, 1), dtype=np.int32), huge)
 
 
 class TestKernelAgainstAugmented:

@@ -331,6 +331,21 @@ class TestDivision:
         with pytest.raises(NotDivisible):
             divide_by_uniformizer(q3.one())
 
+    @pytest.mark.parametrize("ring", ["unram9", "ram3"])
+    def test_constant_not_divisible_by_p_is_a_unit(self, ring, request):
+        # a constant coefficient with a digit not divisible by p has a nonzero residue, so the residue
+        # check rejects it: over GR(9^N, 2) and the ramified quadratic over Q_3 alike
+        ctx = request.getfixturevalue(ring)
+        rng = np.random.default_rng(ctx.e * 10 + ctx.f)
+        for j in range(ctx.f):
+            for d in range(1, ctx.p):
+                vec = ctx.p * rng.integers(0, ctx.pM, size=(ctx.e, ctx.f))
+                vec[0, j] += d
+                a = RingElem(ctx, vec, ctx.N)
+                assert residue(a).code != 0
+                with pytest.raises(NotDivisible, match="unit mod"):
+                    divide_by_uniformizer(a)
+
     def test_precision_floor(self, q3):
         a = (q3.uniformizer()).at_precision(1)
         with pytest.raises(PrecisionExhausted):
