@@ -1,7 +1,10 @@
 """Timings for the finite-field kernels and the translation tables.
 
-Times matmul, rref and linalg.kernel at one square size, Subspace.reduce of
-size rows against a near-full subspace (dimension size − 4, so the product
+Times matmul, rref and linalg.kernel at one square size.  The matmul
+operands are dense and random, so the line times the gather, each nonzero
+A[i, l] times row l of B in one MUL lookup: the cost of a dense product,
+which no caller in src makes.  It also times Subspace.reduce of size rows
+against a near-full subspace (dimension size − 4, so the product
 runs over the few non-pivot columns), rref of a sparse
 matrix, an end-to-end truncated_L(N=2) computation, and the level-2
 translation tables of every u_generators(ctx, 2) at q = 25 and q = 243.

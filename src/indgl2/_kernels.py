@@ -2,24 +2,13 @@
 
 Matrices are int32 arrays of field codes (the code of Σ_j c_j x^j is
 Σ_j c_j p^j).  `matmul` of an r × n matrix A by an n × c matrix B over
-F_{p^k} takes one of three routes, chosen by the nonzeros of A, and of B
-when they decide:
-
-- coefficient planes, when A is dense (more than SPARSE_FILL of it nonzero),
-  n ≥ PLANE_MIN_INNER and r ≥ k², i.e. when the k²·n·c entries of B's digit
-  matrix are no more than the r·n·c lookups they replace: digit d of a·b is
-  Σ_j a_j · digit_d(b·x^j), so A @ B is a float64 (BLAS) product of the
-  r × n·k digit matrix of A with the n·k × c·k digits of B·x^j, reduced mod p
-  once and recombined as Σ_d plane_d·p^d (delayed reduction, as in
-  FFLAS-FFPACK: Dumas–Giorgi–Pernet, ACM TOMS 35(3), 2008).  B's digits go a
-  slice of c / k² columns at a time, so no slice has more entries than B.
-  Every partial sum is an integer at most n·k·(p−1)² < 2^53, so the product
-  is exact in any summation order; a larger inner dimension is a ValueError;
-- otherwise row by row over the nonzeros of A (Gustavson, ACM TOMS 4(3),
-  1978): `sparse_matmul` on the entry lists of both when B is sparse too,
-  and else the gather, every nonzero A[i, l] times row l of B in one MUL
-  lookup and the products of each row summed by `_sum_runs`, at most
-  GATHER_MAX_PRODUCTS products at a time.
+F_{p^k} runs row by row over the nonzeros of A (Gustavson, ACM TOMS 4(3),
+1978), by one of two routes chosen by the nonzeros of B alone:
+`sparse_matmul` on the entry lists of both when at most SPARSE_FILL of B is
+nonzero, and else the gather, every nonzero A[i, l] times row l of B in one
+MUL lookup and the products of each row summed by `_sum_runs`, at most
+GATHER_MAX_PRODUCTS products at a time.  Every product is a table lookup,
+so the result is exact at any size.
 
 `_sum_runs` sums runs of codes, or of rows of codes: over a prime field as
 integers by one reduceat, over an extension field by folding each run in
@@ -53,17 +42,11 @@ column) order by one stable argsort of row·width + column
 
 import numpy as np
 
-# A matrix is sparse when at most this fraction of its entries is nonzero; only a dense A takes the planes.
+# matmul multiplies entry lists when at most this fraction of B's entries is nonzero, and gathers B's rows otherwise.
 SPARSE_FILL = 1 / 8
-
-# Inner dimension from which matmul may multiply coefficient planes: below it B's digits cost more than lookups.
-PLANE_MIN_INNER = 256
 
 # Products the gather holds at once: 64 KB of codes, and their pairwise sums no more, beside the result.
 GATHER_MAX_PRODUCTS = 2**14
-
-# Largest integer up to which float64 arithmetic is exact.
-_EXACT_FLOAT = 2**53
 
 
 def matmul(A: np.ndarray, B: np.ndarray, field) -> np.ndarray:
@@ -71,12 +54,9 @@ def matmul(A: np.ndarray, B: np.ndarray, field) -> np.ndarray:
         raise ValueError(f"shape mismatch {A.shape} @ {B.shape}")
     A = np.asarray(A, dtype=np.int32)  # a transposed view is read in its own order, not copied
     B = np.ascontiguousarray(B, dtype=np.int32)
-    r, n = A.shape
-    if n >= PLANE_MIN_INNER and r >= field.deg**2 and np.count_nonzero(A) > SPARSE_FILL * A.size:
-        return _matmul_planes(A, B, field)
     if np.count_nonzero(B) <= SPARSE_FILL * B.size:
         rows, cols, vals = sparse_matmul(_entries(A), _entries(B), field)
-        C = np.zeros((r, B.shape[1]), dtype=np.int32)
+        C = np.zeros((A.shape[0], B.shape[1]), dtype=np.int32)
         C[rows, cols] = vals
         return C
     return _matmul_gather(A, B, field)
@@ -106,29 +86,6 @@ def _entries(M: np.ndarray) -> tuple:
         return rows[order], cols[order], vals[order]
     rows, cols = np.divmod(np.flatnonzero(M != 0), max(1, M.shape[1]))
     return rows, cols, M[rows, cols]
-
-
-def _matmul_planes(A: np.ndarray, B: np.ndarray, field) -> np.ndarray:
-    """A @ B as float64 products of coefficient planes, reduced mod p once per slice of B's columns."""
-    p, k = field.p, field.deg
-    (r, n), c = A.shape, B.shape[1]
-    if n * k * (p - 1) ** 2 >= _EXACT_FLOAT:
-        raise ValueError(f"inner dimension {n} over F_{p}^{k} exceeds exact float64 accumulation")
-    if k == 1:
-        C = A.astype(np.float64) @ B.astype(np.float64)
-        return (C.astype(np.int64) % p).astype(np.int32)
-    digits = field.AXJ_DIGITS
-    left = digits[A, 0, :].reshape(r, n * k)  # digit j of A[i, l] at column l·k + j
-    weights = p ** np.arange(k, dtype=np.int64)
-    width = max(1, c // (k * k))  # a slice's digit matrix has no more entries than B
-    C = np.empty((r, c), dtype=np.int32)
-    for lo in range(0, c, width):
-        cols = B[:, lo : lo + width]
-        w = cols.shape[1]
-        right = digits[cols].transpose(0, 2, 1, 3).reshape(n * k, w * k)  # digit d of B[l, m]·x^j
-        planes = (left @ right).astype(np.int64).reshape(r, w, k) % p
-        C[:, lo : lo + w] = planes @ weights
-    return C
 
 
 def rref(M: np.ndarray, field):

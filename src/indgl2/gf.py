@@ -226,8 +226,6 @@ class PrimeExtField:
         inv = self._pow_all(Q - 2) if Q > 2 else np.array([0, 1], dtype=np.int32)
         inv[0] = 0  # sentinel; callers must not invert 0
         self.INV = inv
-        # AXJ_DIGITS[a, j, d] = digit d of a * x^j, in float64 for the BLAS product of _kernels.matmul
-        self.AXJ_DIGITS = axj_digits.astype(np.float64)
 
     def _pow_all(self, e: int) -> np.ndarray:
         out = np.ones(self.order, dtype=np.int32)

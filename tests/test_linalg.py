@@ -1,6 +1,5 @@
 import functools
 import itertools
-from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -464,7 +463,6 @@ def dense_rows(pivot_rows, m):
 
 # (p, degree) of F_2, F_3, F_8, F_9, F_25, F_49 and the largest prime field under the table cap
 MATMUL_FIELDS = [(2, 1), (3, 1), (2, 3), (3, 2), (5, 2), (7, 2), (4093, 1)]
-EDGE = _kernels.PLANE_MIN_INNER
 
 
 def with_nonzeros(rng, F, shape, count):
@@ -475,9 +473,9 @@ def with_nonzeros(rng, F, shape, count):
 
 
 def _recording_routes(monkeypatch):
-    """The list of routes matmul takes, "planes", "entries" or "gather", one a call, with the real routes run."""
+    """The list of routes matmul takes, "entries" or "gather", one a call, with the real routes run."""
     taken = []
-    for route, name in (("planes", "_matmul_planes"), ("entries", "sparse_matmul"), ("gather", "_matmul_gather")):
+    for route, name in (("entries", "sparse_matmul"), ("gather", "_matmul_gather")):
         real = getattr(_kernels, name)
 
         def recorded(a, b, field, real=real, route=route):
@@ -486,18 +484,6 @@ def _recording_routes(monkeypatch):
 
         monkeypatch.setattr(_kernels, name, recorded)
     return taken
-
-
-class _Recording:
-    """A digit table that records how many entries each read of B's digits (an array index) takes."""
-
-    def __init__(self, array, sizes):
-        self.array, self.sizes = array, sizes
-
-    def __getitem__(self, index):
-        if not isinstance(index, tuple):  # A's digits are read as digits[A, 0, :]
-            self.sizes.append(np.asarray(index).size)
-        return self.array[index]
 
 
 class TestBackends:
@@ -666,7 +652,7 @@ class TestBackends:
             assert np.array_equal(c1, c2)
 
     @pytest.mark.parametrize("p,k", MATMUL_FIELDS)
-    @pytest.mark.parametrize("inner", [EDGE - 1, EDGE, EDGE + 45])
+    @pytest.mark.parametrize("inner", [255, 256, 301])
     def test_matmul_routes_agree(self, p, k, inner):
         F = FieldCtx(p, k).fq
         rng = np.random.default_rng(p * 100 + k * 10 + inner)
@@ -676,7 +662,7 @@ class TestBackends:
         A[:, 7] = 0
         B[:, 1] = 0
         B[11] = 0
-        # the largest code everywhere makes every partial sum of digits as large as it gets
+        # the largest code everywhere makes every sum of a run as large as it gets
         top = np.full((2, inner), F.order - 1, dtype=np.int32)
         for X, Y in ((A, B), (top, np.full((inner, 3), F.order - 1, dtype=np.int32))):
             want = _matmul_loops(X, Y, F)
@@ -684,7 +670,7 @@ class TestBackends:
             assert np.array_equal(_kernels.matmul(np.asfortranarray(X), Y, F), want)  # a transposed view, as is
 
     @pytest.mark.parametrize("p,k", [(2, 1), (3, 2), (7, 2)])
-    @pytest.mark.parametrize("shape", [(0, EDGE, 4), (3, EDGE, 0), (0, EDGE, 0), (3, 0, 4), (0, 0, 0), (3, 4, 0)])
+    @pytest.mark.parametrize("shape", [(0, 256, 4), (3, 256, 0), (0, 256, 0), (3, 0, 4), (0, 0, 0), (3, 4, 0)])
     def test_matmul_empty_shapes(self, p, k, shape):
         F = FieldCtx(p, k).fq
         r, n, c = shape
@@ -693,36 +679,30 @@ class TestBackends:
 
     @pytest.mark.parametrize("p,k", [(3, 1), (3, 2), (2, 3), (2, 6)])
     def test_matmul_route_rule(self, p, k, monkeypatch):
-        # planes exactly when A is dense (more than an eighth nonzero), the inner dimension reaches EDGE
-        # and r ≥ k², i.e. when B's k²·n·c digits are no more than the r·n·c lookups; B's digits go a slice
-        # of c // k² columns at a time, so no slice has more entries than B.  Otherwise the entry lists
-        # when B is sparse (at most an eighth nonzero), and the gather when not.  Each operand sits on
-        # either side of the eighth
+        # the entry lists exactly when B is sparse (at most an eighth nonzero), and the gather when not.  Each
+        # operand sits on either side of the eighth, r around k² and the inner dimension around 256, and
+        # neither A's fill, r nor the inner dimension moves the route.  The last input is one row against a
+        # wide dense B, as a vector against a wide basis: gathered, however long the row
         F = FieldCtx(p, k).fq
         rng = np.random.default_rng(p * 10 + k)
-        gathered = []
-        traced = SimpleNamespace(
-            p=F.p, deg=F.deg, order=F.order, ADD=F.ADD, MUL=F.MUL, AXJ_DIGITS=_Recording(F.AXJ_DIGITS, gathered)
-        )
         taken = _recording_routes(monkeypatch)
-        c = 2 * k * k + 3  # slices of c // k² columns, the last one ragged
-        for inner in (EDGE - 1, EDGE, EDGE + 9):
+        c = 11
+        cases = []
+        for inner in (255, 256, 265):
             for r in sorted({1, k * k - 1, k * k, k * k + 1} - {0}):
                 for a_dense, b_dense in itertools.product((False, True), repeat=2):
                     A = with_nonzeros(rng, F, (r, inner), r * inner // 8 + a_dense)
                     B = with_nonzeros(rng, F, (inner, c), inner * c // 8 + b_dense)
-                    taken.clear()
-                    gathered.clear()
-                    assert np.array_equal(_kernels.matmul(A, B, traced), _matmul_loops(A, B, F))
-                    to_planes = a_dense and inner >= EDGE and r >= k * k
-                    route = "planes" if to_planes else "gather" if b_dense else "entries"
-                    assert taken == [route]
-                    assert all(size <= B.size for size in gathered)
-                    if to_planes and k > 1:
-                        assert sum(gathered) == B.size and len(gathered) == -(-c // (c // (k * k)))
+                    cases.append((A, B, b_dense))
+        row = with_nonzeros(rng, F, (1, 512), 51)  # sparse, so the scalar oracle stays quick
+        cases.append((row, with_nonzeros(rng, F, (512, 1025), 512 * 1025), True))
+        for A, B, b_dense in cases:
+            taken.clear()
+            assert np.array_equal(_kernels.matmul(A, B, F), _matmul_loops(A, B, F))
+            assert taken == ["gather" if b_dense else "entries"]
 
     def test_matmul_gather_bounds(self, monkeypatch):
-        # a dense row over F_25 (r < k², so never planes) against a dense B: one chunk at GATHER_MAX_PRODUCTS
+        # a dense row over F_25 against a dense B: one chunk at GATHER_MAX_PRODUCTS
         # products, two past it, and no chunk holds more
         F = FieldCtx(5, 2).fq
         rng = np.random.default_rng(25)
@@ -788,18 +768,6 @@ class TestBackends:
         minus = np.array([[1], [F.NEG[1]]], dtype=np.int32)
         assert not _kernels.matmul(x, minus, F).any()
 
-    def test_matmul_one_row_over_f64_takes_the_gather(self, monkeypatch):
-        # a single row against a wide dense B over F_64 would convert all of B to 36 times its size: it is
-        # gathered, however long the row or wide the product
-        F = FieldCtx(2, 6).fq
-        rng = np.random.default_rng(64)
-        monkeypatch.setattr(_kernels, "_matmul_planes", None)
-        monkeypatch.setattr(_kernels, "sparse_matmul", None)
-        for inner in (EDGE, 2 * EDGE):
-            A, B = rand_mat(rng, F, 1, inner), rand_mat(rng, F, inner, 1025)
-            A[rng.random(A.shape) < 0.9] = 0  # sparse, so the scalar oracle stays quick
-            assert np.array_equal(_kernels.matmul(A, B, F), _matmul_loops(A, B, F))
-
     @pytest.mark.parametrize("p,k,past_budget", [(2, 6, True), (3, 5, True), (7, 2, False), (3, 1, False)])
     def test_sum_runs_matches_table_sums(self, p, k, past_budget):
         # runs of one code pass through; longer ones are summed as integers over F_3 and folded in pairs
@@ -820,13 +788,6 @@ class TestBackends:
                     got = _kernels._sum_runs(vals, starts, F)
                     assert got.dtype == vals.dtype and np.array_equal(got, want), (lengths, width)
         assert (k * (longest * (p - 1)).bit_length() > 63) == past_budget
-
-    def test_matmul_exactness_bound(self):
-        # an inner dimension whose partial sums could pass 2^53 is refused, not rounded; A is dense, so that
-        # the product reaches the planes
-        huge = SimpleNamespace(p=2**27 + 29, deg=1)
-        with pytest.raises(ValueError, match="exact"):
-            _kernels.matmul(np.ones((1, EDGE), dtype=np.int32), np.zeros((EDGE, 1), dtype=np.int32), huge)
 
 
 class TestKernelAgainstAugmented:

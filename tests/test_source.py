@@ -54,9 +54,22 @@ def _defs(private: bool):
                     yield module, qualname, sub
 
 
+def _constants():
+    """(module, name, node) of every name bound by a module-level assignment in src, dunders excepted."""
+    for module, tree in MODULES.items():
+        for node in tree.body:
+            targets = node.targets if isinstance(node, ast.Assign) else []
+            if isinstance(node, ast.AnnAssign):
+                targets = [node.target]
+            for target in targets:
+                for name in ast.walk(target):
+                    if isinstance(name, ast.Name) and not name.id.startswith("__"):
+                        yield module, name.id, node
+
+
 def _unreferenced(defs) -> list:
     """The defs with no reference in src outside their own definition.  A reference is any name or
-    attribute spelled like the function."""
+    attribute spelled like the defined name (the last part of its qualified name)."""
     refs = {}  # name -> [(module, line)]
     for module, tree in MODULES.items():
         for node in ast.walk(tree):
@@ -66,7 +79,10 @@ def _unreferenced(defs) -> list:
     return [
         f"{module}.{qualname}"
         for module, qualname, node in defs
-        if all(other == module and node.lineno <= line <= node.end_lineno for other, line in refs.get(node.name, ()))
+        if all(
+            other == module and node.lineno <= line <= node.end_lineno
+            for other, line in refs.get(qualname.rsplit(".", 1)[-1], ())
+        )
     ]
 
 
@@ -82,3 +98,9 @@ def test_every_private_function_has_a_caller_in_src():
     # a private helper that nothing in src reaches is dead code, whatever the tests do with it
     unused = _unreferenced(_defs(private=True))
     assert unused == [], f"private functions with no caller in src: {unused}"
+
+
+def test_every_module_constant_is_read_in_src():
+    # a constant that only the tests read is left over from code that went, as a tuning bound of a deleted route
+    unread = _unreferenced(_constants())
+    assert unread == [], f"module-level constants with no reader in src: {unread}"
