@@ -681,8 +681,7 @@ class TestBackends:
     def test_matmul_route_rule(self, p, k, monkeypatch):
         # the entry lists exactly when B is sparse (at most an eighth nonzero), and the gather when not.  Each
         # operand sits on either side of the eighth, r around k² and the inner dimension around 256, and
-        # neither A's fill, r nor the inner dimension moves the route.  The last input is one row against a
-        # wide dense B, as a vector against a wide basis: gathered, however long the row
+        # neither A's fill, r nor the inner dimension moves the route
         F = FieldCtx(p, k).fq
         rng = np.random.default_rng(p * 10 + k)
         taken = _recording_routes(monkeypatch)
@@ -694,8 +693,6 @@ class TestBackends:
                     A = with_nonzeros(rng, F, (r, inner), r * inner // 8 + a_dense)
                     B = with_nonzeros(rng, F, (inner, c), inner * c // 8 + b_dense)
                     cases.append((A, B, b_dense))
-        row = with_nonzeros(rng, F, (1, 512), 51)  # sparse, so the scalar oracle stays quick
-        cases.append((row, with_nonzeros(rng, F, (512, 1025), 512 * 1025), True))
         for A, B, b_dense in cases:
             taken.clear()
             assert np.array_equal(_kernels.matmul(A, B, F), _matmul_loops(A, B, F))
@@ -746,6 +743,19 @@ class TestBackends:
         top = np.where(A != 0, F.order - 1, 0).astype(np.int32)
         for X, Y in ((A, B), (np.asfortranarray(A), B), (top, np.full_like(B, F.order - 1))):
             assert np.array_equal(_kernels._matmul_gather(X, Y, F), _matmul_loops(X, Y, F))
+
+    def test_matmul_one_row_over_f64_takes_the_gather(self, monkeypatch):
+        # a single row against a wide dense B over F_64, as a vector against a wide basis: it is gathered,
+        # however long the row or wide the product
+        F = FieldCtx(2, 6).fq
+        rng = np.random.default_rng(64)
+        taken = _recording_routes(monkeypatch)
+        for inner in (256, 512):
+            A, B = rand_mat(rng, F, 1, inner), rand_mat(rng, F, inner, 1025)
+            A[rng.random(A.shape) < 0.9] = 0  # sparse, so the scalar oracle stays quick
+            taken.clear()
+            assert np.array_equal(_kernels.matmul(A, B, F), _matmul_loops(A, B, F))
+            assert taken == ["gather"]
 
     @pytest.mark.parametrize("p,k", [(2, 6), (3, 5)])
     def test_matmul_entry_lists(self, p, k, monkeypatch):
