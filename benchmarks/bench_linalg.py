@@ -11,10 +11,10 @@ translation tables of every u_generators(ctx, 2) at q = 25 and q = 243.
 The kernel's matrix repeats its first size/30 columns at the end, so its
 rank falls short of the size and the kernel is not zero.  induction.move_keys
 is timed at the main-lemma shapes q = 25, D = 4 and q = 49, D = 16, on
-REVERIFY_ROWS basis rows of V embedded in R₂ (one nonzero per key, as the
-run meets them) and on 8 dense random rows of R₂, with the (permutation,
-twist) table of the first level-2 generator; V is built outside the timed
-part.  The sparse matrix
+the dim V₀ rows of R₂ that hold V₀'s rows on every first-digit block (the
+rows analysis._minus_identity_on_blocks translates) and on 8 dense random
+rows of R₂, with the (permutation, twist) table of the first level-2
+generator; V₀ is built outside the timed part.  The sparse matrix
 is T(I^o) -> I^e of ramified-r1 at N = 3 over F_3 (546 x 1640, 1820
 nonzeros, 729 zero columns), the echelon the truncation suite builds.  Each
 end-to-end repeat builds a fresh context (inside the timed call), so results
@@ -71,7 +71,7 @@ def best_tables(args, repeat: int) -> float:
 
 
 def move_keys_times(args, repeat: int) -> str:
-    """Best times of move_keys on V's first REVERIFY_ROWS rows in R₂ and on 8 dense random rows of R₂."""
+    """Best times of move_keys on V₀'s rows tiled over the q first-digit blocks of R₂ and on 8 dense random rows of R₂."""
     from indgl2 import analysis
     from indgl2.induction import move_keys
     from indgl2.localring import translation_table
@@ -79,12 +79,12 @@ def move_keys_times(args, repeat: int) -> str:
     ctx = analysis.build_ctx(*args, N=analysis.MAIN_LEMMA_PRECISION)
     spaces = analysis._candidate_spaces(ctx)
     perm, twist = translation_table(analysis.u_generators(ctx, 2)[0], 2)
-    rows = spaces.vp.vectors(spaces.V.rows[: analysis.REVERIFY_ROWS])
+    rows = np.tile(spaces.vp.block.rows, ctx.q)
     dense = np.random.default_rng(1).integers(0, ctx.weight.field.kk.order, size=(8, rows.shape[1])).astype(np.int32)
     t_rows = best_of(lambda: move_keys(ctx, perm, twist, rows), repeat)
     t_dense = best_of(lambda: move_keys(ctx, perm, twist, dense), repeat)
     return (
-        f"move_keys q={ctx.q} D={ctx.D} V rows {rows.shape[0]}x{rows.shape[1]}: {t_rows * 1e3:8.2f} ms   "
+        f"move_keys q={ctx.q} D={ctx.D} V0 rows {rows.shape[0]}x{rows.shape[1]}: {t_rows * 1e3:8.2f} ms   "
         f"dense 8x{rows.shape[1]}: {t_dense * 1e3:8.2f} ms   "
     )
 

@@ -8,8 +8,7 @@ takes the path `indgl2 verify --format json` takes (cli.config_from_mapping,
 cli.run, cli.emit) on the indgl2 of this checkout; wall_s is that path's
 time, imports excluded, peak_rss_mb the child's own ru_maxrss, and sha256 the
 digest of the JSON report, so two checkouts can be compared report for
-report.  The thread variables are set to the CPU count, as perfbench/run.py
-sets them.
+report.
 
 Run from the root of a checkout:
 
@@ -24,11 +23,10 @@ import sys
 from pathlib import Path
 
 SRC = Path(__file__).resolve().parent.parent / "src"
-THREAD_VARS = ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS")
 
-# (p, f, e, r): frontier-q25 first, then the configurations whose re-verification of V held
-# the largest dim V x q²D arrays, then two D = q weights, whose products have operands below
-# 1 % nonzero
+# (p, f, e, r): frontier-q25 first, then the configurations with the largest dim V x q²D
+# (V's basis would be that large embedded in R₂), then two D = q weights, whose products
+# have operands below 1 % nonzero
 LADDER = [
     (5, 2, 1, (1, 1)),  # q = 25, D = 4
     (7, 2, 1, (3, 3)),  # q = 49, D = 16
@@ -64,8 +62,6 @@ print(json.dumps({
 
 def run_one(mapping: dict) -> dict:
     env = dict(os.environ, PYTHONPATH=str(SRC))
-    for var in THREAD_VARS:
-        env[var] = str(os.cpu_count() or 1)
     done = subprocess.run(
         [sys.executable, "-c", CHILD, json.dumps(mapping)], env=env, capture_output=True, text=True, check=False
     )

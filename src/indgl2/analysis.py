@@ -18,7 +18,10 @@ as q²D-wide dense arrays: T₊R₁′ over T₊R₁'s, V and W over V′'s, and
 is tested against each in its frame (linalg.member_over).  V is a kernel over
 the q·dim V₀ coordinates of V′ whose constraints come from one translation of
 dim V₀ rows per generator, since each translation moves every first-digit
-block onto a single block.
+block onto a single block.  V is certified in those coordinates, by the
+product of its rows with the constraints; only the witness g is checked on
+its q²D entries in R₂.  So the only q²D-wide stacks are g's one row and the
+dim V₀ rows each generator translates.
 
 The Hecke matrix of R₁′ and the entries of T on I^o come from
 induction.hecke_matrix and induction.hecke_entries, filled from the two local
@@ -75,12 +78,6 @@ SPARSE_FIXED_CAP = 262144
 # ring precision the main lemma needs: R₂ sits at level N - 1 = 2, and the
 # generators of U act on it modulo ϖ³
 MAIN_LEMMA_PRECISION = 3
-
-# basis rows of V re-verified in R₂ at a time (_u_fixed_mod_tplus_r1p): its peak memory grows
-# with this x q²D, and each block pays a fixed cost per generator in move_keys.  On
-# (5,2,1,(1,1)) 8-row blocks took 55 ms against 35 ms at 32 rows, and 32 rows cut the
-# peak RSS of its whole run by 8 %
-REVERIFY_ROWS = 32
 
 
 def build_ctx(p: int, f: int, e: int, rvec, chi_c: int = 0, nu_code: int | None = None,
@@ -286,37 +283,20 @@ def _minus_identity_on_blocks(ctx: InductionCtx, c: RingElem, V0: linalg.Subspac
     return M.reshape(q * d0, q * d0)
 
 
-def _u_fixed_mod_tplus_r1p(ctx: InductionCtx, gens, count: int, rows_of,
-                          tplus_r1: linalg.BlockSum, tplus_r1p: linalg.Subspace) -> bool:
-    """Whether count rows of R₂ are all U-fixed modulo T₊R₁′: the one check of it, for V's rows and for g.
+def _u_fixed_mod_tplus_r1p(ctx: InductionCtx, row: np.ndarray) -> bool:
+    """Whether one row of R₂ is U-fixed modulo T₊R₁′ on all its q²D entries: the check the witness g passes.
 
-    rows_of(block) gives the rows of the slice block in R₂.  For every
-    generator u, uv and v must have the same remainder mod T₊R₁ and, over
-    T₊R₁'s rows, the same coordinates mod T₊R₁′, on all q²D entries.  The
-    rows are embedded, translated and reduced mod T₊R₁ REVERIFY_ROWS at a
-    time, so no count x q²D array is held.  Each block keeps only its
-    entries on T₊R₁'s pivots, q·dim B₀ wide, and after the loop those of the
-    rows and of each generator's translates are reduced mod T₊R₁′, one call
-    each.  A call multiplies the rows' entries on T₊R₁′'s pivots by T₊R₁′'s
-    rows on their few non-pivot columns (linalg.Subspace.reduce), so little
-    of T₊R₁′ is rebuilt per call; one call for all of them together would
-    hold the digit planes of (1 + #generators)·count rows at once (18 MB
-    more peak RSS at q = 49, D = 16, and no faster).
+    For every generator u, (u - 1)g is tested in T₊R₁′'s frame
+    (linalg.member_over): in T₊R₁ block by block, and its entries on T₊R₁'s
+    pivots in T₊R₁′'s coordinates.
     """
-    pivots = tplus_r1.pivots
-    coords = np.empty((1 + len(gens), count, len(pivots)), dtype=np.int32)  # the rows', then each u's translates'
-    for start in range(0, count, REVERIFY_ROWS):
-        block = slice(start, start + REVERIFY_ROWS)
-        rows = rows_of(block)
-        rest = tplus_r1.reduce(rows)
-        coords[0, block] = rows[:, pivots]
-        for k, c in enumerate(gens, start=1):
-            moved = translate_vectors(ctx, c, 2, rows)
-            if not np.array_equal(tplus_r1.reduce(moved), rest):
-                return False
-            coords[k, block] = moved[:, pivots]
-    rest_coords = tplus_r1p.reduce(coords[0])
-    return all(np.array_equal(tplus_r1p.reduce(moved), rest_coords) for moved in coords[1:])
+    kk = ctx.weight.field.kk
+    spaces = _candidate_spaces(ctx)
+    row = np.asarray(row, dtype=np.int32)[None]
+    return all(
+        linalg.member_over(kk.ADD[translate_vectors(ctx, c, 2, row), kk.NEG[row]], spaces.tplus_r1, spaces.tplus_r1p)
+        for c in u_generators(ctx, 2)
+    )
 
 
 @_per_ctx
@@ -326,13 +306,24 @@ def _candidate_spaces(ctx: InductionCtx) -> CandidateSpaces:
     T₊R₁ = ⊕ B₀ and V′ = ⊕ V₀ stay (block, copies) pairs.  T₊R₁′ ⊆ T₊R₁ is
     built in coordinates over T₊R₁'s rows.  The translations by ϖO act
     blockwise, so every g in V has each first-digit block in V₀ (see
-    _first_digit_block).  Every generator maps V′ into V′ block by block
-    (_minus_identity_on_blocks), so V is one kernel over the q·dim V₀
-    coordinates of V′, and W = V ∩ T₊R₁ is read off in those coordinates;
-    neither is embedded in R₂.  Every basis row of V is embedded and
-    re-verified against every generator on its q²D entries, REVERIFY_ROWS
-    rows at a time (_u_fixed_mod_tplus_r1p), and T₊R₁′ is checked to lie in V,
-    which with that makes T₊R₁′ U-stable.
+    _first_digit_block).  V is one kernel over the q·dim V₀ coordinates of
+    V′: of the maps Δ_u, u - 1 on V′ reduced mod T₊R₁′, side by side for
+    the generators u.  W = V ∩ T₊R₁ is read off in those coordinates;
+    neither is embedded in R₂.
+
+    V is certified in the coordinates it is built in: V's rows times the
+    stacked Δ_u is checked to be zero, exactly.  Three facts checked on the
+    way make that the statement in R₂ for every row v of V.  Each generator
+    moves whole first-digit blocks and maps V₀ on every block into V₀
+    (_minus_identity_on_blocks), so Δ_u before its reduction is the matrix
+    of u - 1 on V′, and (u - 1)v lies in V′.  B₀ lies in V₀ and over V₀ is
+    reduced, so the subspace Δ_u is reduced by is T₊R₁′ in V′'s
+    coordinates, in reduced echelon form, and a vector of V′ lies in T₊R₁′
+    iff its coordinates reduce to zero mod it.  Hence
+    (u - 1)v ∈ T₊R₁′ for every generator u.  T₊R₁′ is checked to lie in V,
+    which with that makes T₊R₁′ U-stable, so the generators suffice.  The
+    witness g is still checked on its q²D entries in R₂ (candidate_checks),
+    and the tests re-check V there.
     """
     kk = ctx.weight.field.kk
     q, D = ctx.q, ctx.D
@@ -359,10 +350,11 @@ def _candidate_spaces(ctx: InductionCtx) -> CandidateSpaces:
     # u - 1 maps V′ into V′, so V is a kernel over V′'s coordinates: (u - 1)x ∈ T₊R₁′ for every u;
     # constraint columns that are zero on all of V′ are dropped
     delta = np.hstack([tplus_r1p_in_vp.reduce(_minus_identity_on_blocks(ctx, c, V0)) for c in gens])
-    V = linalg.kernel(delta[:, np.any(delta, axis=0)], kk)
-    # every basis row of V, embedded in R₂, is U-fixed modulo T₊R₁′ on all q²D entries,
-    # checked REVERIFY_ROWS rows at a time
-    if not _u_fixed_mod_tplus_r1p(ctx, gens, V.dim, lambda block: Vp.vectors(V.rows[block]), tplus_r1, tplus_r1p):
+    delta = delta[:, np.any(delta, axis=0)]
+    V = linalg.kernel(delta, kk)
+    # one product per generator's share of the columns: a single product expands the products
+    # of all of them at once, 20 MB more at q = 64, D = 4
+    if any(np.any(_kernels.matmul(V.rows, part, kk)) for part in np.array_split(delta, len(gens), axis=1)):
         raise CheckFailed("V must be U-fixed modulo T₊R₁′")
     if np.any(V.reduce(tplus_r1p_in_vp.rows)):
         raise CheckFailed("T₊R₁′ must lie in V")
@@ -454,19 +446,15 @@ def candidate_checks(ctx: InductionCtx, coords: np.ndarray) -> dict:
     """The two defining checks of a witness g ∈ R₂, given by its coordinates:
     g ∉ T₊R₁ and (u-1)g ∈ T₊R₁′.
 
-    The second is _u_fixed_mod_tplus_r1p on g's single row, the check V's
-    rows pass.  It moves g with translate_vectors, which reads translation
+    The second is _u_fixed_mod_tplus_r1p on g's row, on all its q²D
+    entries.  It moves g with translate_vectors, which reads translation
     tables that are verified forward on every key before use
     (localring.translation_table), so it does not rest on the carry
     recursion that built them; tests/oracles.py keeps the per-key u_act form.
     """
-    spaces = _candidate_spaces(ctx)
-    row = np.asarray(coords, dtype=np.int32)[None]
     return {
-        "g_not_in_TplusR1": not linalg.member(row[0], spaces.tplus_r1),
-        "u_invariance_mod_TplusR1prime": _u_fixed_mod_tplus_r1p(
-            ctx, u_generators(ctx, 2), 1, lambda block: row[block], spaces.tplus_r1, spaces.tplus_r1p
-        ),
+        "g_not_in_TplusR1": not linalg.member(coords, _candidate_spaces(ctx).tplus_r1),
+        "u_invariance_mod_TplusR1prime": _u_fixed_mod_tplus_r1p(ctx, coords),
     }
 
 
@@ -736,10 +724,7 @@ def _certified_fixed_lower_bound(ctx: InductionCtx, N: int) -> int:
     pair[0, 0] = 1  # x^{r⃗}: level 0's D entries come first
     if witness:
         pair[1, ctx.D :] = main.g
-        spaces = _candidate_spaces(ctx)
-        if pair[1, :level2].any() or not _u_fixed_mod_tplus_r1p(
-            ctx, gens, 1, lambda rows: pair[1:, level2:][rows], spaces.tplus_r1, spaces.tplus_r1p
-        ):
+        if pair[1, :level2].any() or not _u_fixed_mod_tplus_r1p(ctx, pair[1, level2:]):
             raise CheckFailed("the pair's second row must be g on level 2, U-fixed modulo T₊R₁′ ⊆ T(R₁)")
     qD, k = ctx.q * ctx.D, len(pair)
     t_rows, t_cols, t_vals = hecke_entries(ctx, LevelRange("all", 1, 1), lr02)

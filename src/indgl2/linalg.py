@@ -19,7 +19,7 @@ from .gf import PrimeExtField
 class Subspace:
     """Row span in K^ambient, held in reduced echelon form."""
 
-    __slots__ = ("field", "ambient", "rows", "pivots", "_support")
+    __slots__ = ("field", "ambient", "rows", "pivots")
 
     def __init__(self, field: PrimeExtField, ambient: int, rows: np.ndarray, pivots: np.ndarray, _canonical: bool = False):
         self.field = field
@@ -28,7 +28,6 @@ class Subspace:
             raise ValueError("use echelon() to build subspaces")
         self.rows = rows
         self.pivots = pivots
-        self._support = None  # (non-pivot columns where some row is nonzero, rows on those columns)
 
     @property
     def dim(self) -> int:
@@ -64,13 +63,10 @@ class Subspace:
         out = np.asarray(v, dtype=np.int32)
         if out.ndim not in (1, 2) or out.shape[-1] != self.ambient:
             raise DimensionMismatch(f"vector length {out.shape} vs ambient {self.ambient}")
-        if self._support is None:
-            cols = np.flatnonzero(self.rows.any(axis=0))
-            cols = cols[~np.isin(cols, self.pivots)]
-            self._support = cols, np.ascontiguousarray(self.rows[:, cols])
-        cols, rows = self._support
+        cols = np.flatnonzero(self.rows.any(axis=0))
+        cols = cols[~np.isin(cols, self.pivots)]
         stack = out if out.ndim == 2 else out[None]
-        cleared = _kernels.matmul(stack[:, self.pivots], rows, F)
+        cleared = _kernels.matmul(stack[:, self.pivots], self.rows[:, cols], F)
         rem = stack.copy()
         rem[:, self.pivots] = 0
         rem[:, cols] = F.ADD[stack[:, cols], F.NEG[cleared]]

@@ -15,6 +15,7 @@ from indgl2.induction import (
     hecke_T_plus,
     operator_matrix,
     range_dim,
+    translate_vectors,
     translation_entries,
     u_act,
 )
@@ -173,6 +174,23 @@ def candidate_checks_by_u_act(ctx, g):
             linalg.member(flatten(u_act(c, g) - g, lr2), tplus_r1p) for c in analysis.u_generators(ctx, 2)
         ),
     }
+
+
+def u_fixed_mod_tplus_r1p(ctx, rows, chunk=32):
+    """Whether every row of R₂ in rows is U-fixed modulo T₊R₁′ on all its q²D entries: the
+    re-check of V's basis that analysis._candidate_spaces made in R₂ before V was certified
+    in V′'s coordinates.  Each row is translated by every generator of all_translations, so
+    no lemma on which generators suffice is used, and (u − 1)v is tested in T₊R₁′'s frame,
+    chunk rows at a time."""
+    kk = ctx.weight.field.kk
+    spaces = analysis._candidate_spaces(ctx)
+    for start in range(0, len(rows), chunk):
+        block = rows[start : start + chunk]
+        for c in all_translations(ctx, 2):
+            delta = kk.ADD[translate_vectors(ctx, c, 2, block), kk.NEG[block]]
+            if not linalg.member_over(delta, spaces.tplus_r1, spaces.tplus_r1p):
+                return False
+    return True
 
 
 def dense_fixed_dim(ctx, N):

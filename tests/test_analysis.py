@@ -48,6 +48,7 @@ from oracles import (
     stacked_fixed_dim,
     subspace_sum,
     tplus_by_walk,
+    u_fixed_mod_tplus_r1p,
 )
 
 
@@ -368,11 +369,11 @@ class TestBlockRouteAgainstDense:
 
     @staticmethod
     def _arrays(obj):
-        """Every array stored in the witness spaces, through Subspaces, their caches and BlockSum blocks."""
+        """Every array stored in the witness spaces, through Subspaces and BlockSum blocks."""
         if isinstance(obj, np.ndarray):
             yield obj
         elif isinstance(obj, linalg.Subspace):
-            for item in (obj.rows, obj.pivots, obj._support):
+            for item in (obj.rows, obj.pivots):
                 yield from TestBlockRouteAgainstDense._arrays(item)
         elif isinstance(obj, linalg.BlockSum):
             yield from TestBlockRouteAgainstDense._arrays(obj.block)
@@ -385,8 +386,7 @@ class TestBlockRouteAgainstDense:
 
     @pytest.mark.parametrize("args", [(5, 2, 1, (1, 1)), (3, 2, 2, (1, 0))])
     def test_candidate_spaces_hold_no_r2_wide_array(self, args):
-        # frontier-q25's configuration and an e = 2 one; the main lemma runs first, so the
-        # reduce caches its membership tests fill are filled
+        # frontier-q25's configuration and an e = 2 one, after the main lemma has run
         ctx = analysis.build_ctx(*args, N=3)
         assert analysis.main_lemma_report(ctx).found
         arrays = list(self._arrays(analysis._candidate_spaces(ctx)))
@@ -395,65 +395,76 @@ class TestBlockRouteAgainstDense:
 
 
 class TestReverification:
-    """_u_fixed_mod_tplus_r1p checks V's basis rows in R₂ a block of REVERIFY_ROWS rows at a time."""
+    """V is certified in V′'s coordinates; its basis rows re-checked on all q²D entries of R₂ are the oracle."""
 
-    def test_every_row_translated_once_per_generator_in_blocks(self, monkeypatch):
-        # frontier-q25's configuration: dim V = 99, three full blocks and a partial one
-        ctx = analysis.build_ctx(5, 2, 1, (1, 1), N=3)
+    @pytest.mark.parametrize(
+        "config", sorted(cli.PRESETS) + [(5, 2, 1, (1, 1)), (3, 4, 1, (1, 1, 0, 0))], ids=str
+    )
+    def test_v_is_u_fixed_mod_tplus_r1p_in_r2(self, config):
+        # the presets, frontier-q25's configuration and q = 81, D = 4 (dim V = 325); a row of R₂
+        # outside V is refused by the same oracle
+        if isinstance(config, str):
+            ctx = cli.config_from_preset(config).build()
+        else:
+            ctx = analysis.build_ctx(*config, N=analysis.MAIN_LEMMA_PRECISION)
         spaces = analysis._candidate_spaces(ctx)
-        gens = analysis.u_generators(ctx, 2)
-        assert spaces.V.dim == 99 and 99 % analysis.REVERIFY_ROWS
-        translated = {k: [] for k in range(len(gens))}
-        reduced = []
+        assert u_fixed_mod_tplus_r1p(ctx, spaces.vp.vectors(spaces.V.rows))
+        width = spaces.vp.ambient
+        units = (np.eye(1, width, j, dtype=np.int32) for j in range(width))
+        outside = next(e for e in units if not linalg.member_over(e, spaces.vp, spaces.V))
+        assert not u_fixed_mod_tplus_r1p(ctx, outside)
+
+    @pytest.mark.parametrize("args", [(5, 2, 1, (1, 1)), (3, 2, 2, (1, 0))])
+    def test_r2_wide_stacks_hold_at_most_dim_v0_rows(self, args, monkeypatch):
+        # frontier-q25's configuration and an e = 2 one: every q²D-wide array the main lemma
+        # translates or reduces is g's one row or the dim V₀ rows _minus_identity_on_blocks tiles,
+        # so V's basis is never embedded in R₂
+        ctx = analysis.build_ctx(*args, N=analysis.MAIN_LEMMA_PRECISION)
+        shapes = []
         real_translate, real_reduce = analysis.translate_vectors, linalg.BlockSum.reduce
 
         def translate(ctx, c, n, X):
-            translated[next(k for k, u in enumerate(gens) if u is c)].append(np.array(X))
+            shapes.append(np.shape(X))
             return real_translate(ctx, c, n, X)
 
         def reduce(self, v):
-            reduced.append(len(v))
+            shapes.append(np.shape(v))
             return real_reduce(self, v)
 
         monkeypatch.setattr(analysis, "translate_vectors", translate)
         monkeypatch.setattr(linalg.BlockSum, "reduce", reduce)
-        V, Vp = spaces.V, spaces.vp
-        assert analysis._u_fixed_mod_tplus_r1p(
-            ctx, gens, V.dim, lambda block: Vp.vectors(V.rows[block]), spaces.tplus_r1, spaces.tplus_r1p
-        )
-        rows = spaces.vp.embed(spaces.V).rows
-        for calls in translated.values():
-            assert max(len(X) for X in calls) <= analysis.REVERIFY_ROWS
-            assert np.array_equal(np.vstack(calls), rows)
-        assert reduced and max(reduced) <= analysis.REVERIFY_ROWS
+        assert analysis.main_lemma_report(ctx).found
+        d0 = analysis._candidate_spaces(ctx).vp.block.dim
+        rows = [shape[0] if len(shape) == 2 else 1 for shape in shapes if shape[-1] == ctx.q * ctx.q * ctx.D]
+        assert {1, d0} <= set(rows) and max(rows) <= d0
 
     def test_corrupt_translate_fails_under_python_O(self):
-        # with assertions compiled out, a translate that breaks invariance in the last,
-        # partial block must still turn the run into a CheckFailed record, not a pass
+        # with assertions compiled out, a V given one extra row outside the kernel it is read
+        # off must still turn the run into a CheckFailed record, not a pass
         script = textwrap.dedent(
             """
             import sys
+            import numpy as np
             from indgl2 import analysis, cli, linalg
 
             if __debug__:
                 sys.exit("run under python -O")
-            real_translate, real_reverify = analysis.translate_vectors, analysis._u_fixed_mod_tplus_r1p
-            inside = []
+            real_kernel, corrupted = linalg.kernel, []
 
-            def reverify(*args):
-                inside.append(True)
-                return real_reverify(*args)
+            def kernel(M, field):
+                S = real_kernel(M, field)
+                if corrupted or sys._getframe(1).f_code.co_name != "_candidate_spaces":
+                    return S
+                corrupted.append(True)  # V is the first kernel _candidate_spaces takes itself
+                outside = np.eye(1, S.ambient, int(np.flatnonzero(M.any(axis=1))[0]), dtype=np.int32)
+                return linalg.echelon(np.vstack([S.rows, outside]), field, ambient=S.ambient)
 
-            def translate(ctx, c, n, X):
-                out = real_translate(ctx, c, n, X)
-                if inside and len(X) < analysis.REVERIFY_ROWS:
-                    col = linalg.non_pivots(analysis._tplus_r1(ctx)[1].pivots, out.shape[1])[0]
-                    out[0, col] = ctx.weight.field.kk.ADD[out[0, col], 1]
-                return out
-
-            analysis._u_fixed_mod_tplus_r1p, analysis.translate_vectors = reverify, translate
+            linalg.kernel = kernel
             cfg = cli.config_from_mapping({"p": 5, "f": 2, "e": 1, "r": [1, 1], "suites": ["mainlemma"]})
-            sys.stdout.write(cli.emit(cli.run(cfg), "json").decode())
+            report = cli.emit(cli.run(cfg), "json").decode()
+            if not corrupted:
+                sys.exit("V's kernel was never taken")
+            sys.stdout.write(report)
             """
         )
         src = Path(analysis.__file__).resolve().parent.parent
@@ -812,13 +823,13 @@ class TestTruncatedL:
         checked = []
         u_check = analysis._u_fixed_mod_tplus_r1p
 
-        def spy(ctx, gens, count, rows_of, *spaces):
-            checked.append(rows_of(slice(0, count)))
-            return u_check(ctx, gens, count, rows_of, *spaces)
+        def spy(ctx, row):
+            checked.append(np.array(row))
+            return u_check(ctx, row)
 
         monkeypatch.setattr(analysis, "_u_fixed_mod_tplus_r1p", spy)
         assert analysis._certified_fixed_lower_bound(ctx, 1) == 2
-        assert np.array_equal(checked[-1], main.g[None])
+        assert np.array_equal(checked[-1], main.g)
         moved = main.g.copy()
         moved[ctx.D] = ctx.weight.field.kk.ADD[moved[ctx.D], 1]
         monkeypatch.setattr(analysis, "main_lemma_report", lambda ctx: dataclasses.replace(main, g=moved))
