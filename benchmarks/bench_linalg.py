@@ -77,9 +77,10 @@ def move_keys_times(args, repeat: int) -> str:
     from indgl2.localring import translation_table
 
     ctx = analysis.build_ctx(*args, N=analysis.MAIN_LEMMA_PRECISION)
-    spaces = analysis._candidate_spaces(ctx)
+    B0 = analysis._candidate_spaces(ctx).tplus_r1.block
+    V0 = analysis._first_digit_block(ctx, [c * ctx.ring.uniformizer() for c in analysis.u_generators(ctx, 1)], B0)
     perm, twist = translation_table(analysis.u_generators(ctx, 2)[0], 2)
-    rows = np.tile(spaces.vp.block.rows, ctx.q)
+    rows = np.tile(V0.rows, ctx.q)
     dense = np.random.default_rng(1).integers(0, ctx.weight.field.kk.order, size=(8, rows.shape[1])).astype(np.int32)
     t_rows = best_of(lambda: move_keys(ctx, perm, twist, rows), repeat)
     t_dense = best_of(lambda: move_keys(ctx, perm, twist, dense), repeat)

@@ -33,6 +33,7 @@ LADDER = [
     (2, 6, 1, (1, 1, 0, 0, 0, 0)),  # q = 64, D = 4
     (3, 4, 1, (1, 1, 0, 0)),  # q = 81, D = 4
     (3, 5, 1, (0, 0, 0, 0, 0)),  # q = 243, D = 1
+    (2, 8, 1, (0, 0, 0, 0, 0, 0, 0, 0)),  # q = 256, D = 1
     (2, 5, 1, (1, 1, 1, 1, 1)),  # q = 32, D = 32
     (7, 2, 1, (6, 6)),  # q = 49, D = 49
 ]

@@ -348,10 +348,6 @@ class FqElem:
     def __bool__(self):
         return self.code != 0
 
-    @property
-    def coords(self):
-        return self.field.coords_of(self.code)
-
     def __repr__(self):
         return f"FqElem({self.code})"
 

@@ -156,9 +156,38 @@ def tplus_by_walk(ctx):
 
 
 def dense_candidates(ctx):
-    """(T₊R₁′, V, W) of analysis._candidate_spaces embedded in R₂ as dense subspaces."""
+    """(T₊R₁′, V, W) as dense subspaces of R₂, each from the walk: T₊R₁ and T₊R₁′ by
+    tplus_by_walk, V the preimage of the fixed space of every translation of all_translations
+    on Q = R₂/T₊R₁′ (analysis.induced_quotient_maps), and W = V ∩ T₊R₁.  Nothing here uses the
+    first-digit blocks that analysis._candidate_spaces counts V and W in."""
+    kk = ctx.weight.field.kk
+    _, _, tplus_r1, tplus_r1p = tplus_by_walk(ctx)
+    P = quotient_projection(tplus_r1p)
+    maps = analysis.induced_quotient_maps(ctx, all_translations(ctx, 2), LevelRange("all", 2, 2), tplus_r1p)
+    V = linalg.preimage(P, linalg.fixed_space(maps, kk, P.shape[1]))
+    return tplus_r1p, V, linalg.intersect(V, tplus_r1)
+
+
+def block_candidates(ctx):
+    """(V′, Δ, V, W): the block route that analysis._candidate_spaces counts V and W by, with their bases.
+
+    V′ = V₀ ⊕ .. ⊕ V₀ is a linalg.BlockSum, and Δ is the stack of the maps u − 1 on V′ reduced mod
+    T₊R₁′, one block of columns per generator u; V = ker Δ and W = V ∩ T₊R₁ are in coordinates
+    over V′'s rows, so V′.embed puts them in R₂.  It reaches configurations far past dense_candidates,
+    as q = 81, D = 4.
+    """
+    kk = ctx.weight.field.kk
     spaces = analysis._candidate_spaces(ctx)
-    return spaces.tplus_r1.embed(spaces.tplus_r1p), spaces.vp.embed(spaces.V), spaces.vp.embed(spaces.W)
+    B0 = spaces.tplus_r1.block
+    V0 = analysis._first_digit_block(ctx, [c * ctx.ring.uniformizer() for c in analysis.u_generators(ctx, 1)], B0)
+    tplus_r1 = linalg.BlockSum(linalg.echelon(B0.rows[:, V0.pivots], kk, ambient=V0.dim), ctx.q)  # over V′'s rows
+    tplus_r1p = tplus_r1.embed(spaces.tplus_r1p)
+    gens = analysis.u_generators(ctx, 2)
+    delta = np.hstack([tplus_r1p.reduce(analysis._minus_identity_on_blocks(ctx, c, V0)) for c in gens])
+    V = linalg.kernel(delta, kk)
+    in_tplus_r1 = linalg.kernel(tplus_r1.reduce(V.rows), kk)
+    W = linalg.echelon(_kernels.matmul(in_tplus_r1.rows, V.rows, kk), kk, ambient=V.ambient)
+    return linalg.BlockSum(V0, ctx.q), delta, V, W
 
 
 def candidate_checks_by_u_act(ctx, g):
@@ -178,10 +207,10 @@ def candidate_checks_by_u_act(ctx, g):
 
 def u_fixed_mod_tplus_r1p(ctx, rows, chunk=32):
     """Whether every row of R₂ in rows is U-fixed modulo T₊R₁′ on all its q²D entries: the
-    re-check of V's basis that analysis._candidate_spaces made in R₂ before V was certified
-    in V′'s coordinates.  Each row is translated by every generator of all_translations, so
-    no lemma on which generators suffice is used, and (u − 1)v is tested in T₊R₁′'s frame,
-    chunk rows at a time."""
+    re-check of V's basis that analysis._candidate_spaces made in R₂ before it certified V in
+    V′'s coordinates, and then only counted V.  Each row is translated by every generator of
+    all_translations, so no lemma on which generators suffice is used, and (u − 1)v is tested
+    in T₊R₁′'s frame, chunk rows at a time."""
     kk = ctx.weight.field.kk
     spaces = analysis._candidate_spaces(ctx)
     for start in range(0, len(rows), chunk):

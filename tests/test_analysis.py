@@ -35,6 +35,7 @@ from indgl2.induction import (
 from indgl2.localring import translation_table
 from oracles import (
     all_translations,
+    block_candidates,
     candidate_checks_by_u_act,
     dense_candidates,
     dense_certified_lower_bound,
@@ -241,38 +242,38 @@ class TestHeckeMatrixAgainstOracle:
 
 
 class TestInvariantCandidates:
+    """dim V and dim W as analysis._candidate_spaces counts them, against the dense V and W of the walk."""
+
+    @staticmethod
+    def _dims(ctx):
+        _, V, W = dense_candidates(ctx)
+        spaces = analysis._candidate_spaces(ctx)
+        assert (spaces.v_dim, spaces.w_dim) == (V.dim, W.dim)
+        return V.dim, W.dim
+
     def test_ramified_r0_witness_exists(self, ram_r0):
-        _, V, W = dense_candidates(ram_r0)
-        assert (V.dim, W.dim) == (4, 3)
+        assert self._dims(ram_r0) == (4, 3)
 
     def test_ramified_r1_witness_exists(self, ram_r1):
-        _, V, W = dense_candidates(ram_r1)
-        assert V.dim > W.dim
+        dim_v, dim_w = self._dims(ram_r1)
+        assert dim_v > dim_w
 
     @pytest.mark.parametrize("r", [0, 1, 2])
     def test_base_field_no_witness(self, r):
         ctx = analysis.build_ctx(3, 1, 1, (r,), N=6)
-        _, V, W = dense_candidates(ctx)
-        assert V.dim == W.dim == 2 * r + 3
+        assert self._dims(ctx) == (2 * r + 3, 2 * r + 3)
 
     def test_v_contains_tplus_r1_prime(self, ram_r1):
         tplus_r1p, V, _ = dense_candidates(ram_r1)
         for row in tplus_r1p.rows:
             assert linalg.member(row, V)
 
-    def test_witness_search_matches_dense_search(self, ram_r1, q3_r1):
-        # the search over V's coordinate rows returns the first dense row of V outside W
-        _, V, W = dense_candidates(ram_r1)
-        want = next(row for row in V.rows if not linalg.member(row, W))
-        assert np.array_equal(analysis._witness_from_spaces(analysis._candidate_spaces(ram_r1)), want)
-        with pytest.raises(CheckFailed):
-            analysis._witness_from_spaces(analysis._candidate_spaces(q3_r1))
-
 
 class TestBlockRouteAgainstDense:
-    """V and W of the first-digit block route against the dense route: the
-    induced maps on all of Q = R₂/T₊R₁′, their fixed space, its preimage in R₂
-    and the intersection with T₊R₁, each space rebuilt here by row reduction."""
+    """The first-digit block route against the dense route: V and W with their bases by the block
+    oracle (block_candidates), and the dimensions analysis._candidate_spaces counts, against the
+    induced maps on all of Q = R₂/T₊R₁′, their fixed space, its preimage in R₂ and the
+    intersection with T₊R₁, each space rebuilt from the walk by row reduction (dense_candidates)."""
 
     CONFIGS = [
         (3, 1, 2, (0,)),
@@ -289,27 +290,19 @@ class TestBlockRouteAgainstDense:
         (5, 1, 1, (2,)),
     ]
 
-    @staticmethod
-    def _dense(ctx):
-        kk = ctx.weight.field.kk
-        _, _, tplus_r1, tplus_r1p = tplus_by_walk(ctx)
-        P = quotient_projection(tplus_r1p)
-        gens = all_translations(ctx, 2)
-        maps = analysis.induced_quotient_maps(ctx, gens, LevelRange("all", 2, 2), tplus_r1p)
-        fixed = linalg.fixed_space(maps, kk, P.shape[1])
-        V = linalg.preimage(P, fixed)
-        return V, linalg.intersect(V, tplus_r1), tplus_r1, P.shape[1], fixed.dim
-
     @pytest.mark.parametrize("args", CONFIGS)
     def test_v_and_w_equal(self, args):
         ctx = analysis.build_ctx(*args, N=5)
         spaces = analysis._candidate_spaces(ctx)
-        V, W, tplus_r1, q_dim, qu_dim = self._dense(ctx)
-        _, got_V, got_W = dense_candidates(ctx)
-        for got, want in ((got_V, V), (got_W, W)):
+        tplus_r1 = tplus_by_walk(ctx)[2]
+        tplus_r1p, V, W = dense_candidates(ctx)
+        vp, _, block_V, block_W = block_candidates(ctx)
+        for got, want in ((vp.embed(block_V), V), (vp.embed(block_W), W)):
             assert np.array_equal(got.rows, want.rows) and np.array_equal(got.pivots, want.pivots)
+        assert (spaces.v_dim, spaces.w_dim) == (V.dim, W.dim)
         assert np.array_equal(direct_sum(spaces.tplus_r1.block, spaces.tplus_r1.copies).rows, tplus_r1.rows)
-        assert (spaces.q_dim, spaces.qu_dim) == (q_dim, qu_dim)
+        dims = analysis.main_lemma_report(ctx).dims
+        assert (dims["Q"], dims["QU"]) == (tplus_r1p.ambient - tplus_r1p.dim, V.dim - tplus_r1p.dim)
 
     @pytest.mark.parametrize("args", CONFIGS)
     def test_block_helpers_match_dense(self, args):
@@ -319,13 +312,15 @@ class TestBlockRouteAgainstDense:
         rng = np.random.default_rng(sum(args[:3]) + len(args[3]))
         spaces = analysis._candidate_spaces(ctx)
         r1p, Mplus, tplus_r1, tplus_r1p = tplus_by_walk(ctx)
-        dense_tplus_r1p, dense_V, dense_W = dense_candidates(ctx)
+        _, dense_V, dense_W = dense_candidates(ctx)
+        vp, _, V, W = block_candidates(ctx)
         # the walk's T₊|R₁ is I_q ⊗ the block that _tplus_r1 reads off the local matrix
         assert np.array_equal(Mplus, np.kron(np.eye(q, dtype=np.int32), analysis._tplus_r1(ctx)[0]))
         # the T₊R₁′ of the block image, built in coordinates over T₊R₁, against r1p.rows @ T₊|R₁
         assert np.array_equal(spaces.r1p.rows, r1p.rows)
-        assert np.array_equal(dense_tplus_r1p.rows, tplus_r1p.rows)
-        assert np.array_equal(dense_tplus_r1p.pivots, tplus_r1p.pivots)
+        got_tplus_r1p = spaces.tplus_r1.embed(spaces.tplus_r1p)
+        assert np.array_equal(got_tplus_r1p.rows, tplus_r1p.rows)
+        assert np.array_equal(got_tplus_r1p.pivots, tplus_r1p.pivots)
         # blockwise T₊R₁ membership against the dense image of T₊|R₁
         block_sum = spaces.tplus_r1
         dense = direct_sum(block_sum.block, block_sum.copies)
@@ -341,19 +336,19 @@ class TestBlockRouteAgainstDense:
         # the block-coordinate embed of V₀ ⊕ .. ⊕ V₀ against the dense product through the sum
         V0 = analysis._first_digit_block(ctx, [c * ctx.ring.uniformizer() for c in analysis.u_generators(ctx, 1)], block_sum.block)
         Vp = linalg.BlockSum(V0, q)
-        assert spaces.vp.block == V0 and spaces.vp.copies == q
+        assert vp.block == V0 and vp.copies == q
         coords = linalg.echelon(rng.integers(0, kk.order, size=(5, Vp.dim)).astype(np.int32), kk, ambient=Vp.dim)
-        for S in (coords, spaces.V, spaces.W):
+        for S in (coords, V, W):
             got, want = Vp.embed(S), embed(S, direct_sum(V0, q))
             assert np.array_equal(got.rows, want.rows) and np.array_equal(got.pivots, want.pivots)
         # the coordinates of V and W over V′'s rows are the entries of their dense rows on V′'s pivots
-        for S, dense in ((spaces.V, dense_V), (spaces.W, dense_W)):
+        for S, dense in ((V, dense_V), (W, dense_W)):
             assert np.array_equal(dense.rows[:, Vp.pivots], S.rows)
         # membership in a frame's coordinates against membership in the embedded dense space
         for frame, S, dense in (
-            (block_sum, spaces.tplus_r1p, dense_tplus_r1p),
-            (spaces.vp, spaces.V, dense_V),
-            (spaces.vp, spaces.W, dense_W),
+            (block_sum, spaces.tplus_r1p, tplus_r1p),
+            (vp, V, dense_V),
+            (vp, W, dense_W),
         ):
             n = dense.ambient
             members = _kernels.matmul(rng.integers(0, kk.order, size=(4, dense.dim)).astype(np.int32), dense.rows, kk)
@@ -390,35 +385,38 @@ class TestBlockRouteAgainstDense:
         ctx = analysis.build_ctx(*args, N=3)
         assert analysis.main_lemma_report(ctx).found
         arrays = list(self._arrays(analysis._candidate_spaces(ctx)))
-        assert len(arrays) >= 12
+        assert len(arrays) == 6  # rows and pivots of R₁′, B₀ and T₊R₁′
         assert all(a.shape[-1] != ctx.q * ctx.q * ctx.D for a in arrays)
 
 
 class TestReverification:
-    """V is certified in V′'s coordinates; its basis rows re-checked on all q²D entries of R₂ are the oracle."""
+    """V and W are only counted; the block oracle's V, certified against its stack Δ and re-checked
+    on all q²D entries of R₂, is the oracle of the count."""
 
     @pytest.mark.parametrize(
         "config", sorted(cli.PRESETS) + [(5, 2, 1, (1, 1)), (3, 4, 1, (1, 1, 0, 0))], ids=str
     )
     def test_v_is_u_fixed_mod_tplus_r1p_in_r2(self, config):
-        # the presets, frontier-q25's configuration and q = 81, D = 4 (dim V = 325); a row of R₂
-        # outside V is refused by the same oracle
+        # the presets, frontier-q25's configuration and q = 81, D = 4 (dim V = 325): the oracle's V and
+        # W have the counted dimensions, V's rows times Δ are zero and each is U-fixed modulo T₊R₁′ in
+        # R₂; a row of R₂ outside V is refused by the same oracle
         if isinstance(config, str):
             ctx = cli.config_from_preset(config).build()
         else:
             ctx = analysis.build_ctx(*config, N=analysis.MAIN_LEMMA_PRECISION)
         spaces = analysis._candidate_spaces(ctx)
-        assert u_fixed_mod_tplus_r1p(ctx, spaces.vp.vectors(spaces.V.rows))
-        width = spaces.vp.ambient
-        units = (np.eye(1, width, j, dtype=np.int32) for j in range(width))
-        outside = next(e for e in units if not linalg.member_over(e, spaces.vp, spaces.V))
+        vp, delta, V, W = block_candidates(ctx)
+        assert (V.dim, W.dim) == (spaces.v_dim, spaces.w_dim)
+        assert not np.any(_kernels.matmul(V.rows, delta, ctx.weight.field.kk))
+        assert u_fixed_mod_tplus_r1p(ctx, vp.vectors(V.rows))
+        units = (np.eye(1, vp.ambient, j, dtype=np.int32) for j in range(vp.ambient))
+        outside = next(e for e in units if not linalg.member_over(e, vp, V))
         assert not u_fixed_mod_tplus_r1p(ctx, outside)
 
     @pytest.mark.parametrize("args", [(5, 2, 1, (1, 1)), (3, 2, 2, (1, 0))])
     def test_r2_wide_stacks_hold_at_most_dim_v0_rows(self, args, monkeypatch):
         # frontier-q25's configuration and an e = 2 one: every q²D-wide array the main lemma
-        # translates or reduces is g's one row or the dim V₀ rows _minus_identity_on_blocks tiles,
-        # so V's basis is never embedded in R₂
+        # translates or reduces is g's one row or the dim V₀ rows _minus_identity_on_blocks tiles
         ctx = analysis.build_ctx(*args, N=analysis.MAIN_LEMMA_PRECISION)
         shapes = []
         real_translate, real_reduce = analysis.translate_vectors, linalg.BlockSum.reduce
@@ -434,13 +432,13 @@ class TestReverification:
         monkeypatch.setattr(analysis, "translate_vectors", translate)
         monkeypatch.setattr(linalg.BlockSum, "reduce", reduce)
         assert analysis.main_lemma_report(ctx).found
-        d0 = analysis._candidate_spaces(ctx).vp.block.dim
         rows = [shape[0] if len(shape) == 2 else 1 for shape in shapes if shape[-1] == ctx.q * ctx.q * ctx.D]
+        d0 = block_candidates(ctx)[0].block.dim
         assert {1, d0} <= set(rows) and max(rows) <= d0
 
-    def test_corrupt_translate_fails_under_python_O(self):
-        # with assertions compiled out, a V given one extra row outside the kernel it is read
-        # off must still turn the run into a CheckFailed record, not a pass
+    def test_corrupt_tplus_r1p_fails_under_python_O(self):
+        # with assertions compiled out, a T₊R₁′ given one more row of T₊R₁ must still turn the run
+        # into a CheckFailed record, not a pass
         script = textwrap.dedent(
             """
             import sys
@@ -449,21 +447,21 @@ class TestReverification:
 
             if __debug__:
                 sys.exit("run under python -O")
-            real_kernel, corrupted = linalg.kernel, []
+            real_echelon, corrupted = linalg.echelon, []
 
-            def kernel(M, field):
-                S = real_kernel(M, field)
+            def echelon(vectors, field, ambient=None):
+                S = real_echelon(vectors, field, ambient=ambient)
                 if corrupted or sys._getframe(1).f_code.co_name != "_candidate_spaces":
                     return S
-                corrupted.append(True)  # V is the first kernel _candidate_spaces takes itself
-                outside = np.eye(1, S.ambient, int(np.flatnonzero(M.any(axis=1))[0]), dtype=np.int32)
-                return linalg.echelon(np.vstack([S.rows, outside]), field, ambient=S.ambient)
+                corrupted.append(True)  # T₊R₁′ is the first echelon form _candidate_spaces takes itself
+                outside = np.eye(1, S.ambient, int(linalg.non_pivots(S.pivots, S.ambient)[0]), dtype=np.int32)
+                return real_echelon(np.vstack([S.rows, outside]), field, ambient=S.ambient)
 
-            linalg.kernel = kernel
+            linalg.echelon = echelon
             cfg = cli.config_from_mapping({"p": 5, "f": 2, "e": 1, "r": [1, 1], "suites": ["mainlemma"]})
             report = cli.emit(cli.run(cfg), "json").decode()
             if not corrupted:
-                sys.exit("V's kernel was never taken")
+                sys.exit("T₊R₁′ was never built")
             sys.stdout.write(report)
             """
         )
@@ -476,7 +474,7 @@ class TestReverification:
         report = json.loads(done.stdout)
         assert report["verdict"] == "fail"
         records = {r["name"]: r for r in report["records"]}
-        assert records["mainlemma:error"]["detail"] == "CheckFailed: V must be U-fixed modulo T₊R₁′"
+        assert records["mainlemma:error"]["detail"] == "CheckFailed: T₊R₁′ must be U-stable"
 
 
 class TestNegativeControl:
@@ -614,20 +612,27 @@ class TestCandidateChecks:
 
 
 class TestIndependenceCertificate:
+    """The certificate dim L(σ)^U ≥ 2 is a g that passed both candidate_checks, with full T₊ block rank."""
+
     def test_true_for_witness(self, ram_r1):
-        coords, _, _ = analysis.paper_candidate(ram_r1)
-        ok, detail = analysis.independence_certificate(ram_r1, coords)
-        assert ok
-        assert set(detail) == {"g-nonzero", "g-not-in-TplusR1", "tplus-kernel-R1-zero", "tplus-kernel-R3-zero"}
+        rep = analysis.main_lemma_report(ram_r1)
+        assert rep.found and rep.certificate and all(rep.checks.values())
+        assert analysis.tplus_block_rank(ram_r1) == ram_r1.D
 
     def test_false_for_image_member(self, ram_r1):
         g = hecke_T_plus(singleton(ram_r1, 1, (0,), 0))
-        ok, detail = analysis.independence_certificate(ram_r1, flatten(g, LR2))
-        assert not ok and not detail["g-not-in-TplusR1"]
+        assert not analysis.candidate_checks(ram_r1, flatten(g, LR2))["g_not_in_TplusR1"]
 
     def test_false_for_zero(self, ram_r1):
-        ok, _ = analysis.independence_certificate(ram_r1, np.zeros(range_dim(ram_r1, LR2), dtype=np.int32))
-        assert not ok
+        zero = np.zeros(range_dim(ram_r1, LR2), dtype=np.int32)
+        assert not analysis.candidate_checks(ram_r1, zero)["g_not_in_TplusR1"]
+
+    def test_false_without_full_block_rank(self, monkeypatch):
+        # a checked g with a block rank below D certifies nothing
+        ctx = analysis.build_ctx(3, 1, 2, (1,), N=6)
+        monkeypatch.setattr(analysis, "tplus_block_rank", lambda ctx: ctx.D - 1)
+        rep = analysis.main_lemma_report(ctx)
+        assert rep.found and all(rep.checks.values()) and not rep.certificate
 
 
 class TestMainLemmaReport:
@@ -653,6 +658,16 @@ class TestMainLemmaReport:
         assert rep.found
         assert all(rep.checks.values())
         assert rep.certificate
+
+    def test_search_only_counts_that_say_found_raise(self, monkeypatch):
+        # over Q_p no construction applies, so counts that say "found" fail the run instead of searching
+        real = analysis._candidate_spaces
+        monkeypatch.setattr(analysis, "_candidate_spaces", lambda ctx: dataclasses.replace(real(ctx), v_dim=real(ctx).w_dim + 1))
+        with pytest.raises(CheckFailed, match="no construction case"):
+            analysis.main_lemma_report(analysis.build_ctx(3, 1, 1, (1,), N=6))
+        report = cli.run(cli.config_from_mapping({"p": 3, "f": 1, "e": 1, "r": [1], "suites": ["mainlemma"]}))
+        records = {r.name: r for r in report.records}
+        assert report.verdict == "fail" and records["mainlemma:error"].status == "fail"
 
     def test_nontrivial_character_pair(self):
         rep = analysis.main_lemma_report(analysis.build_ctx(3, 1, 2, (1,), chi_c=1, nu_code=2, N=6))
@@ -683,7 +698,7 @@ class TestTranslationMatrices:
 
     def _subspace(self, ctx, lr):
         if lr == LevelRange("all", 2, 2):
-            return dense_candidates(ctx)[0]
+            return tplus_by_walk(ctx)[3]
         return image(operator_matrix(ctx, hecke_T, LevelRange("odd", 1, lr.hi - 1), lr), ctx.weight.field.kk)
 
     @pytest.mark.parametrize(

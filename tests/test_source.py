@@ -68,22 +68,23 @@ def _constants():
 
 
 def _unreferenced(defs) -> list:
-    """The defs with no reference in src outside their own definition.  A reference is any name or
-    attribute spelled like the defined name (the last part of its qualified name)."""
-    refs = {}  # name -> [(module, line)]
+    """The defs with no reference in src outside their own definition.  A reference is an attribute
+    spelled like the defined name (the last part of its qualified name), or for a module-level def also
+    a bare name: a method is reached only through x.name, so a local variable of that name is none."""
+    refs = {}  # (name, is attribute) -> [(module, line)]
     for module, tree in MODULES.items():
         for node in ast.walk(tree):
-            name = node.id if isinstance(node, ast.Name) else node.attr if isinstance(node, ast.Attribute) else None
-            if name is not None:
-                refs.setdefault(name, []).append((module, node.lineno))
-    return [
-        f"{module}.{qualname}"
-        for module, qualname, node in defs
-        if all(
-            other == module and node.lineno <= line <= node.end_lineno
-            for other, line in refs.get(qualname.rsplit(".", 1)[-1], ())
-        )
-    ]
+            if isinstance(node, ast.Name):
+                refs.setdefault((node.id, False), []).append((module, node.lineno))
+            elif isinstance(node, ast.Attribute):
+                refs.setdefault((node.attr, True), []).append((module, node.lineno))
+    unused = []
+    for module, qualname, node in defs:
+        name = qualname.rsplit(".", 1)[-1]
+        found = refs.get((name, True), []) + ([] if "." in qualname else refs.get((name, False), []))
+        if all(other == module and node.lineno <= line <= node.end_lineno for other, line in found):
+            unused.append(f"{module}.{qualname}")
+    return unused
 
 
 def test_every_public_function_has_a_caller_in_src():

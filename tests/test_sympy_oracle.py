@@ -86,4 +86,4 @@ def test_witness_spaces_match(args):
     for got, want in ((got_V, V), (got_W, W)):
         assert np.array_equal(got.rows, want)
         assert np.array_equal(got.pivots, [np.flatnonzero(row)[0] for row in want])
-    assert spaces.V.dim > spaces.W.dim
+    assert (spaces.v_dim, spaces.w_dim) == (len(V), len(W)) and len(V) > len(W)
