@@ -26,7 +26,7 @@ SRC = Path(__file__).resolve().parent.parent / "src"
 
 # (p, f, e, r): frontier-q25 first, then the configurations with the largest dim V x q²D
 # (V's basis would be that large embedded in R₂), then two D = q weights, whose products
-# have operands below 1 % nonzero
+# have operands below 1 % nonzero, then the largest q and the largest D = q reached in a minute
 LADDER = [
     (5, 2, 1, (1, 1)),  # q = 25, D = 4
     (7, 2, 1, (3, 3)),  # q = 49, D = 16
@@ -36,6 +36,8 @@ LADDER = [
     (2, 8, 1, (0, 0, 0, 0, 0, 0, 0, 0)),  # q = 256, D = 1
     (2, 5, 1, (1, 1, 1, 1, 1)),  # q = 32, D = 32
     (7, 2, 1, (6, 6)),  # q = 49, D = 49
+    (3, 6, 1, (0, 0, 0, 0, 0, 0)),  # q = 729, D = 1
+    (2, 6, 1, (1, 1, 1, 1, 1, 1)),  # q = 64, D = 64
 ]
 
 # (p, f, e, r, N_max): the truncation suite, exact at every N up to N_max

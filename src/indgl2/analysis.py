@@ -16,12 +16,13 @@ a single kernel.  T₊R₁ and V′ are kept as (block, multiplicity) pairs
 (linalg.BlockSum) and T₊R₁′ as coordinates over T₊R₁'s rows, never as
 q²D-wide dense arrays, and an R₂ row is tested against T₊R₁′ in that frame
 (linalg.member_over).  V is the kernel, over the q·dim V₀ coordinates of V′,
-of constraints that come from one translation of dim V₀ rows per generator,
-since each translation moves every first-digit block onto a single block;
-dim V is their nullity, and dim W a small kernel beside it.  The witness g
-is checked on its q²D entries in R₂, and those checks alone back a pass.  So
-the only q²D-wide stacks are g's one row and the dim V₀ rows each generator
-translates.
+of the entry lists of u - 1 on V′ reduced mod T₊R₁′, each from one
+translation of dim V₀ rows, since each translation moves every first-digit
+block onto a single block; dim V is their nullity, and dim W comes from
+the rank of D rows beside it, both by _kernels.sparse_rank as for dim L_N^U
+below.  The witness g is checked on its q²D entries in R₂, and those checks
+alone back a pass.  So the only q²D-wide stacks are g's one row and the
+dim V₀ rows each generator translates.
 
 The Hecke matrix of R₁′ and the entries of T on I^o come from
 induction.hecke_matrix and induction.hecke_entries, filled from the two local
@@ -58,6 +59,7 @@ from .gf import FieldCtx
 from .induction import (
     InductionCtx,
     LevelRange,
+    _nonzero_entries,
     _offsets,
     hecke_entries,
     hecke_matrix,
@@ -253,8 +255,8 @@ def _first_digit_block(ctx: InductionCtx, deep, B0: linalg.Subspace) -> linalg.S
     return linalg.kernel(np.hstack(deltas), kk)
 
 
-def _minus_identity_on_blocks(ctx: InductionCtx, c: RingElem, V0: linalg.Subspace) -> np.ndarray:
-    """The matrix of u - 1 on V′ = V₀ ⊕ .. ⊕ V₀ in coordinates over V′'s rows, u the translation by c.
+def _minus_identity_on_blocks(ctx: InductionCtx, c: RingElem, V0: linalg.Subspace) -> tuple:
+    """(rows, cols, vals): the nonzero entries of u - 1 on V′ = V₀ ⊕ .. ⊕ V₀ over V′'s rows, u the translation by c.
 
     Coordinate k·dim V₀ + i is row i of V₀ on first-digit block k.  u sends
     block k onto a single block dest[k], and V₀ there into V₀ (both
@@ -262,7 +264,8 @@ def _minus_identity_on_blocks(ctx: InductionCtx, c: RingElem, V0: linalg.Subspac
     maps block k of T₊R₁ onto its block dest[k].  So one translation of
     dim V₀ rows, each holding V₀'s row on every block, gives every block's
     image, and the coordinates of an image over V₀ are its entries on V₀'s
-    pivots.
+    pivots.  The −1 is added inside the block when dest[k] = k and is an
+    entry of its own otherwise, so no position repeats.
     """
     kk = ctx.weight.field.kk
     q, qD, d0 = ctx.q, ctx.q * ctx.D, V0.dim
@@ -273,11 +276,13 @@ def _minus_identity_on_blocks(ctx: InductionCtx, c: RingElem, V0: linalg.Subspac
     moved = translate_vectors(ctx, c, 2, np.tile(V0.rows, q)).reshape(d0, q, qD)  # block dest[k] is block k's image
     if np.any(V0.reduce(moved.reshape(d0 * q, qD))):
         raise CheckFailed("u must map V₀ on every block into V₀")
-    blocks = np.arange(q)
-    M = np.zeros((q, d0, q, d0), dtype=np.int32)
-    M[blocks, :, dest] = moved[:, dest][..., V0.pivots].transpose(1, 0, 2)
-    M[blocks, :, blocks] = kk.ADD[M[blocks, :, blocks], kk.NEG[np.eye(d0, dtype=np.int32)]]
-    return M.reshape(q * d0, q * d0)
+    coef = moved[:, dest][..., V0.pivots].transpose(1, 0, 2)  # row i of block k's image, over V₀'s rows
+    blocks, i = np.arange(q), np.arange(d0)
+    fixed, away = np.flatnonzero(dest == blocks), np.flatnonzero(dest != blocks)
+    coef[fixed[:, None], i, i] = kk.ADD[coef[fixed[:, None], i, i], kk.NEG[1]]
+    diag = d0 * away[:, None] + i
+    moved_entries = (d0 * blocks[:, None, None] + i[:, None], d0 * dest[:, None, None] + i, coef)
+    return _nonzero_entries([moved_entries, (diag, diag, kk.NEG[1])])
 
 
 def _u_fixed_mod_tplus_r1p(ctx: InductionCtx, row: np.ndarray) -> bool:
@@ -305,24 +310,26 @@ def _candidate_spaces(ctx: InductionCtx) -> CandidateSpaces:
     blockwise, so every g in V has each first-digit block in V₀ (see
     _first_digit_block), and V is the kernel, over the q·dim V₀ coordinates
     of V′, of the stack Δ of the maps Δ_u, u - 1 on V′ reduced mod T₊R₁′,
-    side by side for the generators u.  Neither V nor W is built, only
-    counted.  dim V is the nullity of Δ.  T₊R₁′ ⊆ W ⊆ T₊R₁, and the rows of
-    T₊R₁ at T₊R₁′'s non-pivot coordinates span a complement C of T₊R₁′ in
-    T₊R₁, so W = T₊R₁′ ⊕ (C ∩ V) and dim W = dim T₊R₁ - rank(C·Δ), where C
-    has D rows when T₋ maps R₁ onto R₀.
+    side by side for the generators u.  Δ is entry lists, as in
+    fixed_space_system: each Δ_u is one product with T₊R₁′'s remainder
+    matrix, and the generators' columns are interleaved.  Neither V nor W is
+    built, only counted: dim V = q·dim V₀ - rank Δ.  T₊R₁′ ⊆ W ⊆ T₊R₁, and
+    the rows of T₊R₁ at T₊R₁′'s non-pivot coordinates span a complement C of
+    T₊R₁′ in T₊R₁, so W = T₊R₁′ ⊕ (C ∩ V) and dim W = dim T₊R₁ - rank(C·Δ),
+    where C has D rows when T₋ maps R₁ onto R₀.
 
-    The checked facts that make the verdict sound.  Each generator moves
-    whole first-digit blocks and maps V₀ on every block into V₀
-    (_minus_identity_on_blocks), so Δ_u before its reduction is the matrix
-    of u - 1 on V′.  B₀ lies in V₀ and over V₀ is reduced, so the subspace
-    Δ_u is reduced by is T₊R₁′ in V′'s coordinates, in reduced echelon form,
-    and for v in V′, (u - 1)v ∈ T₊R₁′ iff v's coordinates times Δ_u are
-    zero.  T₊R₁′'s rows times each Δ_u are checked to be zero, so every
-    generator maps T₊R₁′ into itself: T₊R₁′ is U-stable, and whatever the
-    generators fix modulo T₊R₁′ all of U fixes, as (uv - 1)g = u(v - 1)g +
+    The checked facts that make the verdict sound.  Each generator moves whole
+    first-digit blocks and maps V₀ on every block into V₀
+    (_minus_identity_on_blocks), so Δ_u before its reduction is the matrix of
+    u - 1 on V′.  B₀ lies in V₀ and over V₀ is reduced, so the rows the
+    remainder matrix is read from are T₊R₁′ in V′'s coordinates, in reduced
+    echelon form, and for v in V′, (u - 1)v ∈ T₊R₁′ iff v's coordinates times
+    Δ_u are zero.  T₊R₁′'s rows times each Δ_u are checked to be zero, so
+    every generator maps T₊R₁′ into itself: T₊R₁′ is U-stable, and whatever
+    the generators fix modulo T₊R₁′ all of U fixes, as (uv - 1)g = u(v - 1)g +
     (u - 1)g.  The witness g is checked on its q²D entries in R₂
-    (candidate_checks): (u - 1)g ∈ T₊R₁′ for every generator, so g ∈ V, and
-    g ∉ T₊R₁, so g ∉ W.  A pass rests on those checks and the full block
+    (candidate_checks): (u - 1)g ∈ T₊R₁′ for every generator, so g ∈ V,
+    and g ∉ T₊R₁, so g ∉ W.  A pass rests on those checks and the full block
     rank alone; the counts decide only whether a witness is sought, and a
     count that wrongly says "found" meets a candidate that fails its checks.
     The tests build V and W, certify V's rows against Δ and re-check them in
@@ -343,27 +350,29 @@ def _candidate_spaces(ctx: InductionCtx) -> CandidateSpaces:
     if np.any(V0.reduce(B0.rows)):
         raise CheckFailed("B₀ must lie in V₀")
     # over V′'s rows T₊R₁ is q copies of B₀'s entries on V₀'s pivots, reduced rows since B₀'s
-    # pivots are among V₀'s, and T₊R₁′ is its coordinates over T₊R₁'s rows embedded through them
+    # pivots are among V₀'s, and T₊R₁′'s reduced rows are its coordinates over T₊R₁'s rows through them
     tplus_r1_coords = linalg.BlockSum(linalg.echelon(B0.rows[:, V0.pivots], kk, ambient=V0.dim), q)
     if not np.array_equal(tplus_r1_coords.block.rows, B0.rows[:, V0.pivots]):
         raise CheckFailed("B₀ over V₀ must be reduced")
-    tplus_r1p_in_vp = tplus_r1_coords.embed(tplus_r1p)
-    # constraint columns that are zero on all of V′ are dropped
-    gens = u_generators(ctx, 2)
-    delta = np.hstack([tplus_r1p_in_vp.reduce(_minus_identity_on_blocks(ctx, c, V0)) for c in gens])
-    delta = delta[:, np.any(delta, axis=0)]
-    # T₊R₁′ is U-stable iff its rows times Δ are zero, taken in one product per generator's share of
-    # the columns: a single product expands the products of all of them at once, 17 MB more at q = 64, D = 4
-    if any(np.any(_kernels.matmul(tplus_r1p_in_vp.rows, part, kk)) for part in np.array_split(delta, len(gens), axis=1)):
+    n = tplus_r1_coords.ambient
+    rows, pivots = tplus_r1_coords.vectors(tplus_r1p.rows), tplus_r1_coords.pivots[tplus_r1p.pivots]
+    t_rows, t_cols = np.nonzero(rows)
+    t_vals = rows[t_rows, t_cols]
+    # row c of the remainder matrix mod T₊R₁′ is e_c off its pivots, and minus the rest of the pivot row on pivot c
+    free, off = linalg.non_pivots(pivots, n), t_cols != pivots[t_rows]
+    R = tuple(np.concatenate(a) for a in ((free, pivots[t_rows[off]]), (free, t_cols[off]), (np.ones_like(free), kk.NEG[t_vals[off]])))
+    # Δ_u reduced mod T₊R₁′ is Δ_u times the remainder matrix; column j of generator k is column j·g + k
+    parts = [_kernels.sparse_matmul(_minus_identity_on_blocks(ctx, c, V0), R, kk) for c in u_generators(ctx, 2)]
+    g = len(parts)
+    d_rows, d_cols, d_vals = zip(*parts)
+    delta = (np.concatenate(d_rows), np.concatenate([cols * g + k for k, cols in enumerate(d_cols)]), np.concatenate(d_vals))
+    if _kernels.sparse_matmul((t_rows, t_cols, t_vals), delta, kk)[0].size:
         raise CheckFailed("T₊R₁′ must be U-stable")
-    # Δ is eliminated as linalg.kernel eliminates it, Δᵀ with its columns reversed: at q = 256, D = 1
-    # that takes 0.6 s, rref(Δ) 1.1 s and rref(Δᵀ) 7.4 s
-    v_dim = len(delta) - len(_kernels.rref(delta.T[:, ::-1], kk)[1])
-    # C over V′'s coordinates meets few rows of Δ, and only those enter C·Δ
+    v_dim = n - _kernels.sparse_rank(*delta, (n, g * n), kk)
     C = tplus_r1_coords.vectors(np.eye(tplus_r1.dim, dtype=np.int32)[linalg.non_pivots(tplus_r1p.pivots, tplus_r1.dim)])
-    support = np.flatnonzero(C.any(axis=0))
-    c_delta = _kernels.matmul(C[:, support], delta[support], kk)
-    return CandidateSpaces(r1p, tplus_r1, tplus_r1p, v_dim, tplus_r1.dim - len(_kernels.rref(c_delta, kk)[1]))
+    c_rows, c_cols = np.nonzero(C)
+    c_delta = _kernels.sparse_matmul((c_rows, c_cols, C[c_rows, c_cols]), delta, kk)
+    return CandidateSpaces(r1p, tplus_r1, tplus_r1p, v_dim, tplus_r1.dim - _kernels.sparse_rank(*c_delta, (len(C), g * n), kk))
 
 
 # -- explicit candidates from the four construction cases --

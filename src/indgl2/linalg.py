@@ -137,18 +137,6 @@ class BlockSum:
             raise DimensionMismatch(f"coordinates of shape {coords.shape} vs a basis of {self.dim} rows")
         return _kernels.matmul(coords.reshape(-1, B.dim), B.rows, B.field).reshape(len(coords), self.ambient)
 
-    def embed(self, S: Subspace) -> Subspace:
-        """S, given in coordinates over the rows of this sum, as a subspace of its ambient.
-
-        The result is in reduced echelon form, with pivots self.pivots[S.pivots],
-        as S.rows and the block's rows are.
-        """
-        B = self.block
-        if S.ambient != self.dim or S.field is not B.field:
-            raise DimensionMismatch(f"coordinates of length {S.ambient} vs a basis of {self.dim} rows")
-        rows = self.vectors(S.rows) if S.dim else np.zeros((0, self.ambient), dtype=np.int32)
-        return Subspace(B.field, self.ambient, rows, self.pivots[S.pivots], _canonical=True)
-
 
 def non_pivots(pivots: np.ndarray, ambient: int) -> np.ndarray:
     """The columns 0 .. ambient - 1 that are not in pivots, in increasing order."""

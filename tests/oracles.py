@@ -20,7 +20,7 @@ from indgl2.induction import (
     u_act,
 )
 from indgl2.linalg import Subspace
-from indgl2.localring import DigitString, LocalRingCtx, RingElem, residue, teichmuller
+from indgl2.localring import DigitString, LocalRingCtx, RingElem, residue, teichmuller, translation_table
 from indgl2.weight import action_matrix
 
 
@@ -110,7 +110,8 @@ def direct_sum(S, copies):
 
 def embed(S, Z):
     """S, given in coordinates over the rows of the dense Z, as a subspace of
-    Z's ambient: the oracle of linalg.BlockSum.embed.
+    Z's ambient: the reference for a linalg.BlockSum's vectors(S.rows) and
+    pivots[S.pivots], with Z the sum made dense by direct_sum.
 
     Both are in reduced echelon form, so S.rows @ Z.rows is too, with pivots
     Z.pivots[S.pivots]; the coordinates of a member v of Z are v[Z.pivots].
@@ -168,22 +169,40 @@ def dense_candidates(ctx):
     return tplus_r1p, V, linalg.intersect(V, tplus_r1)
 
 
-def block_candidates(ctx):
-    """(V′, Δ, V, W): the block route that analysis._candidate_spaces counts V and W by, with their bases.
+def minus_identity_on_blocks(ctx, c, V0):
+    """The dense (q·dim V₀)-square matrix of u − 1 on V′ = V₀ ⊕ .. ⊕ V₀ over V′'s rows, u the translation by
+    c: the reference for the entry lists of analysis._minus_identity_on_blocks, built apart from them.  The
+    tiled rows of V₀ are translated once, each block's image is scattered into a q x dim V₀ x q x dim V₀
+    array on its destination block, and the identity is subtracted on the diagonal blocks."""
+    kk = ctx.weight.field.kk
+    q, qD, d0 = ctx.q, ctx.q * ctx.D, V0.dim
+    dest = translation_table(c, 2)[0].reshape(q, q)[:, 0] // q
+    moved = translate_vectors(ctx, c, 2, np.tile(V0.rows, q)).reshape(d0, q, qD)  # block dest[k] is block k's image
+    blocks = np.arange(q)
+    M = np.zeros((q, d0, q, d0), dtype=np.int32)
+    M[blocks, :, dest] = moved[:, dest][..., V0.pivots].transpose(1, 0, 2)
+    M[blocks, :, blocks] = kk.ADD[M[blocks, :, blocks], kk.NEG[np.eye(d0, dtype=np.int32)]]
+    return M.reshape(q * d0, q * d0)
 
-    V′ = V₀ ⊕ .. ⊕ V₀ is a linalg.BlockSum, and Δ is the stack of the maps u − 1 on V′ reduced mod
-    T₊R₁′, one block of columns per generator u; V = ker Δ and W = V ∩ T₊R₁ are in coordinates
-    over V′'s rows, so V′.embed puts them in R₂.  It reaches configurations far past dense_candidates,
-    as q = 81, D = 4.
+
+def block_candidates(ctx):
+    """(V′, Δ, V, W): the block route that analysis._candidate_spaces counts V and W by, dense, with their bases.
+
+    V′ = V₀ ⊕ .. ⊕ V₀ is a linalg.BlockSum, and Δ is the dense stack of the maps u − 1 on V′
+    (minus_identity_on_blocks) reduced mod T₊R₁′ by Subspace.reduce, one block of q·dim V₀ columns per
+    generator u of analysis.u_generators(ctx, 2), in their order, none dropped; T₊R₁ and T₊R₁′ over V′'s
+    rows are dense too (direct_sum, embed).  V = ker Δ and W = V ∩ T₊R₁ are in coordinates over V′'s
+    rows, so embed(S, direct_sum(V₀, q)) puts them in R₂.  It reaches configurations far past
+    dense_candidates, as q = 81, D = 4.
     """
     kk = ctx.weight.field.kk
     spaces = analysis._candidate_spaces(ctx)
     B0 = spaces.tplus_r1.block
     V0 = analysis._first_digit_block(ctx, [c * ctx.ring.uniformizer() for c in analysis.u_generators(ctx, 1)], B0)
-    tplus_r1 = linalg.BlockSum(linalg.echelon(B0.rows[:, V0.pivots], kk, ambient=V0.dim), ctx.q)  # over V′'s rows
-    tplus_r1p = tplus_r1.embed(spaces.tplus_r1p)
+    tplus_r1 = direct_sum(linalg.echelon(B0.rows[:, V0.pivots], kk, ambient=V0.dim), ctx.q)  # over V′'s rows
+    tplus_r1p = embed(spaces.tplus_r1p, tplus_r1)
     gens = analysis.u_generators(ctx, 2)
-    delta = np.hstack([tplus_r1p.reduce(analysis._minus_identity_on_blocks(ctx, c, V0)) for c in gens])
+    delta = np.hstack([tplus_r1p.reduce(minus_identity_on_blocks(ctx, c, V0)) for c in gens])
     V = linalg.kernel(delta, kk)
     in_tplus_r1 = linalg.kernel(tplus_r1.reduce(V.rows), kk)
     W = linalg.echelon(_kernels.matmul(in_tplus_r1.rows, V.rows, kk), kk, ambient=V.ambient)

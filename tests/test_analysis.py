@@ -297,7 +297,8 @@ class TestBlockRouteAgainstDense:
         tplus_r1 = tplus_by_walk(ctx)[2]
         tplus_r1p, V, W = dense_candidates(ctx)
         vp, _, block_V, block_W = block_candidates(ctx)
-        for got, want in ((vp.embed(block_V), V), (vp.embed(block_W), W)):
+        dense_vp = direct_sum(vp.block, vp.copies)
+        for got, want in ((embed(block_V, dense_vp), V), (embed(block_W, dense_vp), W)):
             assert np.array_equal(got.rows, want.rows) and np.array_equal(got.pivots, want.pivots)
         assert (spaces.v_dim, spaces.w_dim) == (V.dim, W.dim)
         assert np.array_equal(direct_sum(spaces.tplus_r1.block, spaces.tplus_r1.copies).rows, tplus_r1.rows)
@@ -318,9 +319,8 @@ class TestBlockRouteAgainstDense:
         assert np.array_equal(Mplus, np.kron(np.eye(q, dtype=np.int32), analysis._tplus_r1(ctx)[0]))
         # the T₊R₁′ of the block image, built in coordinates over T₊R₁, against r1p.rows @ T₊|R₁
         assert np.array_equal(spaces.r1p.rows, r1p.rows)
-        got_tplus_r1p = spaces.tplus_r1.embed(spaces.tplus_r1p)
-        assert np.array_equal(got_tplus_r1p.rows, tplus_r1p.rows)
-        assert np.array_equal(got_tplus_r1p.pivots, tplus_r1p.pivots)
+        assert np.array_equal(spaces.tplus_r1.vectors(spaces.tplus_r1p.rows), tplus_r1p.rows)
+        assert np.array_equal(spaces.tplus_r1.pivots[spaces.tplus_r1p.pivots], tplus_r1p.pivots)
         # blockwise T₊R₁ membership against the dense image of T₊|R₁
         block_sum = spaces.tplus_r1
         dense = direct_sum(block_sum.block, block_sum.copies)
@@ -333,14 +333,14 @@ class TestBlockRouteAgainstDense:
             assert np.array_equal(block_sum.reduce(v), dense.reduce(v))
             assert linalg.member(v, block_sum) == linalg.member(v, tplus_r1)
         assert all(linalg.member(v, block_sum) for v in members)
-        # the block-coordinate embed of V₀ ⊕ .. ⊕ V₀ against the dense product through the sum
+        # the block-coordinate vectors and pivots of V₀ ⊕ .. ⊕ V₀ against the dense product through the sum
         V0 = analysis._first_digit_block(ctx, [c * ctx.ring.uniformizer() for c in analysis.u_generators(ctx, 1)], block_sum.block)
         Vp = linalg.BlockSum(V0, q)
         assert vp.block == V0 and vp.copies == q
         coords = linalg.echelon(rng.integers(0, kk.order, size=(5, Vp.dim)).astype(np.int32), kk, ambient=Vp.dim)
         for S in (coords, V, W):
-            got, want = Vp.embed(S), embed(S, direct_sum(V0, q))
-            assert np.array_equal(got.rows, want.rows) and np.array_equal(got.pivots, want.pivots)
+            want = embed(S, direct_sum(V0, q))
+            assert np.array_equal(Vp.vectors(S.rows), want.rows) and np.array_equal(Vp.pivots[S.pivots], want.pivots)
         # the coordinates of V and W over V′'s rows are the entries of their dense rows on V′'s pivots
         for S, dense in ((V, dense_V), (W, dense_W)):
             assert np.array_equal(dense.rows[:, Vp.pivots], S.rows)
@@ -389,6 +389,13 @@ class TestBlockRouteAgainstDense:
         assert all(a.shape[-1] != ctx.q * ctx.q * ctx.D for a in arrays)
 
 
+def _main_lemma_ctx(config):
+    """A fresh context for a preset name or a (p, f, e, r) tuple at the main lemma's precision."""
+    if isinstance(config, str):
+        return cli.config_from_preset(config).build()
+    return analysis.build_ctx(*config, N=analysis.MAIN_LEMMA_PRECISION)
+
+
 class TestReverification:
     """V and W are only counted; the block oracle's V, certified against its stack Δ and re-checked
     on all q²D entries of R₂, is the oracle of the count."""
@@ -400,10 +407,7 @@ class TestReverification:
         # the presets, frontier-q25's configuration and q = 81, D = 4 (dim V = 325): the oracle's V and
         # W have the counted dimensions, V's rows times Δ are zero and each is U-fixed modulo T₊R₁′ in
         # R₂; a row of R₂ outside V is refused by the same oracle
-        if isinstance(config, str):
-            ctx = cli.config_from_preset(config).build()
-        else:
-            ctx = analysis.build_ctx(*config, N=analysis.MAIN_LEMMA_PRECISION)
+        ctx = _main_lemma_ctx(config)
         spaces = analysis._candidate_spaces(ctx)
         vp, delta, V, W = block_candidates(ctx)
         assert (V.dim, W.dim) == (spaces.v_dim, spaces.w_dim)
@@ -435,6 +439,59 @@ class TestReverification:
         rows = [shape[0] if len(shape) == 2 else 1 for shape in shapes if shape[-1] == ctx.q * ctx.q * ctx.D]
         d0 = block_candidates(ctx)[0].block.dim
         assert {1, d0} <= set(rows) and max(rows) <= d0
+
+    @pytest.mark.parametrize(
+        "config", sorted(cli.PRESETS) + [(5, 2, 1, (1, 1)), (3, 4, 1, (1, 1, 0, 0)), (7, 2, 1, (3, 3))], ids=str
+    )
+    def test_entry_list_delta_matches_dense_oracle(self, config, monkeypatch):
+        # the entry lists whose rank gives dim V, column j of generator k at j·g + k, against the oracle's
+        # dense Δ_u (the 4-D scatter reduced by Subspace.reduce mod T₊R₁′), generator by generator, entry for
+        # entry, with no repeated position and no zero entry
+        ctx = _main_lemma_ctx(config)
+        ranked, real = [], _kernels.sparse_rank
+
+        def spy(rows, cols, vals, shape, field):
+            ranked.append((rows, cols, vals, shape))
+            return real(rows, cols, vals, shape, field)
+
+        monkeypatch.setattr(_kernels, "sparse_rank", spy)
+        spaces = analysis._candidate_spaces(ctx)
+        monkeypatch.undo()
+        vp, delta, _, _ = block_candidates(ctx)
+        n, g = vp.dim, len(analysis.u_generators(ctx, 2))
+        rows, cols, vals, shape = ranked[0]
+        assert shape == (n, g * n) and delta.shape == shape
+        assert len(set(zip(rows.tolist(), cols.tolist()))) == rows.size and np.all(vals != 0)
+        got = np.zeros(shape, dtype=np.int32)
+        got[rows, (cols % g) * n + cols // g] = vals
+        for k in range(g):
+            assert np.array_equal(got[:, k * n : (k + 1) * n], delta[:, k * n : (k + 1) * n]), k
+        assert spaces.v_dim == n - len(_kernels.rref(delta, ctx.weight.field.kk)[1])
+
+    @pytest.mark.parametrize("args", [(5, 2, 1, (1, 1)), (3, 2, 2, (1, 0))])
+    def test_no_dense_delta_operand(self, args, monkeypatch):
+        # frontier-q25's configuration and an e = 2 one: no operand of a dense rref or product in the main
+        # lemma is (q·dim V₀)-square or as wide as the stack Δ of the g maps u − 1 on V′
+        ctx = _main_lemma_ctx(args)
+        shapes = []
+        real_rref, real_matmul = _kernels.rref, _kernels.matmul
+
+        def rref(M, field):
+            shapes.append(np.shape(M))
+            return real_rref(M, field)
+
+        def matmul(A, B, field):
+            shapes.extend((np.shape(A), np.shape(B)))
+            return real_matmul(A, B, field)
+
+        monkeypatch.setattr(_kernels, "rref", rref)
+        monkeypatch.setattr(_kernels, "matmul", matmul)
+        assert analysis.main_lemma_report(ctx).found
+        monkeypatch.undo()
+        n = block_candidates(ctx)[0].dim
+        g = len(analysis.u_generators(ctx, 2))
+        assert shapes and g > 1
+        assert all(shape != (n, n) and shape[-1] != g * n for shape in shapes), (n, g, sorted(set(shapes)))
 
     def test_corrupt_tplus_r1p_fails_under_python_O(self):
         # with assertions compiled out, a T₊R₁′ given one more row of T₊R₁ must still turn the run

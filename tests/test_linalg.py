@@ -150,17 +150,19 @@ def test_block_sum_matches_dense_direct_sum(F9):
         T.reduce(np.zeros(19, dtype=np.int32))
 
 
-def test_block_sum_embed_matches_dense_embed(F9):
+def test_block_sum_vectors_match_dense_embed(F9):
+    # a subspace S in coordinates over the sum's rows is vectors(S.rows) with pivots pivots[S.pivots] in the ambient
     rng = np.random.default_rng(26)
     Z = BlockSum(echelon(rand_mat(rng, F9, 3, 7), F9), 5)
     for rows in (rand_mat(rng, F9, 6, Z.dim), rand_mat(rng, F9, Z.dim, Z.dim), np.zeros((0, Z.dim), dtype=np.int32)):
         S = echelon(rows, F9, ambient=Z.dim)
-        got, want = Z.embed(S), embed(S, direct_sum(Z.block, Z.copies))
-        assert got == want and np.array_equal(got.pivots, want.pivots)
-        assert got == echelon(got.rows, F9, ambient=Z.ambient)  # already reduced echelon
-        assert np.array_equal(got.rows[:, Z.pivots], S.rows)
+        got, want = Z.vectors(S.rows), embed(S, direct_sum(Z.block, Z.copies))
+        assert np.array_equal(got, want.rows) and np.array_equal(Z.pivots[S.pivots], want.pivots)
+        R, piv = _kernels.rref(got, F9)  # already reduced echelon
+        assert np.array_equal(R, got) and np.array_equal(piv, Z.pivots[S.pivots])
+        assert np.array_equal(got[:, Z.pivots], S.rows)
     with pytest.raises(DimensionMismatch):
-        Z.embed(echelon(rand_mat(rng, F9, 2, Z.dim + 1), F9))
+        Z.vectors(rand_mat(rng, F9, 2, Z.dim + 1))
 
 
 def test_kernel_zero_map(F3):
